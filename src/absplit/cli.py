@@ -20,6 +20,28 @@ from .harness import CHECKS, classify_rows, run_verification, worked_examples_re
 from .splitness import Caps
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line to stderr and exit with code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(lo: int, kind: type = int):
+    """argparse type: a number of the given kind that is >= lo."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not value >= lo:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return value
+
+    return parse
+
+
 def _caps_from_args(args) -> Caps:
     return Caps(
         hom_budget=args.budget_hom,
@@ -31,15 +53,15 @@ def _caps_from_args(args) -> Caps:
 
 
 def _add_caps_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-hom", type=int, default=Caps().hom_budget,
+    p.add_argument("--budget-hom", type=_at_least(0), default=Caps().hom_budget,
                    help="largest Hom set brute force will enumerate")
-    p.add_argument("--cap-subgroups", type=int, default=Caps().subgroup_cap,
+    p.add_argument("--cap-subgroups", type=_at_least(0), default=Caps().subgroup_cap,
                    help="largest group order for subgroup enumeration")
-    p.add_argument("--cap-endring", type=int, default=Caps().endring_cap,
+    p.add_argument("--cap-endring", type=_at_least(0), default=Caps().endring_cap,
                    help="largest End ring fully enumerated")
-    p.add_argument("--entry-bound", type=int, default=Caps().entry_bound,
+    p.add_argument("--entry-bound", type=_at_least(0), default=Caps().entry_bound,
                    help="matrix entry bound for summand witness searches")
-    p.add_argument("--timeout", type=float, default=0.0,
+    p.add_argument("--timeout", type=_at_least(0, float), default=0.0,
                    help="per-group wall clock guard in seconds (0 = off; "
                         "timing-based skips make reports nondeterministic)")
 
@@ -167,7 +189,7 @@ def _cmd_examples(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="absplit",
         description="Splitness analysis for finitely generated abelian groups",
     )
@@ -189,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run the brute-force verification suite")
-    p_verify.add_argument("--max-order", type=int, default=24)
+    p_verify.add_argument("--max-order", type=_at_least(1), default=24)
     p_verify.add_argument(
         "--theorems",
         help=f"comma-separated check ids (default all): {', '.join(sorted(CHECKS))}",

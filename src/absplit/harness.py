@@ -1017,10 +1017,7 @@ def torsion_split_samples(
                 "self_split": plain.answer,
                 "strongly": strong.answer,
             }
-            if rank >= 2:
-                wit = strongly_no_witness_search(g, f, entry_bound=1)
-                entry["witness_found"] = wit is not None
-            elif rank == 1:
+            if rank >= 1:
                 wit = strongly_no_witness_search(g, f, entry_bound=1)
                 entry["witness_found"] = wit is not None
             out.append(entry)

@@ -181,6 +181,7 @@ class GroupAnalysis:
         self.group = m
         self._props: dict[Matrix, SubProps] = {}
         self._all_subgroups: Optional[list[Subgroup]] = None
+        self._end_ring: Optional[EndRingView] = None
 
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
@@ -199,6 +200,11 @@ class GroupAnalysis:
 
     def summands(self, cap: int) -> list[Subgroup]:
         return [s for s in self.subgroups(cap) if self.subgroup_props(s).is_summand]
+
+    def end_ring(self) -> EndRingView:
+        if self._end_ring is None:
+            self._end_ring = _enumerate_end_ring(self.group)
+        return self._end_ring
 
 
 _ANALYSES: dict[tuple[int, ...], GroupAnalysis] = {}
@@ -612,10 +618,11 @@ def structural_dual_self_rickart(c: FgAbGroup) -> tuple[bool, Optional[Morphism]
 
 
 def structural_strong_rickart_witness(c: FgAbGroup) -> Optional[Morphism]:
-    """Endomorphism whose kernel is a summand but not fully invariant.
+    """Endomorphism whose kernel and image are summands but not fully
+    invariant; it witnesses both the strong and the dual strong negative.
 
-    Only meaningful when c is self-Rickart; None iff End(c) is abelian
-    (at most one invariant factor)."""
+    Only meaningful when c is (dual) self-Rickart; None iff End(c) is
+    abelian (at most one invariant factor)."""
     if len(c.factors) <= 1:
         return None
     a, b = c.factors[0], c.factors[1]
@@ -623,11 +630,6 @@ def structural_strong_rickart_witness(c: FgAbGroup) -> Optional[Morphism]:
     rows = [[0] * c.ngens for _ in range(c.ngens)]
     rows[0][1] = step
     return morphism(c, c, rows)
-
-
-def structural_dual_strong_rickart_witness(c: FgAbGroup) -> Optional[Morphism]:
-    """Endomorphism whose image is a summand but not fully invariant."""
-    return structural_strong_rickart_witness(c)
 
 
 def end_ring_abelian_closed_form(m: FgAbGroup) -> bool:
@@ -639,38 +641,63 @@ def end_ring_abelian_closed_form(m: FgAbGroup) -> bool:
 # end rings
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndRingView:
+    """What the End-ring route keeps of a full enumeration of End(M): its
+    size, its idempotents, and the first idempotent that fails to commute
+    with an additive basis element (None when every idempotent is central)."""
+
     object: FgAbGroup
-    elements: list[Morphism]
-    idempotents: list[Morphism]
+    size: int
+    idempotent_rows: tuple[Matrix, ...]
+    noncentral: Optional[tuple[Matrix, Matrix]]
 
 
-def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:
-    """Full endomorphism ring enumeration; None when |End| exceeds the cap."""
-    total = hom_count(m, m)
-    if total is None or total > cap:
-        return None
-    elements = list(iter_hom(m, m))
-    idem = [e for e in elements if compose(e, e) == e]
-    return EndRingView(m, elements, idem)
-
-
-def noncentral_idempotent(view: EndRingView) -> Optional[tuple[Morphism, Morphism]]:
-    """(e, h) with idempotent e and basis element h that do not commute.
+def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
+    """One pass over End(M) on raw matrices: e is idempotent iff e·e = e.
 
     Centrality against the additive basis suffices: commutation with e is
     additive in the other argument."""
-    basis = hom_group(view.object, view.object).basis
-    for e in view.idempotents:
-        for h in basis:
-            if compose(e, h) != compose(h, e):
-                return e, h
-    return None
+    factors = m.factors
+    size = 0
+    idem = []
+    for rows in iter_hom_rows(m, m):
+        size += 1
+        if _compose_rows(rows, rows, factors) == rows:
+            idem.append(rows)
+    basis = [h.rows for h in hom_group(m, m).basis]
+    noncentral = next(
+        (
+            (e, h)
+            for e in idem
+            for h in basis
+            if _compose_rows(e, h, factors) != _compose_rows(h, e, factors)
+        ),
+        None,
+    )
+    return EndRingView(m, size, tuple(idem), noncentral)
+
+
+def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:
+    """Full endomorphism ring enumeration, done once per group and kept on
+    its GroupAnalysis; None when |End| exceeds the cap."""
+    total = hom_count(m, m)
+    if total is None or total > cap:
+        return None
+    return analysis_for(m).end_ring()
+
+
+def noncentral_idempotent(view: EndRingView) -> Optional[tuple[Morphism, Morphism]]:
+    """(e, h) with idempotent e and basis element h that do not commute."""
+    if view.noncentral is None:
+        return None
+    m = view.object
+    e, h = view.noncentral
+    return Morphism(m, m, e), Morphism(m, m, h)
 
 
 def is_abelian_ring(view: EndRingView) -> bool:
-    return noncentral_idempotent(view) is None
+    return view.noncentral is None
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +816,7 @@ def _strong_routes(
     if view is not None:
         route_endab = is_abelian_ring(view)
         trace.append(
-            f"end-ring route: |End| = {len(view.elements)} enumerated, "
+            f"end-ring route: |End| = {view.size} enumerated, "
             f"abelian = {route_endab}"
         )
     else:
@@ -906,7 +933,7 @@ def is_dual_self_F_split_theorem(
         return SplitVerdict(
             YES, label, "theorem", strongly, True, m, m, f_sub, trace=tuple(trace)
         )
-    strong_wit = structural_dual_strong_rickart_witness(fgrp)
+    strong_wit = structural_strong_rickart_witness(fgrp)
     structural = strong_wit is None
     _strong_routes(m, f_sub, fgrp, structural, caps, contained_in=True, trace=trace)
     if structural:

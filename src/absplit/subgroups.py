@@ -29,14 +29,10 @@ from .groups import (
     Morphism,
     ObjectMismatchError,
     canonical_group,
-    compose,
     hom_group,
-    identity_hom,
     is_epi,
     is_mono,
-    kernel,
     morphism,
-    pullback,
     zero_hom,
     _diag_columns,
 )
@@ -241,12 +237,18 @@ def kernel_subgroup(f: Morphism) -> Subgroup:
 
 
 def intersect(s: Subgroup, t: Subgroup) -> Subgroup:
-    """S ∩ T, computed via the pullback of the two inclusions."""
+    """S ∩ T on the canonical lattices (Zassenhaus).
+
+    The rows (v, v) for v in S.canonical and (w, 0) for w in T.canonical
+    span the pairs (a·S + b·T, a·S).  Those with first half zero are exactly
+    the (0, x) with x = a·S = −b·T in S ∩ T, and a Hermite basis lists a
+    basis of them last."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
-    ji, jj = inclusion(s), inclusion(t)
-    p, pa, pb = pullback(ji, jj)
-    return image_subgroup(compose(ji, pa))
+    n = s.ambient.ngens
+    rows = [r + r for r in s.canonical] + [r + (0,) * n for r in t.canonical]
+    gens = [r[n:] for r in hnf_rows(rows, 2 * n) if not any(r[:n])]
+    return sub_from_gens(s.ambient, gens)
 
 
 def sum_sub(s: Subgroup, t: Subgroup) -> Subgroup:

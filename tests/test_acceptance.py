@@ -9,8 +9,12 @@ notes ledger for the analysis.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -391,3 +395,23 @@ def test_criterion_10_determinism(tmp_path, capsys):
         code1,
         code2,
     )
+
+
+def test_criterion_10_cold_process_determinism():
+    # per-group memos (analyses, End rings) live for the whole process, so a
+    # warm in-process run must agree with fresh interpreters
+    import absplit
+    from absplit.harness import run_verification
+
+    env = dict(os.environ)
+    src = str(Path(absplit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "absplit.cli", "verify", "--max-order", "12", "--json"]
+    cold = []
+    for _ in range(2):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        cold.append(_strip_timing(proc.stdout))
+    warm = _strip_timing(json.dumps(run_verification(12)))
+    ok = cold[0] == cold[1] == warm
+    assert report("10", ok, "two cold verify processes and a warm run byte-identical")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from absplit.cli import main
 
 
@@ -177,3 +179,38 @@ def test_verify_report_contains_examples_field(capsys, tmp_path):
         "engine_version", "caps", "corpus_spec", "theorems", "examples", "passed",
     }
     assert doc["examples"] == []
+
+
+# --- numeric flags are validated at parse time: one error line, exit code 2 ---
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--max-order", "0"), "--max-order"),
+        (("verify", "--max-order", "4", "--budget-hom", "-1"), "--budget-hom"),
+        (("verify", "--max-order", "4", "--cap-subgroups", "-1"), "--cap-subgroups"),
+        (("examples", "--cap-endring", "-5"), "--cap-endring"),
+        (("classify", "Z/4", "--entry-bound", "-2"), "--entry-bound"),
+        (("classify", "Z/4", "--timeout", "-0.5"), "--timeout"),
+        (("classify", "Z/4", "--timeout", "nan"), "--timeout"),
+        (("verify", "--max-order", "four"), "--max-order"),
+    ],
+)
+def test_numeric_flag_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_numeric_flag_lower_bounds_accepted(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "Z/6", "--budget-hom", "0", "--cap-subgroups", "0",
+        "--cap-endring", "0", "--entry-bound", "0", "--timeout", "0",
+    )
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "verify", "--max-order", "1")
+    assert code == 0

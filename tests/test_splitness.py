@@ -234,34 +234,59 @@ def test_decide_profile_modes():
 def test_end_ring_examples():
     for n in (5, 6, 8, 12):
         view = end_ring(group(n))
-        assert len(view.elements) == n
+        assert view.size == n
         assert is_abelian_ring(view)
     view = end_ring(group(2, 2))
-    assert len(view.elements) == 16
+    assert view.size == 16
     assert not is_abelian_ring(view)
     e, h = noncentral_idempotent(view)
     assert compose(e, e) == e and compose(e, h) != compose(h, e)
     view = end_ring(group(2, 3))
-    assert len(view.elements) == 6 and is_abelian_ring(view)
+    assert view.size == 6 and is_abelian_ring(view)
     assert end_ring(group(2, 2, 2, 2, 2), cap=100) is None
     assert end_ring(group(0)) is None
 
 
 def test_idempotents_complete():
-    view = end_ring(group(2, 2))
-    brute = [e for e in iter_hom(group(2, 2), group(2, 2)) if compose(e, e) == e]
-    assert len(view.idempotents) == len(brute)
+    # the raw-row summary against End(M) built from Morphism objects and
+    # compose: same size, same idempotents in odometer order, same verdict
+    from absplit.groups import hom_group
+
+    for m in enumerate_groups(16):
+        if hom_count(m, m) > 10**5:
+            continue
+        view = end_ring(m, cap=10**5)
+        elements = list(iter_hom(m, m))
+        idempotents = [e for e in elements if compose(e, e) == e]
+        abelian = all(
+            compose(e, h) == compose(h, e)
+            for e in idempotents
+            for h in hom_group(m, m).basis
+        )
+        assert view.size == len(elements), m.factors
+        assert list(view.idempotent_rows) == [e.rows for e in idempotents], m.factors
+        assert is_abelian_ring(view) == abelian, m.factors
 
 
 def test_end_ring_closed_under_add_and_compose():
     from absplit.groups import add_hom
 
-    view = end_ring(group(2, 4))
-    elems = set(e.rows for e in view.elements)
-    for a in view.elements:
-        for b in view.elements:
+    m = group(2, 4)
+    elems = set(e.rows for e in iter_hom(m, m))
+    assert end_ring(m).size == len(elems)
+    assert set(end_ring(m).idempotent_rows) <= elems
+    for a in iter_hom(m, m):
+        for b in iter_hom(m, m):
             assert compose(a, b).rows in elems
             assert add_hom(a, b).rows in elems
+
+
+def test_end_ring_enumerated_once_per_group():
+    m = group(2, 2, 2)
+    view = end_ring(m)
+    assert end_ring(m) is view
+    assert end_ring(group(2, 2, 2), cap=view.size) is view
+    assert end_ring(m, cap=view.size - 1) is None
 
 
 def test_centrality_basis_test_equals_full_commutation():
@@ -271,8 +296,8 @@ def test_centrality_basis_test_equals_full_commutation():
         basis_verdict = is_abelian_ring(view)
         full = all(
             compose(e, h) == compose(h, e)
-            for e in view.idempotents
-            for h in view.elements
+            for e in (morphism(m, m, rows) for rows in view.idempotent_rows)
+            for h in iter_hom(m, m)
         )
         assert basis_verdict == full, factors
 

@@ -124,6 +124,42 @@ def test_intersect_matches_elements_random():
         assert sorted(set(base)) == sorted(x for x in elems if total.contains(x))
 
 
+def _pullback_intersect(s, t):
+    # the categorical construction: image of the pullback of both inclusions
+    from absplit.groups import pullback
+
+    ji, jj = inclusion(s), inclusion(t)
+    _p, pa, _pb = pullback(ji, jj)
+    return image_subgroup(compose(ji, pa))
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 6), (4, 4), (2, 2, 2, 2)])
+def test_intersect_lattice_matches_pullback_and_elements(factors):
+    m = group(*factors)
+    elems = list(m.elements())
+    subs = all_subgroups(m)
+    members = {s.canonical: {x for x in elems if s.contains(x)} for s in subs}
+    for s in subs:
+        for t in subs:
+            inter = intersect(s, t)
+            assert inter.canonical == _pullback_intersect(s, t).canonical
+            assert members[inter.canonical] == members[s.canonical] & members[t.canonical]
+
+
+def test_intersect_lattice_infinite_ambient():
+    m = group(4, 0)
+    gens = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 3), (3, 6), (0, 4), (2, 6)]
+    subs = [sub_from_gens(m, [])] + [sub_from_gens(m, [a]) for a in gens]
+    subs += [sub_from_gens(m, [a, b]) for a, b in combinations(gens, 2)]
+    window = [(a, b) for a in range(4) for b in range(-12, 13)]
+    for s in subs:
+        for t in subs:
+            inter = intersect(s, t)
+            assert inter.canonical == _pullback_intersect(s, t).canonical
+            for x in window:
+                assert inter.contains(x) == (s.contains(x) and t.contains(x))
+
+
 # --- inclusion / quotient -------------------------------------------------------
 
 
