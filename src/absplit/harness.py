@@ -222,6 +222,26 @@ def _group_feasible(m: FgAbGroup, caps: Caps, report: TheoremReport) -> bool:
     return True
 
 
+def _expected_failure(
+    rep: TheoremReport,
+    verdicts: Sequence[SplitVerdict],
+    fails: bool,
+    entry: dict,
+    extra: dict,
+) -> bool:
+    """Record a pattern asserted to fail: skipped when a deciding verdict is
+    unknown over budget, else a confirmed expected failure or a miss.
+    Returns whether the pattern was decided."""
+    if any(v.is_unknown for v in verdicts):
+        rep.skipped.append({**entry, "reason": "budget"})
+        return False
+    if fails:
+        rep.expected_failures.append({**entry, **extra})
+    else:
+        rep.expected_failure_misses.append(entry)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the key equivalence: brute force against the summand+Rickart reduction
 
@@ -605,13 +625,12 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
     g, f = _fi_biproduct([z2, z2], [trivial_subgroup(z2), trivial_subgroup(z2)])
     parts_strong = cached_profile(z2, trivial_subgroup(z2), caps.hom_budget)["primal_strong"]
     whole_strong = cached_profile(g, f, caps.hom_budget)["primal_strong"]
-    if parts_strong.is_yes and whole_strong.is_no and hom_count(z2, z2) != 1:
-        rep.expected_failures.append(
-            {"pattern": "Z/2 ⊕ Z/2 with F = 0",
-             "detail": "parts strongly split, biproduct not (Hom between complements nonzero)"}
-        )
-    else:
-        rep.expected_failure_misses.append({"pattern": "Z/2 ⊕ Z/2 with F = 0"})
+    _expected_failure(
+        rep, (parts_strong, whole_strong),
+        parts_strong.is_yes and whole_strong.is_no and hom_count(z2, z2) != 1,
+        {"pattern": "Z/2 ⊕ Z/2 with F = 0"},
+        {"detail": "parts strongly split, biproduct not (Hom between complements nonzero)"},
+    )
     # expected failure 2: finite transposition of the mixed pattern — the
     # biproduct Z/3 ⊕ Z/8 ⊕ Z/2 is not split over its 3-part
     m1 = group(3, 8)
@@ -619,13 +638,11 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
     m2 = group(2)
     g2, f2 = _fi_biproduct([m1, m2], [f1, trivial_subgroup(m2)])
     v = cached_profile(g2, f2, caps.hom_budget)["primal_plain"]
-    if v.is_no and hom_count(m1, m2) != 1:
-        rep.expected_failures.append(
-            {"pattern": "(Z/3 x Z/8, 3-part) ⊕ (Z/2, 0)",
-             "detail": "biproduct not self-(F1⊕F2)-split; Hom(M1, M2) nonzero"}
-        )
-    else:
-        rep.expected_failure_misses.append({"pattern": "(Z/3 x Z/8, 3-part) ⊕ (Z/2, 0)"})
+    _expected_failure(
+        rep, (v,), v.is_no and hom_count(m1, m2) != 1,
+        {"pattern": "(Z/3 x Z/8, 3-part) ⊕ (Z/2, 0)"},
+        {"detail": "biproduct not self-(F1⊕F2)-split; Hom(M1, M2) nonzero"},
+    )
     # expected failure 3: the free-part pattern, theorem mode — parts
     # strongly split, biproduct not even plainly split
     g1 = group(3, 0)
@@ -633,13 +650,12 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
     part1 = is_self_F_split_theorem(g1, f1, True, caps)
     g3, f3 = _fi_biproduct([g1, group(2)], [f1, trivial_subgroup(group(2))])
     whole3 = is_self_F_split_theorem(g3, f3, False, caps)
-    if part1.is_yes and whole3.is_no and hom_count(g1, group(2)) != 1:
-        rep.expected_failures.append(
-            {"pattern": "(Z/3 x Z, torsion) ⊕ (Z/2, 0)",
-             "detail": "theorem mode: parts strongly split, biproduct not self-F-split"}
-        )
-    else:
-        rep.expected_failure_misses.append({"pattern": "(Z/3 x Z, torsion) ⊕ (Z/2, 0)"})
+    _expected_failure(
+        rep, (part1, whole3),
+        part1.is_yes and whole3.is_no and hom_count(g1, group(2)) != 1,
+        {"pattern": "(Z/3 x Z, torsion) ⊕ (Z/2, 0)"},
+        {"detail": "theorem mode: parts strongly split, biproduct not self-F-split"},
+    )
     rep.elapsed_s = time.time() - t0
     return rep
 
@@ -759,14 +775,12 @@ def check_semis(
             p = next(p for p, e in prime_factors(n).items() if e >= 2)
             bad = group(p * p)
             v = cached_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
-            rep.instances += 1
-            if v.is_no:
-                rep.expected_failures.append(
-                    {"n": n, "witness_group": _gname(bad), "f": "<0>",
-                     "detail": "not self-Rickart"}
-                )
-            else:
-                rep.expected_failure_misses.append({"n": n, "witness_group": _gname(bad)})
+            if _expected_failure(
+                rep, (v,), v.is_no,
+                {"n": n, "witness_group": _gname(bad)},
+                {"f": "<0>", "detail": "not self-Rickart"},
+            ):
+                rep.instances += 1
     rep.elapsed_s = time.time() - t0
     return rep
 

@@ -434,30 +434,23 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return _xgcd(a, b)
 
 
-def reduce_against_rows(vec: Sequence[int], basis: Matrix) -> tuple[int, ...]:
-    """Residue of vec modulo the lattice spanned by canonical HNF rows."""
+def row_lattice_reduce(basis: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
+    """Unique representative of vec modulo the lattice spanned by canonical
+    HNF rows: each pivot entry of the result lies in [0, pivot)."""
     v = list(vec)
     for row in basis:
-        j = next(c for c in range(len(row)) if row[c])
-        if v[j]:
-            q = v[j] // row[j]
-            if q:
-                for c in range(j, len(v)):
-                    v[c] -= q * row[c]
+        j = 0
+        while not row[j]:
+            j += 1
+        q = v[j] // row[j]
+        if q:
+            for c in range(j, len(v)):
+                v[c] -= q * row[c]
     return tuple(v)
 
 
 def row_lattice_contains(basis: Matrix, vec: Sequence[int]) -> bool:
-    v = list(vec)
-    for row in basis:
-        j = next(c for c in range(len(row)) if row[c])
-        if v[j]:
-            if v[j] % row[j] != 0:
-                return False
-            q = v[j] // row[j]
-            for c in range(j, len(v)):
-                v[c] -= q * row[c]
-    return not any(v)
+    return not any(row_lattice_reduce(basis, vec))
 
 
 def lattice_index(basis: Matrix, width: int) -> Optional[int]:

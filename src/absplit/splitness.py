@@ -40,7 +40,7 @@ from .groups import (
     retraction_witness,
     section_witness,
 )
-from .intmat import Matrix, prime_factors
+from .intmat import Matrix, prime_factors, row_lattice_reduce
 from .subgroups import (
     FullyInvariantError,
     Subgroup,
@@ -704,10 +704,74 @@ def is_abelian_ring(view: EndRingView) -> bool:
 # summand searches (the summand-condition route and its negation witness)
 
 
-def _bounded_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
-    for v in itertools.product(range(-bound, bound + 1), repeat=n):
-        if any(v):
-            yield v
+def _witness_search(
+    m: FgAbGroup,
+    f_sub: Subgroup,
+    entry_bound: int,
+    contained_in: bool,
+    max_checked: int,
+) -> tuple[Optional[Subgroup], int, Optional[int]]:
+    """(witness, candidates tried, candidates in all) of the search below;
+    the total is None when a witness ends the search.
+
+    A candidate is <F, v> or <F, v, w> (<v> or <v, w> when contained_in) for
+    bounded vectors v, w.  Each coordinate of a bounded vector is replaced by
+    its residue when the factor has at most 2*entry_bound+1 elements; the
+    relations are in F (resp. in the relation lattice), so this changes no
+    subgroup.  A candidate depends only on the cosets of ±v and ±w modulo
+    that lattice, so each vector is keyed by the smaller reduction of v and
+    -v and every pair of keys is tried once.  The zero coset is left out: it
+    gives F itself, fully invariant in every caller (resp. the zero
+    subgroup).  Single keys are tried as they are found, so a witness among
+    them stops the enumeration early."""
+    analysis = analysis_for(m)
+    if contained_in:
+        base: list = []
+        lattice = trivial_subgroup(m).canonical
+    else:
+        base = list(f_sub.canonical)
+        lattice = f_sub.canonical
+    ranges = [
+        range(d) if 0 < d <= 2 * entry_bound + 1 else range(-entry_bound, entry_bound + 1)
+        for d in m.factors
+    ]
+
+    def fresh_keys() -> Iterator[tuple[int, ...]]:
+        found: set[tuple[int, ...]] = set()
+        for v in itertools.product(*ranges):
+            key = min(
+                row_lattice_reduce(lattice, v),
+                row_lattice_reduce(lattice, [-x for x in v]),
+            )
+            if any(key) and key not in found:
+                found.add(key)
+                if not contained_in or f_sub.contains(key):
+                    yield key
+
+    keys = fresh_keys()
+    pool: list[tuple[int, ...]] = []
+
+    def candidates() -> Iterator[tuple[tuple[int, ...], ...]]:
+        for key in keys:
+            pool.append(key)
+            yield (key,)
+        yield from itertools.combinations(pool, 2)
+
+    tried = 0
+    seen: set[Matrix] = set()
+    for combo in candidates():
+        if tried == max_checked:
+            break
+        tried += 1
+        cand = sub_from_gens(m, base + list(combo))
+        if cand.canonical in seen:
+            continue
+        seen.add(cand.canonical)
+        props = analysis.subgroup_props(cand)
+        if props.is_summand and not props.is_fi:
+            return cand, tried, None
+    n = len(pool) + sum(1 for _ in keys)
+    return None, tried, n * (n + 1) // 2
 
 
 def strongly_no_witness_search(
@@ -716,34 +780,25 @@ def strongly_no_witness_search(
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     contained_in: bool = False,
     max_checked: int = DEFAULT_WITNESS_SEARCH_LIMIT,
+    trace: Optional[list[str]] = None,
 ) -> Optional[Subgroup]:
     """Search for a non-fully-invariant direct summand containing F (or
-    contained in F when contained_in=True), generated by vectors with entries
-    bounded by entry_bound.  Finding one certifies a strongly-No verdict even
-    when the brute-force quantifier is infinite; absence proves nothing."""
-    analysis = analysis_for(m)
-    n = m.ngens
-    base = list(f_sub.canonical) if not contained_in else []
-    pool = []
-    for v in _bounded_vectors(n, entry_bound):
-        if contained_in and not f_sub.contains(v):
-            continue
-        pool.append(v)
-    checked = 0
-    seen: set[Matrix] = set()
-    for size in (1, 2):
-        for combo in itertools.combinations(pool, size):
-            checked += 1
-            if checked > max_checked:
-                return None
-            cand = sub_from_gens(m, base + list(combo))
-            if cand.canonical in seen:
-                continue
-            seen.add(cand.canonical)
-            props = analysis.subgroup_props(cand)
-            if props.is_summand and not props.is_fi:
-                return cand
-    return None
+    contained in F when contained_in=True), generated by F and up to two
+    vectors with entries bounded by entry_bound.  Finding one certifies a
+    strongly-No verdict even when the brute-force quantifier is infinite;
+    absence proves nothing.  max_checked caps the number of distinct
+    candidates tried.  When trace is given, one line saying how many
+    candidates were tried, and why the search stopped, is appended to it."""
+    wit, tried, total = _witness_search(m, f_sub, entry_bound, contained_in, max_checked)
+    if trace is not None:
+        if wit is not None:
+            outcome = f"found a witness at candidate {tried}"
+        elif tried < total:
+            outcome = f"{tried} of {total} candidates, stopped at the cap, found nothing"
+        else:
+            outcome = f"{tried} of {total} candidates, found nothing"
+        trace.append(f"witness search (entry bound {entry_bound}): {outcome}")
+    return wit
 
 
 def _summand_condition_route(
@@ -789,12 +844,11 @@ def _summand_condition_route(
                 if props.is_summand and not props.is_fi:
                     return False, cand, "subgroup enumeration over F"
             return True, None, "subgroup enumeration over F"
+    how: list[str] = []
     wit = strongly_no_witness_search(
-        m, f_sub, caps.entry_bound, contained_in=contained_in
+        m, f_sub, caps.entry_bound, contained_in=contained_in, trace=how
     )
-    if wit is not None:
-        return False, wit, f"witness search (entry bound {caps.entry_bound})"
-    return None, None, f"witness search (entry bound {caps.entry_bound}) found nothing"
+    return (None if wit is None else False), wit, how[0]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,23 @@ def test_verify_max_order_1(capsys):
     assert "overall: pass" in out
 
 
+def test_verify_zero_budget_skips_expected_failures(capsys):
+    # counterexample patterns decided by over-budget verdicts are skipped,
+    # not counted as misses
+    code, out, err = run_cli(
+        capsys, "verify", "--max-order", "4", "--budget-hom", "0", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"]
+    by_id = {t["theorem"]: t for t in doc["theorems"]}
+    for check_id in ("thomzero", "semis"):
+        assert by_id[check_id]["expected_failure_misses"] == []
+        assert any(s["reason"] == "budget" for s in by_id[check_id]["skipped"])
+    patterns = {s.get("pattern") for s in by_id["thomzero"]["skipped"]}
+    assert {"Z/2 ⊕ Z/2 with F = 0", "(Z/3 x Z/8, 3-part) ⊕ (Z/2, 0)"} <= patterns
+
+
 def test_verify_unknown_theorem_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--theorems", "bogus")
     assert code == 2

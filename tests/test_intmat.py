@@ -16,6 +16,7 @@ from absplit.intmat import (
     identity,
     mat_mul,
     row_lattice_contains,
+    row_lattice_reduce,
     snf,
     solution_lattice,
     solve_congruences,
@@ -238,6 +239,43 @@ def test_hnf_rows_canonical(data):
     # spans the same lattice
     for r in rows:
         assert row_lattice_contains(h, r)
+
+
+def _contains_by_division(basis, vec):
+    """Membership by exact division on the pivots, as first written."""
+    v = list(vec)
+    for row in basis:
+        j = next(c for c in range(len(row)) if row[c])
+        if v[j]:
+            if v[j] % row[j] != 0:
+                return False
+            q = v[j] // row[j]
+            for c in range(j, len(v)):
+                v[c] -= q * row[c]
+    return not any(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_lattice_reduce_is_a_coset_invariant(data):
+    n = data.draw(st.integers(1, 4))
+    rows = [
+        [data.draw(st.integers(-9, 9)) for _ in range(n)]
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    h = hnf_rows(rows, n)
+    vec = [data.draw(st.integers(-20, 20)) for _ in range(n)]
+    coeffs = [data.draw(st.integers(-4, 4)) for _ in h]
+    shifted = [vec[c] + sum(k * r[c] for k, r in zip(coeffs, h)) for c in range(n)]
+    red = row_lattice_reduce(h, vec)
+    # one representative per coset, inside the coset, pivots reduced
+    assert row_lattice_reduce(h, shifted) == red
+    assert row_lattice_contains(h, [a - b for a, b in zip(vec, red)])
+    for row in h:
+        j = next(c for c in range(n) if row[c])
+        assert 0 <= red[j] < row[j]
+    assert row_lattice_contains(h, vec) == _contains_by_division(h, vec)
+    assert row_lattice_contains(h, shifted) == _contains_by_division(h, shifted)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,5 +1,6 @@
 """Splitness predicates: brute force, theorem reductions, certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,8 @@ from absplit.splitness import (
     structural_dual_self_rickart,
     structural_self_rickart,
 )
-from absplit.preradicals import evaluate, torsion
+from absplit import splitness
+from absplit.preradicals import evaluate, radical, socle, torsion
 from absplit.subgroups import (
     FullyInvariantError,
     all_subgroups,
@@ -380,6 +382,120 @@ def test_witness_search_contained_mode():
         z2, full_subgroup(z2), entry_bound=1, contained_in=True
     )
     assert w is not None
+
+
+def _full_box_search(m, f_sub, entry_bound, contained_in, record):
+    """The search as first written: every nonzero vector of the box and
+    every pair of them, generated before deduplication.  Runs to the end,
+    adds each distinct subgroup to record and returns the first witness."""
+    analysis = splitness.analysis_for(m)
+    base = [] if contained_in else list(f_sub.canonical)
+    box = itertools.product(range(-entry_bound, entry_bound + 1), repeat=m.ngens)
+    pool = [v for v in box if any(v) and (not contained_in or f_sub.contains(v))]
+    found = None
+    for size in (1, 2):
+        for combo in itertools.combinations(pool, size):
+            cand = sub_from_gens(m, base + list(combo))
+            if cand.canonical in record:
+                continue
+            record.add(cand.canonical)
+            props = analysis.subgroup_props(cand)
+            if found is None and props.is_summand and not props.is_fi:
+                found = cand
+    return found
+
+
+def _recording_sub_from_gens(monkeypatch):
+    made = []
+
+    def record(ambient, gens):
+        sub = sub_from_gens(ambient, gens)
+        made.append(sub.canonical)
+        return sub
+
+    monkeypatch.setattr(splitness, "sub_from_gens", record)
+    return made
+
+
+def test_witness_search_matches_full_box_oracle(monkeypatch):
+    # torsion part of order <= 9, free rank <= 2, at most 4 generators; the
+    # oracle's box has at most 125 vectors, so its pairs stay affordable
+    made = _recording_sub_from_gens(monkeypatch)
+    cases = 0
+    for t_grp in enumerate_groups(9):
+        for rank in range(3):
+            m = group(*(t_grp.factors + (0,) * rank))
+            fs = {
+                f.canonical: f
+                for f in [trivial_subgroup(m), full_subgroup(m)]
+                + [evaluate(r(), m) for r in (torsion, socle, radical)]
+            }
+            for f, contained_in, bound in itertools.product(
+                fs.values(), (False, True), (1, 2)
+            ):
+                if (2 * bound + 1) ** m.ngens > 125:
+                    continue
+                cases += 1
+                old_tried: set = set()
+                old = _full_box_search(m, f, bound, contained_in, old_tried)
+                made.clear()
+                new = strongly_no_witness_search(m, f, bound, contained_in)
+                case = (m.factors, f.canonical, contained_in, bound)
+                assert (new is None) == (old is None), case
+                new_tried = set(made)
+                if new is None:
+                    # the zero coset gives F itself (the zero subgroup when
+                    # contained_in), which the new search leaves out
+                    zero = (trivial_subgroup(m) if contained_in else f).canonical
+                    assert new_tried == old_tried - {zero}, case
+                else:
+                    assert new_tried <= old_tried, case
+                    props = splitness.analysis_for(m).subgroup_props(new)
+                    assert props.is_summand and not props.is_fi, case
+                    if contained_in:
+                        assert f.contains_subgroup(new), case
+                    else:
+                        assert new.contains_subgroup(f), case
+    assert cases > 200
+
+
+def test_witness_search_counts_cosets_not_vectors(monkeypatch):
+    # the old search generated all 7^7 - 1 = 823,542 box vectors here
+    m = group(2, 2, 2, 2, 2, 2, 0)
+    f = evaluate(torsion(), m)
+    made = _recording_sub_from_gens(monkeypatch)
+    lines: list = []
+    assert strongly_no_witness_search(m, f, entry_bound=3, trace=lines) is None
+    assert len(made) <= 10
+    assert lines == [
+        "witness search (entry bound 3): 6 of 6 candidates, found nothing"
+    ]
+
+
+def test_witness_search_cap_is_reported():
+    m = group(0, 0)
+    f = trivial_subgroup(m)
+    lines: list = []
+    wit, tried, _ = splitness._witness_search(m, f, 2, False, 10**6)
+    assert wit is not None and tried > 1
+    capped = strongly_no_witness_search(
+        m, f, entry_bound=2, max_checked=tried - 1, trace=lines
+    )
+    assert capped is None
+    # 24 nonzero vectors in [-2, 2]^2 give 12 keys up to sign: 12 + 66 candidates
+    assert lines == [
+        f"witness search (entry bound 2): {tried - 1} of 78 candidates, "
+        "stopped at the cap, found nothing"
+    ]
+
+
+def test_summand_route_reports_candidates_searched():
+    m = group(2, 4, 0)
+    v = is_self_F_split_theorem(m, evaluate(torsion(), m), strongly=True)
+    assert (
+        "summand route (witness search (entry bound 3): 6 of 6 candidates, "
+        "found nothing): inconclusive"
+    ) in v.trace
 
 
 # --- transfer along epis and monos -------------------------------------------------------------
