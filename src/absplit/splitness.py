@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional
 
@@ -162,8 +163,12 @@ def _require_fi(carrier: FgAbGroup, f_sub: Subgroup):
 @dataclass
 class SubProps:
     subgroup: Subgroup
-    retraction: Optional[Morphism]  # witness that the inclusion is a section
     fi_viol: Optional[tuple[Morphism, tuple[int, ...]]]
+
+    @cached_property
+    def retraction(self) -> Optional[Morphism]:
+        """Witness that the inclusion is a section, computed on first read."""
+        return summand_witness(self.subgroup)
 
     @property
     def is_summand(self) -> bool:
@@ -172,6 +177,12 @@ class SubProps:
     @property
     def is_fi(self) -> bool:
         return self.fi_viol is None
+
+    @property
+    def is_non_fi_summand(self) -> bool:
+        """A summand that is not fully invariant, the witness against the
+        strong predicates; full invariance, the cheaper test, goes first."""
+        return not self.is_fi and self.is_summand
 
 
 class GroupAnalysis:
@@ -186,7 +197,7 @@ class GroupAnalysis:
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
         if props is None:
-            props = SubProps(s, summand_witness(s), fi_violation(s))
+            props = SubProps(s, fi_violation(s))
             self._props[s.canonical] = props
         return props
 
@@ -768,7 +779,7 @@ def _witness_search(
             continue
         seen.add(cand.canonical)
         props = analysis.subgroup_props(cand)
-        if props.is_summand and not props.is_fi:
+        if props.is_non_fi_summand:
             return cand, tried, None
     n = len(pool) + sum(1 for _ in keys)
     return None, tried, n * (n + 1) // 2
@@ -810,45 +821,38 @@ def _summand_condition_route(
     """Are all direct summands of M containing F (resp. contained in F)
     fully invariant?  Returns (verdict|None, witness, how)."""
     analysis = analysis_for(m)
+    cap = caps.subgroup_cap
     order = m.order
-    if order is not None and order <= caps.subgroup_cap:
-        for s in analysis.subgroups(caps.subgroup_cap):
-            if contained_in:
-                if not f_sub.contains_subgroup(s):
-                    continue
-            else:
-                if not s.contains_subgroup(f_sub):
-                    continue
-            props = analysis.subgroup_props(s)
-            if props.is_summand and not props.is_fi:
-                return False, s, "subgroup enumeration"
-        return True, None, "subgroup enumeration"
-    if contained_in:
+    cands = None
+    if order is not None and order <= cap:
+        how = "subgroup enumeration"
+        if contained_in:
+            cands = (s for s in analysis.subgroups(cap) if f_sub.contains_subgroup(s))
+        else:
+            cands = (s for s in analysis.subgroups(cap) if s.contains_subgroup(f_sub))
+    elif contained_in:
         # summands of M inside F are subgroups of F: enumerable when F is finite
         forder = f_sub.order
-        if forder is not None and forder <= caps.subgroup_cap:
+        if forder is not None and forder <= cap:
+            how = "subgroup enumeration inside F"
             inc = inclusion(f_sub)
-            for t in all_subgroups(inc.dom, caps.subgroup_cap):
-                cand = map_subgroup(inc, t)
-                props = analysis.subgroup_props(cand)
-                if props.is_summand and not props.is_fi:
-                    return False, cand, "subgroup enumeration inside F"
-            return True, None, "subgroup enumeration inside F"
+            cands = (map_subgroup(inc, t) for t in all_subgroups(inc.dom, cap))
     else:
         # subgroups containing F correspond to subgroups of M/F
         cgrp, q = quotient(m, f_sub)
-        if cgrp.order is not None and cgrp.order <= caps.subgroup_cap:
-            for t in all_subgroups(cgrp, caps.subgroup_cap):
-                cand = preimage_subgroup(q, t)
-                props = analysis.subgroup_props(cand)
-                if props.is_summand and not props.is_fi:
-                    return False, cand, "subgroup enumeration over F"
-            return True, None, "subgroup enumeration over F"
-    how: list[str] = []
+        if cgrp.order is not None and cgrp.order <= cap:
+            how = "subgroup enumeration over F"
+            cands = (preimage_subgroup(q, t) for t in all_subgroups(cgrp, cap))
+    if cands is not None:
+        for s in cands:
+            if analysis.subgroup_props(s).is_non_fi_summand:
+                return False, s, how
+        return True, None, how
+    search: list[str] = []
     wit = strongly_no_witness_search(
-        m, f_sub, caps.entry_bound, contained_in=contained_in, trace=how
+        m, f_sub, caps.entry_bound, contained_in=contained_in, trace=search
     )
-    return (None if wit is None else False), wit, how[0]
+    return (None if wit is None else False), wit, search[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1082,6 +1086,9 @@ def decide_self_profile(
     """Strongest available verdicts: brute force when the Hom set fits the
     budget, theorem mode always; definite answers must agree."""
     theorem = self_split_profile_theorem(m, f_sub, caps)
+    total = hom_count(m, m)
+    if total is None or total > caps.hom_budget:
+        return theorem  # brute force could only answer unknown
     brute = self_split_profile(m, f_sub, caps.hom_budget)
     out = {}
     for k, tv in theorem.items():

@@ -9,7 +9,8 @@ can be hashed and deduplicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -54,7 +55,7 @@ class FullyInvariantError(ValueError):
 @dataclass(frozen=True)
 class Subgroup:
     ambient: FgAbGroup
-    gens: Matrix        # generator columns as given
+    gens: Matrix = field(compare=False)  # generator columns as given
     canonical: Matrix   # canonical Hermite rows of the generated lattice
 
     @property
@@ -259,10 +260,19 @@ def sum_sub(s: Subgroup, t: Subgroup) -> Subgroup:
 
 
 def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
-    """Complete duplicate-free subgroup list of a finite group of order <= cap.
+    """Complete duplicate-free subgroup list of a finite group of order <= cap,
+    sorted by (order, canonical).
 
-    Closure of the cyclic subgroups under pairwise sum, deduplicated by
-    canonical form.  Refuses (never truncates) beyond the cap.
+    With factors d_1, ..., d_n, a subgroup's canonical form is the n×n
+    upper-triangular Hermite basis H of a lattice L between the relation
+    lattice R = diag(d) and Z^n: its diagonal entries h_i divide d_i and the
+    entries above the diagonal in column j lie in [0, h_j).  H is built from
+    the last row up, and a row (0, ..., 0, h, t) over rows below is kept
+    exactly when d_i e_i lies in L, that is when (d_i/h)·(0, t) reduces to
+    zero against the rows below.  Distinct matrices of this shape span
+    distinct lattices, so each subgroup is produced once and already
+    canonical, at a cost that grows with the number of subgroups.  Refuses
+    (never truncates) an infinite group or an order beyond the cap.
     """
     order = m.order
     if order is None:
@@ -271,26 +281,39 @@ def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
         raise SubgroupCapError(
             f"order {order} exceeds the subgroup enumeration cap {cap}"
         )
-    cyclic: dict[Matrix, Subgroup] = {}
-    for elt in m.elements():
-        s = sub_from_gens(m, [elt])
-        cyclic.setdefault(s.canonical, s)
-    seen: dict[Matrix, Subgroup] = dict(cyclic)
-    frontier = list(cyclic.values())
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in cyclic.values():
-                u = sum_sub(s, c)
-                if u.canonical not in seen:
-                    seen[u.canonical] = u
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda s: (s.order, s.canonical))
+    factors = m.factors
+    forms: list[Matrix] = []
+
+    def extend(i: int, below: Matrix) -> None:
+        if i < 0:
+            forms.append(below)
+            return
+        d = factors[i]
+        # the pivot of below[k] sits in column i + 1 + k
+        boxes = [range(row[j]) for j, row in enumerate(below, i + 1)]
+        tails = list(itertools.product(*boxes))
+        lead = (0,) * (i + 1)
+        for h in range(1, d + 1):
+            if d % h:
+                continue
+            k = d // h
+            for t in tails:
+                if row_lattice_contains(below, lead + tuple(k * x for x in t)):
+                    extend(i - 1, ((0,) * i + (h,) + t,) + below)
+
+    extend(len(factors) - 1, ())
+    subs = [Subgroup(m, freeze(zip(*h)), h) for h in forms]
+    return sorted(subs, key=lambda s: (s.order, s.canonical))
 
 
 # ---------------------------------------------------------------------------
 # fully invariant subgroups
+
+
+@lru_cache(maxsize=128)
+def _end_basis(m: FgAbGroup) -> tuple[Morphism, ...]:
+    """Additive basis of End(M), built once per ambient for fi_violation."""
+    return hom_group(m, m).basis
 
 
 def fi_violation(s: Subgroup) -> Optional[tuple[Morphism, tuple[int, ...]]]:
@@ -298,8 +321,7 @@ def fi_violation(s: Subgroup) -> Optional[tuple[Morphism, tuple[int, ...]]]:
     S is fully invariant.  Testing the additive basis of End(M) suffices:
     subgroups are closed under sums and negation, so closure under a basis
     implies closure under every endomorphism."""
-    endos = hom_group(s.ambient, s.ambient)
-    for h in endos.basis:
+    for h in _end_basis(s.ambient):
         for row in s.canonical:
             if not s.contains(h(row)):
                 return h, tuple(row)

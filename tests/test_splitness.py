@@ -664,3 +664,79 @@ def test_verdict_fields_and_witness_counts():
     assert v.predicate == "strongly_self_F_split"
     d = is_dual_M_F_split(Z12, Z12, subs[3])
     assert d.predicate == "dual_self_F_split"
+
+
+# --- work done by classify ------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_computes_summand_witnesses_only_when_read(monkeypatch):
+    from absplit.harness import classify_rows
+    from absplit.subgroups import is_summand
+
+    m = group(2, 2, 2, 2, 6)
+    monkeypatch.setattr(splitness, "_ANALYSES", {})  # a cold analysis
+    calls = _counting(monkeypatch, splitness, "summand_witness")
+    rows, _ = classify_rows(m)
+    # 748 subgroups are enumerated and tested for full invariance; only
+    # the rows and the summand routes ask which of them are summands
+    assert len(splitness.analysis_for(m).subgroups(512)) == 748
+    assert len(calls) <= 50
+    monkeypatch.undo()
+    assert [r["is_summand"] for r in rows] == [
+        is_summand(sub_from_gens(m, r["generators"])) for r in rows
+    ]
+
+
+def test_classify_skips_the_sweep_when_hom_is_out_of_reach(monkeypatch):
+    from absplit.harness import classify_rows
+
+    m = group(2, 2, 0)
+    calls = _counting(monkeypatch, splitness, "self_split_profile")
+    rows, _ = classify_rows(m)
+    assert calls == []
+    monkeypatch.undo()
+    # the sweep could only have answered unknown, which leaves the theorem
+    # verdicts in place
+    for r in rows:
+        f = sub_from_gens(m, r["generators"])
+        assert all(v.is_unknown for v in self_split_profile(m, f).values())
+    cells = [
+        (r["order"], r["is_summand"], r["self_F_split"], r["strongly"],
+         r["dual_self_F_split"], r["dual_strongly"], r["deciding_mode"])
+        for r in rows
+    ]
+    assert cells == [
+        (1, True, "no", "no", "yes", "yes", "theorem"),
+        (4, True, "yes", "yes", "yes", "no", "theorem"),
+        ("infinite", True, "yes", "yes", "no", "no", "theorem"),
+    ]
+
+
+def test_dual_summand_route_inside_finite_f_is_cheap(monkeypatch):
+    # the route enumerates the subgroups of F = (Z/2)^6 inside Z/2^6 x Z;
+    # the cyclic closure made 180,874 HNF calls here
+    import absplit.intmat
+    import absplit.subgroups
+    from absplit.harness import preradical_row
+
+    m = group(2, 2, 2, 2, 2, 2, 0)
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    direct = _counting(monkeypatch, absplit.subgroups, "hnf_rows")
+    other = _counting(monkeypatch, absplit.intmat, "hnf_rows")
+    (row,), _ = preradical_row(m, "torsion")
+    assert 0 < len(direct) + len(other) <= 100
+    verdicts = ("self_F_split", "strongly", "dual_self_F_split", "dual_strongly")
+    assert (row["order"], row["is_summand"]) == (64, True)
+    assert [row[k] for k in verdicts] == ["yes", "yes", "yes", "no"]

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -19,6 +19,7 @@ from absplit.groups import (
     section_witness,
     zero_hom,
 )
+from absplit.intmat import SeededHnf, hnf_rows, row_lattice_contains
 from absplit.subgroups import (
     FullyInvariantError,
     ShortExactSequence,
@@ -62,6 +63,17 @@ def test_sub_from_gens_examples():
     assert not s.contains((1,))
     assert sub_equal(sub_from_gens(Z4, [(1,)]), sub_from_gens(Z4, [(3,)]))
     assert sub_from_gens(Z4, []).order == 1
+
+
+def test_subgroup_equality_follows_the_canonical_form():
+    # == and hash go by (ambient, canonical), as sub_equal does; the
+    # generators a subgroup was built from do not count
+    a, b = sub_from_gens(Z4, [(1,)]), sub_from_gens(Z4, [(3,)])
+    assert a.gens != b.gens and sub_equal(a, b)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != sub_from_gens(Z4, [(2,)])
+    z2, z4 = full_subgroup(group(2)), full_subgroup(group(4))
+    assert z2.canonical == z4.canonical and z2 != z4  # the ambient counts
 
 
 def test_canonical_independent_of_generators():
@@ -312,6 +324,92 @@ def test_all_subgroups_cap_refusal():
         all_subgroups(group(2, 4), cap=4)
     with pytest.raises(SubgroupCapError):
         all_subgroups(group(0))
+
+
+def _cyclic_closure(m):
+    """The enumeration all_subgroups used to run, kept as an oracle: the
+    cyclic subgroups closed under sums with cyclic subgroups, deduplicated
+    by canonical form.  SeededHnf stands in for sub_from_gens (the same
+    canonical form, several times faster), and a sum with a cyclic subgroup
+    already inside is skipped (it gives the subgroup itself)."""
+    if not m.factors:
+        return [()]
+    acc = SeededHnf(m.factors)
+    cyclic = {}
+    for x in m.elements():
+        cyclic.setdefault(acc.canonical([x]), x)
+    seen = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in cyclic.values():
+                if row_lattice_contains(s, x):
+                    continue
+                u = acc.canonical(list(s) + [x])
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    order = lambda h: m.order // prod(h[i][i] for i in range(len(h)))  # noqa: E731
+    return sorted(seen, key=lambda h: (order(h), h))
+
+
+def test_all_subgroups_matches_cyclic_closure():
+    from absplit.harness import enumerate_groups
+
+    specs = [m.factors for m in enumerate_groups(64)]
+    specs += [(2, 2, 2, 2, 6), (4, 12, 24), (12, 18), ()]
+    for factors in specs:
+        m = group(*factors)
+        subs = all_subgroups(m, cap=m.order)
+        assert [s.canonical for s in subs] == _cyclic_closure(m), factors
+        assert all(s.ambient == m for s in subs)
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_elementary_abelian_counts_are_gaussian_sums():
+    for p, n, total in [(2, 6, 2825), (3, 4, 212)]:
+        assert sum(gaussian_binomial(n, k, p) for k in range(n + 1)) == total
+        assert len(all_subgroups(group(*[p] * n))) == total
+
+
+def test_all_subgroups_needs_no_hermite_normalisation(monkeypatch):
+    import absplit.intmat
+    import absplit.subgroups
+
+    calls = []
+
+    def counting(vectors, width):
+        calls.append(width)
+        return hnf_rows(vectors, width)
+
+    monkeypatch.setattr(absplit.subgroups, "hnf_rows", counting)
+    monkeypatch.setattr(absplit.intmat, "hnf_rows", counting)
+    subs = all_subgroups(group(2, 2, 2, 2, 2, 2))
+    assert len(subs) == 2825
+    assert len(calls) <= len(subs)  # the cyclic closure made 180,800
+
+
+def test_all_subgroups_refuses_rather_than_truncates():
+    m = group(2, 2, 2, 2, 2, 2)
+    for cap in (0, 1, 32, 63):
+        with pytest.raises(SubgroupCapError, match="exceeds the subgroup enumeration cap"):
+            all_subgroups(m, cap=cap)
+    assert len(all_subgroups(m, cap=64)) == 2825
+    with pytest.raises(SubgroupCapError, match="exceeds"):
+        all_subgroups(group(), cap=0)
+    assert len(all_subgroups(group(), cap=1)) == 1
+    for factors in [(0,), (2, 0), (0, 0)]:
+        with pytest.raises(SubgroupCapError, match="infinite"):
+            all_subgroups(group(*factors), cap=10**9)
 
 
 # --- fully invariant subgroups ----------------------------------------------------
