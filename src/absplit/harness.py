@@ -9,6 +9,7 @@ they fail, guarding against a bug that silently makes everything split.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -448,13 +449,6 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
     return out
 
 
-def _as_abstract(carrier: FgAbGroup, part: Subgroup, f: Subgroup):
-    """(K, F∩part seen inside K) for a subgroup part <= carrier."""
-    inc = inclusion(part)
-    fk = preimage_subgroup(inc, intersect(f, part))
-    return inc.dom, fk
-
-
 def check_tds(
     corpus: Corpus, caps: Caps = Caps(), m_samples: Optional[Sequence[FgAbGroup]] = None
 ) -> TheoremReport:
@@ -463,6 +457,24 @@ def check_tds(
     with (F+Nk)/Nk."""
     rep = TheoremReport("tds")
     t0 = time.time()
+
+    # a summand Nk lies in many decompositions: each piece is built once
+    # per (Nk, F) in this call
+    @functools.cache
+    def piece(part: Subgroup, f: Subgroup):
+        """(Nk, F∩Nk seen inside Nk), or None when F∩Nk is not fully
+        invariant in Nk."""
+        inc = inclusion(part)
+        fk = preimage_subgroup(inc, intersect(f, part))
+        return (inc.dom, fk) if is_fully_invariant(fk) else None
+
+    @functools.cache
+    def quotient_piece(part: Subgroup, f: Subgroup):
+        """(N/Nk, (F+Nk)/Nk), or None when that is not fully invariant."""
+        q_grp, q = quotient(part.ambient, part)
+        fbar = map_subgroup(q, f)
+        return (q_grp, fbar) if is_fully_invariant(fbar) else None
+
     for n_grp in corpus:
         if not _group_feasible(n_grp, caps, rep):
             continue
@@ -473,29 +485,15 @@ def check_tds(
             samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
         for f in _fi_subgroups(n_grp, caps):
             for x, y in decomps:
-                parts = []
-                ok = True
-                for part in (x, y):
-                    k_grp, fk = _as_abstract(n_grp, part, f)
-                    if not is_fully_invariant(fk):
-                        ok = False
-                        break
-                    parts.append((k_grp, fk))
-                if not ok:
+                parts = [piece(part, f) for part in (x, y)]
+                if None in parts:
                     rep.skipped.append(
                         {"group": _gname(n_grp), "f": _fname(f),
                          "reason": "F∩Nk not fully invariant (hypothesis)"}
                     )
                     continue
-                quots = []
-                for part in (x, y):
-                    q_grp, q = quotient(n_grp, part)
-                    fbar = map_subgroup(q, f)
-                    if not is_fully_invariant(fbar):
-                        ok = False
-                        break
-                    quots.append((q_grp, fbar))
-                if not ok:
+                quots = [quotient_piece(part, f) for part in (x, y)]
+                if None in quots:
                     rep.skipped.append(
                         {"group": _gname(n_grp), "f": _fname(f),
                          "reason": "(F+Nk)/Nk not fully invariant (hypothesis)"}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -464,20 +465,88 @@ def lattice_index(basis: Matrix, width: int) -> Optional[int]:
     return abs(result)
 
 
+# trial division covers the factors below this bound; the cofactor goes to
+# Miller–Rabin and Pollard rho
+_TRIAL_BOUND = 50
+# Miller–Rabin with the primes up to 41 as bases decides primality exactly
+# for n < 3.3·10^24 (Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin for an odd n with no prime factor below the bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard rho with Brent's cycle
+    search, batching 128 differences per gcd; a failed polynomial x² + c is
+    retried with c + 1."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
+
+    Trial division removes the factors below a small bound; the cofactor is
+    split by Pollard rho, and its pieces tested by Miller–Rabin (exact for
+    n < 3.3·10^24)."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        k = pending.pop()
+        # every prime factor of k is at least d
+        if k < d * d or _is_prime(k):
+            out[k] = out.get(k, 0) + 1
+        else:
+            f = _rho_factor(k)
+            pending += [f, k // f]
+    return dict(sorted(out.items()))
 
 
 def squarefree_radical(n: int) -> int:

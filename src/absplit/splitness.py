@@ -7,7 +7,8 @@ g: N -> M.  "Strongly" additionally requires the kernel (resp. image) to be
 a fully invariant subgroup.
 
 Two independent decision modes are provided:
-  * brute force — enumerate the (finite) Hom set and test every morphism;
+  * brute force — quantify over the whole (finite) Hom set, one coordinate
+    of N at a time, and test every subgroup the morphisms reach;
     three-valued, returns Unknown with a reason when the Hom set is infinite
     or over budget;
   * theorem mode — reduce the self case to "F is a summand" plus a
@@ -25,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .groups import (
     FgAbGroup,
+    _entry_values,
     Morphism,
     compose,
     hom_count,
@@ -41,7 +43,7 @@ from .groups import (
     retraction_witness,
     section_witness,
 )
-from .intmat import Matrix, prime_factors, row_lattice_reduce
+from .intmat import Matrix, SeededHnf, freeze, prime_factors, row_lattice_reduce
 from .subgroups import (
     FullyInvariantError,
     Subgroup,
@@ -71,7 +73,7 @@ DEFAULT_WITNESS_SEARCH_LIMIT = 200_000
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two theorem routes produced contradictory strong-mode verdicts."""
+    """Two decision routes disagree, or a fact they rely on fails to hold."""
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,6 @@ def analysis_for(m: FgAbGroup) -> GroupAnalysis:
     return an
 
 
-def _mod_entry(x: int, d: int) -> int:
-    return x % d if d else x
-
-
 def _compose_rows(left: Matrix, right: Matrix, out_factors: tuple[int, ...]) -> Matrix:
     """Reduced matrix product: rows of (left · right) mod out_factors."""
     cols = len(right[0]) if right else 0
@@ -248,33 +246,6 @@ def _compose_rows(left: Matrix, right: Matrix, out_factors: tuple[int, ...]) -> 
             row.append(acc % d if d else acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-class _KernelKeyer:
-    """Canonical cache key for ker(h), h: M -> C with M finite.
-
-    The kernel is the annihilator of the subgroup of the character group
-    M^ = ⊕ Z/d_j generated by the rows h_i read as characters
-    x -> (h_i·x)/c_i; maps with the same character span have the same
-    kernel, so the canonical Hermite form of that span is a sound cache key.
-    """
-
-    def __init__(self, m: FgAbGroup, cgrp: FgAbGroup):
-        from .intmat import SeededHnf
-
-        self.mf = m.factors
-        self.cf = cgrp.factors
-        self.width = m.ngens
-        self._acc = SeededHnf(m.factors)
-
-    def key(self, hrows: Matrix) -> Matrix:
-        mf = self.mf
-        chars = [
-            [(row[j] * mf[j]) // c for j in range(self.width)]
-            for row, c in zip(hrows, self.cf)
-            if c  # a zero modulus row over a finite group is identically zero
-        ]
-        return self._acc.canonical(chars)
 
 
 # ---------------------------------------------------------------------------
@@ -295,137 +266,172 @@ def _verdict_unknown(reason, strongly, dual, m, n, f_sub, mode="brute"):
     )
 
 
-class _PrimalEval:
-    """Per-g work for the primal predicate: properties of ker((N->N/F)∘g)."""
+def _fi_steps(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[int, ...]:
+    """(a_1, ..., a_k) with F = ⊕ a_i<e_i> over the generators e_i of the
+    carrier (a_i = 0 where F meets a free factor trivially).
 
-    def __init__(self, m: FgAbGroup, n: FgAbGroup, f_sub: Subgroup):
-        self.m = m
-        self.cgrp, self.q = quotient(n, f_sub)
-        self.analysis = analysis_for(m)
-        self.qrows = self.q.rows
-        self.cf = self.cgrp.factors
-        self.keyer = _KernelKeyer(m, self.cgrp) if m.is_finite else None
-        self.cache: dict = {}
-
-    def props(self, rows: Matrix) -> SubProps:
-        h = _compose_rows(self.qrows, rows, self.cf)
-        key = self.keyer.key(h) if self.keyer is not None else h
-        p = self.cache.get(key)
-        if p is None:
-            p = self.analysis.subgroup_props(
-                kernel_subgroup(Morphism(self.m, self.cgrp, h))
+    A fully invariant F is stable under the coordinate projections, so it is
+    the sum of its coordinate pieces and its Hermite basis is diagonal."""
+    steps = [0] * carrier.ngens
+    for row in f_sub.canonical:
+        j = next(c for c, x in enumerate(row) if x)
+        if any(row[j + 1:]):
+            raise InternalConsistencyError(
+                f"fully invariant F = {f_sub} in {carrier} is not a sum of "
+                "coordinate subgroups"
             )
-            self.cache[key] = p
-        return p
+        steps[j] = row[j]
+    return tuple(steps)
 
 
-class _DualEval:
-    """Per-g work for the dual predicate: properties of the image g(F)."""
-
-    def __init__(self, n: FgAbGroup, m: FgAbGroup, f_sub: Subgroup):
-        from .intmat import SeededHnf, hnf_rows, row_lattice_contains
-
-        self.m = m
-        self.analysis = analysis_for(m)
-        self.mf = m.factors
-        self.rel = [
-            [d if i == j else 0 for j in range(m.ngens)]
-            for i, d in enumerate(m.factors)
-        ]
-        if m.is_finite:
-            self._acc = SeededHnf(m.factors)
-            self._hnf = None
+def _coordinate_values(tables, value) -> dict:
+    """{value(v): [number of v, first v]} over the vectors v in the product
+    of the entry tables."""
+    out: dict = {}
+    for v in itertools.product(*tables):
+        key = value(v)
+        rec = out.get(key)
+        if rec is None:
+            out[key] = [1, v]
         else:
-            self._acc = None
-            self._hnf = hnf_rows
-        # generator rows of F lying in the relation lattice of N map into the
-        # relation lattice of M under any well-defined morphism, so they
-        # never affect the image
-        n_rel = hnf_rows(
-            [
-                [d if i == j else 0 for j in range(n.ngens)]
-                for i, d in enumerate(n.factors)
-                if d > 0
-            ],
-            n.ngens,
-        )
-        self.frows = [
-            v for v in f_sub.canonical if not row_lattice_contains(n_rel, v)
-        ]
-        self.cache: dict = {}
+            rec[0] += 1
+    return out
 
-    def props(self, rows: Matrix) -> SubProps:
-        mf = self.mf
-        nm = len(mf)
-        imgs = [
-            [
-                _mod_entry(sum(rows[i][t] * v[t] for t in range(len(v)) if v[t]), mf[i])
-                for i in range(nm)
+
+def _sweep(
+    src: FgAbGroup, dst: FgAbGroup, f_sub: Subgroup, dual: bool
+) -> list[tuple[SubProps, int, Morphism]]:
+    """Every subgroup ker((N -> N/F)∘g) (primal, g: M -> N) or g(F) (dual,
+    g: N -> M) of M over the finite Hom set, as (properties, number of g
+    giving it, first such g).
+
+    Hom(src, dst) is the product of its rows, and also of its columns, so the
+    quantifier is decided one coordinate of N at a time.  With F = ⊕ a_i<e_i>:
+      * primal: ker(d∘g) = ∩_i ker(x -> row_i(g)·x mod a_i).  Each condition
+        is a character of M/eM, e = lcm a_i, a finite group even when M is
+        not; the state is the span of the characters met so far, whose
+        annihilator is the kernel;
+      * dual: g(F) = Σ_i <a_i·col_i(g)>, a subgroup of the torsion part of M
+        (a finite Hom set sends no torsion of N into a free factor and has
+        no free factor of N unless M is finite); the state is that sum.
+    A state is a canonical lattice (SeededHnf); each level joins every state
+    with every distinct coordinate value, memoised on the pair, and counts
+    multiply."""
+    m, carrier = (dst, src) if dual else (src, dst)
+    steps = _fi_steps(carrier, f_sub)
+    if dual:
+        moduli = m.torsion_factors
+        levels = [
+            _coordinate_values(
+                [_entry_values(n_i, d) for d in m.factors],
+                lambda col, a=a, t=len(moduli): tuple(
+                    a * c % d for c, d in zip(col[:t], moduli)
+                ),
+            )
+            for n_i, a in zip(carrier.factors, steps)
+        ]
+    else:
+        e = lcm(*(a for a in steps if a))
+        moduli = tuple(gcd(d, e) for d in m.factors)
+        levels = [
+            _coordinate_values(
+                [_entry_values(d, n_i) for d in m.factors],
+                # a = 0 only on a free factor of N, which a finite Hom set
+                # meets with zero rows alone
+                lambda row, a=a: tuple(
+                    r * d // a % d if a else 0 for r, d in zip(row, moduli)
+                ),
+            )
+            for n_i, a in zip(carrier.factors, steps)
+        ]
+    acc = SeededHnf(moduli)
+    states: dict[Matrix, list] = {acc.canonical(()): [1, ()]}
+    joins: dict[tuple[Matrix, tuple[int, ...]], Matrix] = {}
+    for values in levels:
+        nxt: dict[Matrix, list] = {}
+        for lat, (count, parts) in states.items():
+            for v, (vcount, part) in values.items():
+                out = joins.get((lat, v))
+                if out is None:
+                    out = joins[(lat, v)] = acc.canonical(lat + (v,))
+                rec = nxt.get(out)
+                if rec is None:
+                    nxt[out] = [count * vcount, parts + (part,)]
+                else:
+                    rec[0] += count * vcount
+        states = nxt
+    analysis = analysis_for(m)
+    result = []
+    for lat, (count, parts) in states.items():
+        if dual:
+            canonical = tuple(row + (0,) * m.rank for row in lat)
+            sub = Subgroup(m, freeze(zip(*canonical)), canonical)
+            rows = tuple(tuple(col[r] for col in parts) for r in range(m.ngens))
+        else:
+            chars = [
+                [c * (e // d) % e for c, d in zip(row, moduli)] for row in lat
             ]
-            for v in self.frows
-        ]
-        if self._acc is not None:
-            canonical = self._acc.canonical(imgs)
-        else:
-            canonical = self._hnf(imgs + self.rel, nm)
-        p = self.cache.get(canonical)
-        if p is None:
-            gens = tuple(zip(*imgs)) if imgs else ((),) * nm
-            p = self.analysis.subgroup_props(Subgroup(self.m, gens, canonical))
-            self.cache[canonical] = p
-        return p
+            chars = [row for row in chars if any(row)]
+            sub = kernel_subgroup(Morphism(m, FgAbGroup((e,) * len(chars)), freeze(chars)))
+            rows = parts
+        result.append((analysis.subgroup_props(sub), count, Morphism(src, dst, rows)))
+    return result
 
 
-def _brute_sweep(
-    src: FgAbGroup,
-    dst: FgAbGroup,
-    evaluator,
+def _sweep_verdict(
+    outcomes: list[tuple[SubProps, int, Morphism]],
     strongly: bool,
-    budget: int,
-    label: str,
     dual: bool,
     m: FgAbGroup,
     n: FgAbGroup,
     f_sub: Subgroup,
 ) -> SplitVerdict:
-    total = hom_count(src, dst)
-    if total is None:
-        return _verdict_unknown(
-            f"Hom({src}, {dst}) is infinite", strongly, dual, m, n, f_sub
-        )
-    if total > budget:
-        return _verdict_unknown(
-            f"|Hom({src}, {dst})| = {total} exceeds budget {budget}",
-            strongly, dual, m, n, f_sub,
-        )
-    witnesses: dict[Matrix, list] = {}
-    for rows in iter_hom_rows(src, dst):
-        props = evaluator.props(rows)
+    """No with the first failing subgroup's sample morphism, else Yes with
+    one witness per subgroup."""
+    label = _label(strongly, dual, m == n)
+    for props, _count, g in outcomes:
+        kind = None
         if props.retraction is None:
+            kind = "not_summand"
+        elif strongly and props.fi_viol is not None:
+            kind = "not_fully_invariant"
+        if kind is not None:
             return SplitVerdict(
                 NO, label, "brute", strongly, dual, m, n, f_sub,
-                counterexample=Counterexample(
-                    Morphism(src, dst, rows), props.subgroup, "not_summand"
-                ),
+                counterexample=Counterexample(g, props.subgroup, kind),
             )
-        if strongly and props.fi_viol is not None:
-            return SplitVerdict(
-                NO, label, "brute", strongly, dual, m, n, f_sub,
-                counterexample=Counterexample(
-                    Morphism(src, dst, rows), props.subgroup, "not_fully_invariant"
-                ),
-            )
-        rec = witnesses.get(props.subgroup.canonical)
-        if rec is None:
-            witnesses[props.subgroup.canonical] = [
-                props.subgroup.canonical, Morphism(src, dst, rows), props.retraction, 1,
-            ]
-        else:
-            rec[3] += 1
     return SplitVerdict(
         YES, label, "brute", strongly, dual, m, n, f_sub,
-        witnesses=tuple(tuple(w) for w in witnesses.values()),
+        witnesses=tuple(
+            (props.subgroup.canonical, g, props.retraction, count)
+            for props, count, g in outcomes
+        ),
     )
+
+
+def _hom_refusal(src: FgAbGroup, dst: FgAbGroup, budget: int, name: str) -> Optional[str]:
+    """Why brute force cannot sweep Hom(src, dst), or None when it can."""
+    total = hom_count(src, dst)
+    if total is None:
+        return f"Hom({name}) is infinite"
+    if total > budget:
+        return f"|Hom({name})| = {total} exceeds budget {budget}"
+    return None
+
+
+def _brute_sweep(
+    m: FgAbGroup,
+    n: FgAbGroup,
+    f_sub: Subgroup,
+    strongly: bool,
+    dual: bool,
+    budget: int,
+) -> SplitVerdict:
+    src, dst = (n, m) if dual else (m, n)
+    reason = _hom_refusal(src, dst, budget, f"{src}, {dst}")
+    if reason is not None:
+        return _verdict_unknown(reason, strongly, dual, m, n, f_sub)
+    return _sweep_verdict(_sweep(src, dst, f_sub, dual), strongly, dual, m, n, f_sub)
 
 
 def is_M_F_split(
@@ -438,10 +444,7 @@ def is_M_F_split(
     """Brute force: for every g: M -> N, must ker((N->N/F)∘g) be a (fully
     invariant) direct summand of M."""
     _require_fi(n, f_sub)
-    label = _label(strongly, False, m == n)
-    return _brute_sweep(
-        m, n, _PrimalEval(m, n, f_sub), strongly, budget, label, False, m, n, f_sub
-    )
+    return _brute_sweep(m, n, f_sub, strongly, False, budget)
 
 
 def is_dual_M_F_split(
@@ -454,10 +457,7 @@ def is_dual_M_F_split(
     """Brute force: for every g: N -> M, must coker(g∘i) be a (fully
     coinvariant) retraction — i.e. g(F) a (fully invariant) summand of M."""
     _require_fi(n, f_sub)
-    label = _label(strongly, True, m == n)
-    return _brute_sweep(
-        n, m, _DualEval(n, m, f_sub), strongly, budget, label, True, m, n, f_sub
-    )
+    return _brute_sweep(m, n, f_sub, strongly, True, budget)
 
 
 def is_self_rickart(
@@ -481,88 +481,22 @@ def self_split_profile(
     f_sub: Subgroup,
     budget: int = DEFAULT_HOM_BUDGET,
 ) -> dict[str, SplitVerdict]:
-    """All four self predicates for (M, F) in one sweep over End(M).
-
-    Equivalent to four separate brute-force calls but sharing the End
-    enumeration, the per-kernel/per-image subgroup cache, and the
-    summand/fully-invariant property cache.
-    """
+    """All four self predicates for (M, F): one primal and one dual sweep
+    over End(M), each deciding its plain and strong predicate."""
     _require_fi(m, f_sub)
     keys = ("primal_plain", "primal_strong", "dual_plain", "dual_strong")
-    total = hom_count(m, m)
-    if total is None or total > budget:
-        reason = (
-            "Hom(M, M) is infinite"
-            if total is None
-            else f"|Hom(M, M)| = {total} exceeds budget {budget}"
-        )
+    reason = _hom_refusal(m, m, budget, "M, M")
+    if reason is not None:
         return {
             k: _verdict_unknown(reason, "strong" in k, "dual" in k, m, m, f_sub)
             for k in keys
         }
-    primal = _PrimalEval(m, m, f_sub)
-    dual_ev = _DualEval(m, m, f_sub)
-    ce: dict[str, Optional[Counterexample]] = {k: None for k in keys}
-    prim_wit: dict[Matrix, list] = {}
-    dual_wit: dict[Matrix, list] = {}
-    for rows in iter_hom_rows(m, m):
-        if ce["primal_plain"] is None or ce["primal_strong"] is None:
-            props = primal.props(rows)
-            if props.retraction is None:
-                bad = Counterexample(Morphism(m, m, rows), props.subgroup, "not_summand")
-                if ce["primal_plain"] is None:
-                    ce["primal_plain"] = bad
-                if ce["primal_strong"] is None:
-                    ce["primal_strong"] = bad
-            else:
-                if ce["primal_strong"] is None and props.fi_viol is not None:
-                    ce["primal_strong"] = Counterexample(
-                        Morphism(m, m, rows), props.subgroup, "not_fully_invariant"
-                    )
-                rec = prim_wit.get(props.subgroup.canonical)
-                if rec is None:
-                    prim_wit[props.subgroup.canonical] = [
-                        props.subgroup.canonical, Morphism(m, m, rows), props.retraction, 1,
-                    ]
-                else:
-                    rec[3] += 1
-        if ce["dual_plain"] is None or ce["dual_strong"] is None:
-            props = dual_ev.props(rows)
-            if props.retraction is None:
-                bad = Counterexample(Morphism(m, m, rows), props.subgroup, "not_summand")
-                if ce["dual_plain"] is None:
-                    ce["dual_plain"] = bad
-                if ce["dual_strong"] is None:
-                    ce["dual_strong"] = bad
-            else:
-                if ce["dual_strong"] is None and props.fi_viol is not None:
-                    ce["dual_strong"] = Counterexample(
-                        Morphism(m, m, rows), props.subgroup, "not_fully_invariant"
-                    )
-                rec = dual_wit.get(props.subgroup.canonical)
-                if rec is None:
-                    dual_wit[props.subgroup.canonical] = [
-                        props.subgroup.canonical, Morphism(m, m, rows), props.retraction, 1,
-                    ]
-                else:
-                    rec[3] += 1
-        if all(ce[k] is not None for k in keys):
-            break
     out = {}
-    for k in keys:
-        strongly = "strong" in k
-        dual = k.startswith("dual")
-        label = _label(strongly, dual, True)
-        wit = dual_wit if dual else prim_wit
-        if ce[k] is not None:
-            out[k] = SplitVerdict(
-                NO, label, "brute", strongly, dual, m, m, f_sub, counterexample=ce[k]
-            )
-        else:
-            out[k] = SplitVerdict(
-                YES, label, "brute", strongly, dual, m, m, f_sub,
-                witnesses=tuple(tuple(w) for w in wit.values()),
-            )
+    for dual in (False, True):
+        outcomes = _sweep(m, m, f_sub, dual)
+        for strongly in (False, True):
+            key = ("dual_" if dual else "primal_") + ("strong" if strongly else "plain")
+            out[key] = _sweep_verdict(outcomes, strongly, dual, m, m, f_sub)
     return out
 
 

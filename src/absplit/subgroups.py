@@ -311,19 +311,32 @@ def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
 
 
 @lru_cache(maxsize=128)
-def _end_basis(m: FgAbGroup) -> tuple[Morphism, ...]:
-    """Additive basis of End(M), built once per ambient for fi_violation."""
-    return hom_group(m, m).basis
+def _end_basis(m: FgAbGroup) -> tuple[tuple[Morphism, int, int, int], ...]:
+    """Additive basis of End(M) for fi_violation, built once per ambient:
+    (h, i, j, step) for the basis element whose one nonzero entry is
+    h.rows[i][j] = step."""
+    out = []
+    for h in hom_group(m, m).basis:
+        i, j = next((i, j) for i, row in enumerate(h.rows) for j, x in enumerate(row) if x)
+        out.append((h, i, j, h.rows[i][j]))
+    return tuple(out)
 
 
 def fi_violation(s: Subgroup) -> Optional[tuple[Morphism, tuple[int, ...]]]:
     """(h, x) with x in S but h(x) not in S, for some endomorphism h; None if
     S is fully invariant.  Testing the additive basis of End(M) suffices:
     subgroups are closed under sums and negation, so closure under a basis
-    implies closure under every endomorphism."""
-    for h in _end_basis(s.ambient):
+    implies closure under every endomorphism.  A basis element h has one
+    nonzero entry, so h(x) has the single coordinate step·x_j mod d_i."""
+    factors = s.ambient.factors
+    n = len(factors)
+    for h, i, j, step in _end_basis(s.ambient):
+        d = factors[i]
         for row in s.canonical:
-            if not s.contains(h(row)):
+            y = step * row[j] % d if d else step * row[j]
+            if y and not row_lattice_contains(
+                s.canonical, (0,) * i + (y,) + (0,) * (n - i - 1)
+            ):
                 return h, tuple(row)
     return None
 

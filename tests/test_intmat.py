@@ -15,6 +15,7 @@ from absplit.intmat import (
     hnf_rows,
     identity,
     mat_mul,
+    prime_factors,
     row_lattice_contains,
     row_lattice_reduce,
     snf,
@@ -314,3 +315,37 @@ def test_snf_against_sympy():
             abs(int(theirs[i, i])) for i in range(min(r, c)) if theirs[i, i]
         )
         assert sorted(ours) == theirs_nz, a
+
+
+# --- factorization ----------------------------------------------------------
+
+
+def _trial_division(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_prime_factors_agree_with_trial_division():
+    for n in range(1, 5001):
+        got = prime_factors(n)
+        assert got == _trial_division(n) and list(got) == sorted(got), n
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_prime_factors_of_large_numbers():
+    m61, m31 = 2**61 - 1, 2**31 - 1
+    assert prime_factors(m61) == {m61: 1}
+    assert prime_factors(m61 * m31) == {m31: 1, m61: 1}
+    assert list(prime_factors(m61 * m31)) == [m31, m61]
+    # a prime square and a product of three primes above the trial bound
+    assert prime_factors(1009**2 * 12) == {2: 2, 3: 1, 1009: 2}
+    assert prime_factors(10007 * 10009 * 10037) == {10007: 1, 10009: 1, 10037: 1}

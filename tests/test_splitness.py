@@ -613,11 +613,84 @@ def test_infinite_source_finite_hom():
 # --- sweep cache soundness ----------------------------------------------------------------------
 
 
+def _direct_subgroups(src, dst, f, dual):
+    """The per-morphism oracle: {canonical subgroup: number of g} over every
+    g in Hom(src, dst), each through preimage_subgroup or map_subgroup."""
+    from absplit.subgroups import map_subgroup, preimage_subgroup
+
+    out = {}
+    for g in iter_hom(src, dst):
+        sub = map_subgroup(g, f) if dual else preimage_subgroup(g, f)
+        out[sub.canonical] = out.get(sub.canonical, 0) + 1
+    return out
+
+
+def _check_sweep(m, n, f):
+    """For F <= N, the primal sweep over Hom(M, N) and the dual sweep over
+    Hom(N, M) list the oracle's subgroups with the same counts, each with a
+    sample morphism that lands on it, and every counterexample re-verifies."""
+    from absplit.subgroups import map_subgroup, preimage_subgroup
+
+    for dual in (False, True):
+        src, dst = (n, m) if dual else (m, n)
+        outcomes = splitness._sweep(src, dst, f, dual)
+        got = {props.subgroup.canonical: count for props, count, _ in outcomes}
+        assert got == _direct_subgroups(src, dst, f, dual), (m, n, f, dual)
+        assert sum(got.values()) == hom_count(src, dst)
+        for props, _, g in outcomes:
+            sub = map_subgroup(g, f) if dual else preimage_subgroup(g, f)
+            assert sub.canonical == props.subgroup.canonical
+        for strongly in (False, True):
+            if dual:
+                v = is_dual_M_F_split(n, m, f, strongly)
+            else:
+                v = is_M_F_split(m, n, f, strongly)
+            assert not v.is_no or reverify(v), (m, n, f, dual, strongly)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [m.factors for m in enumerate_groups(16)],
+    ids=lambda fs: "x".join(map(str, fs)) or "0",
+)
+def test_sweep_matches_per_morphism_oracle_to_order_16(factors):
+    m = group(*factors)
+    for f in all_subgroups(m):
+        if is_fully_invariant(f):
+            _check_sweep(m, m, f)
+
+
+def test_sweep_matches_per_morphism_oracle_between_groups():
+    # the pairs M != N of the full-subgroup and zero-subgroup tests, and the
+    # finite Hom sets between Z/2 ⊕ Z and Z/4, both ways
+    for m, n in [
+        (group(2), group(4)),
+        (group(2, 2), group(8)),
+        (group(6), group(2, 2)),
+        (group(2, 0), group(4)),
+    ]:
+        for f in all_subgroups(n):
+            if is_fully_invariant(f):
+                _check_sweep(m, n, f)
+
+
+def test_sweep_decides_one_coordinate_at_a_time(monkeypatch):
+    # End((Z/2)^4) has 65,536 elements; the sweep joins lattices instead
+    from absplit.intmat import SeededHnf
+
+    calls = _counting(monkeypatch, SeededHnf, "canonical")
+    m = group(2, 2, 2, 2)
+    prof = self_split_profile(m, trivial_subgroup(m))
+    assert len(calls) <= 5000
+    assert [prof[k].answer for k in ("primal_plain", "primal_strong", "dual_plain", "dual_strong")] == [
+        "yes", "no", "yes", "yes"
+    ]
+    assert sum(w[3] for w in prof["primal_plain"].witnesses) == 65536
+
+
 def test_sweep_evaluators_match_direct_computation():
-    # the brute-force sweeps cache kernels by character-lattice key and
-    # images by canonical form; both must agree with the direct
-    # preimage/image computations for every single morphism
-    from absplit.splitness import _DualEval, _PrimalEval
+    # the sweep's subgroups, and their summand flags, must agree with the
+    # direct preimage/image computations for every single morphism
     from absplit.subgroups import map_subgroup, preimage_subgroup, summand_witness
 
     for m_factors, f_gens in [
@@ -631,16 +704,14 @@ def test_sweep_evaluators_match_direct_computation():
         f = sub_from_gens(m, f_gens)
         if not is_fully_invariant(f):
             continue
-        primal = _PrimalEval(m, m, f)
-        dual = _DualEval(m, m, f)
+        primal = {p.subgroup.canonical: p for p, _, _ in splitness._sweep(m, m, f, False)}
+        dual = {p.subgroup.canonical: p for p, _, _ in splitness._sweep(m, m, f, True)}
         for g in iter_hom(m, m):
-            p_props = primal.props(g.rows)
             want_p = preimage_subgroup(g, f)
-            assert p_props.subgroup.canonical == want_p.canonical
+            p_props = primal[want_p.canonical]
             assert p_props.is_summand == (summand_witness(want_p) is not None)
-            d_props = dual.props(g.rows)
             want_d = map_subgroup(g, f)
-            assert d_props.subgroup.canonical == want_d.canonical
+            d_props = dual[want_d.canonical]
             assert d_props.is_summand == (summand_witness(want_d) is not None)
 
 

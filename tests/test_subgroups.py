@@ -441,6 +441,28 @@ def test_fi_brute_force_agreement():
             assert is_fully_invariant(s) == brute, (factors, s.canonical)
 
 
+def test_fi_violation_matches_the_morphism_call():
+    # the single-coordinate image must find the same first (h, x) as
+    # applying each End basis element through Morphism.__call__
+    from absplit.harness import enumerate_groups
+
+    def reference(s):
+        for h in hom_group(s.ambient, s.ambient).basis:
+            for row in s.canonical:
+                if not s.contains(h(row)):
+                    return h, tuple(row)
+        return None
+
+    for m in enumerate_groups(32):
+        for s in all_subgroups(m):
+            assert fi_violation(s) == reference(s), (m.factors, s.canonical)
+    for factors in [(2, 0), (4, 0, 0), (6, 12, 0)]:
+        m = group(*factors)
+        for gens in [[(1,) + (0,) * (m.ngens - 1)], [(0,) * (m.ngens - 1) + (2,)]]:
+            s = sub_from_gens(m, gens)
+            assert fi_violation(s) == reference(s), (factors, gens)
+
+
 def test_fully_coinvariant():
     m = group(4, 0)
     t = sub_from_gens(m, [(1, 0)])
