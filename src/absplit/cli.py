@@ -71,10 +71,17 @@ def _emit(doc: dict, out: Optional[str], as_json: bool, human: str) -> None:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(human)
+    try:
+        print(json.dumps(doc, indent=2, sort_keys=True) if as_json else human)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: point stdout at devnull, so that the
+        # flush at exit cannot fail again, and keep the command's exit code
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_classify(args) -> int:

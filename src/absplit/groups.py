@@ -359,17 +359,18 @@ def _entry_values(a: int, b: int) -> Optional[tuple[int, ...]]:
 
 
 def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All hom matrices in canonical odometer order (finite Hom only)."""
-    tables = []
+    """All hom matrices in canonical odometer order (finite Hom only): the
+    product of the per-row tables, each the product of its entry values."""
+    row_tables = []
     for b in n.factors:
+        tables = []
         for a in m.factors:
             vals = _entry_values(a, b)
             if vals is None:
                 raise ValueError("infinite Hom group cannot be enumerated")
             tables.append(vals)
-    w = m.ngens
-    for flat in itertools.product(*tables):
-        yield tuple(flat[i * w : (i + 1) * w] for i in range(n.ngens))
+        row_tables.append(tuple(itertools.product(*tables)))
+    yield from itertools.product(*row_tables)
 
 
 def iter_hom(m: FgAbGroup, n: FgAbGroup) -> Iterator[Morphism]:
@@ -546,14 +547,6 @@ def retraction_witness(f: Morphism) -> Optional[Morphism]:
 
 def is_section(f: Morphism) -> bool:
     return section_witness(f) is not None
-
-
-def is_retraction(f: Morphism) -> bool:
-    return retraction_witness(f) is not None
-
-
-def is_isomorphism(f: Morphism) -> bool:
-    return is_mono(f) and is_epi(f)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class DimensionError(ValueError):
 
 
 def freeze(rows: Iterable[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def dims(a: Matrix) -> tuple[int, int]:
@@ -47,25 +47,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if dims(a) != dims(b):
-        raise DimensionError("shape mismatch in addition")
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     r, c = dims(a)
     if len(v) != c:
         raise DimensionError("vector length mismatch")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -124,13 +110,6 @@ class SnfDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         r, c = dims(self.s)
         return tuple(self.s[i][i] for i in range(min(r, c)))
-
-
-def _divides(a: int, b: int) -> bool:
-    # divisibility with the "everything divides 0" convention
-    if a == 0:
-        return b == 0
-    return b % a == 0
 
 
 def snf(a: Matrix) -> SnfDecomposition:
@@ -231,10 +210,6 @@ def snf(a: Matrix) -> SnfDecomposition:
         t += 1
 
     return SnfDecomposition(freeze(u), freeze(s), freeze(v), freeze(ui), freeze(vi))
-
-
-def _reduce_mod(x: int, modulus: int) -> int:
-    return x % modulus if modulus else x
 
 
 def _augment_with_moduli(a: Matrix, moduli: Sequence[int]) -> tuple[Matrix, int]:
@@ -429,10 +404,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    return _xgcd(a, b)
 
 
 def row_lattice_reduce(basis: Matrix, vec: Sequence[int]) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .intmat import (
     Matrix,
+    SeededHnf,
     freeze,
     hnf_rows,
     hstack,
@@ -60,7 +61,7 @@ class Subgroup:
 
     @property
     def is_trivial_subgroup(self) -> bool:
-        return self.canonical == _relation_lattice(self.ambient)
+        return self.canonical == trivial_subgroup(self.ambient).canonical
 
     @property
     def is_full(self) -> bool:
@@ -87,27 +88,34 @@ class Subgroup:
         return "<" + ", ".join(str(g) for g in gens) + ">" if gens else "<0>"
 
 
-@lru_cache(maxsize=None)
-def _relation_lattice(ambient: FgAbGroup) -> Matrix:
-    rows = [
-        [d if i == j else 0 for j in range(ambient.ngens)]
-        for i, d in enumerate(ambient.factors)
-        if d > 0
-    ]
-    return hnf_rows(rows, ambient.ngens)
+@lru_cache(maxsize=64)
+def _seeded(factors: tuple[int, ...]) -> SeededHnf:
+    return SeededHnf(factors)
+
+
+def _seeded_block(factors: tuple[int, ...], rows: Iterable[Sequence[int]], k: int) -> Matrix:
+    """Rows and columns k.. of the Hermite basis of the rows over diag(factors).
+
+    Every factor is positive, so the basis is upper triangular with one row
+    per column, and its rows from k on are exactly the basis vectors with
+    zero in the first k coordinates: the block is the canonical basis of
+    {x : (0, x) in the lattice}."""
+    basis = _seeded(factors).canonical(rows)
+    return tuple(r[k:] for r in basis[k:])
 
 
 def sub_from_gens(ambient: FgAbGroup, gens: Iterable[Sequence[int]]) -> Subgroup:
+    """The subgroup generated by the given vectors.  On a finite ambient its
+    lattice contains diag(d), so one seeded Hermite pass gives the form."""
     gen_list = [tuple(v) for v in gens]
     for v in gen_list:
         if len(v) != ambient.ngens:
             raise ObjectMismatchError("generator has wrong coordinate count")
-    rel = [
-        [d if i == j else 0 for j in range(ambient.ngens)]
-        for i, d in enumerate(ambient.factors)
-        if d > 0
-    ]
-    canon = hnf_rows(gen_list + rel, ambient.ngens)
+    if ambient.is_finite:
+        canon = _seeded_block(ambient.factors, gen_list, 0)
+    else:
+        rel = list(zip(*_diag_columns(ambient.factors)))
+        canon = hnf_rows(gen_list + rel, ambient.ngens)
     cols = freeze(zip(*gen_list)) if gen_list else freeze([[] for _ in range(ambient.ngens)])
     return Subgroup(ambient, cols, canon)
 
@@ -214,10 +222,27 @@ def image_subgroup(f: Morphism) -> Subgroup:
     return sub_from_gens(f.cod, cols)
 
 
+def _seeded_preimage(f: Morphism, top: Matrix) -> Subgroup:
+    """f^{-1}(T) on finite groups, for T spanned by the rows top and the
+    relations of cod(f).  The rows (col_j(f), e_j) and (h, 0), h in top,
+    span the pairs (f(x) + t, x) with t in T; those with first part zero
+    are the (0, x) with x in f^{-1}(T), the block after ngens(cod) columns."""
+    m, n = f.dom.ngens, f.cod.ngens
+    graph = [
+        col + tuple(int(i == j) for i in range(m))
+        for j, col in enumerate(zip(*f.rows) if f.rows else [()] * m)
+    ]
+    rows = [h + (0,) * m for h in top] + graph
+    canon = _seeded_block(f.cod.factors + f.dom.factors, rows, n)
+    return Subgroup(f.dom, tuple(zip(*canon)), canon)
+
+
 def preimage_subgroup(f: Morphism, t: Subgroup) -> Subgroup:
     """f^{-1}(T) as a subgroup of dom(f)."""
     if t.ambient != f.cod:
         raise ObjectMismatchError("subgroup does not live in cod(f)")
+    if f.dom.is_finite and f.cod.is_finite:
+        return _seeded_preimage(f, t.canonical)
     m, n = f.dom.ngens, f.cod.ngens
     w = freeze(zip(*t.canonical)) if t.canonical else freeze([[] for _ in range(n)])
     r = len(t.canonical)
@@ -228,6 +253,8 @@ def preimage_subgroup(f: Morphism, t: Subgroup) -> Subgroup:
 
 
 def kernel_subgroup(f: Morphism) -> Subgroup:
+    if f.dom.is_finite and f.cod.is_finite:
+        return _seeded_preimage(f, ())
     lat = solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens)
     cols = list(zip(*lat)) if lat and lat[0] else []
     return sub_from_gens(f.dom, cols)
@@ -243,11 +270,15 @@ def intersect(s: Subgroup, t: Subgroup) -> Subgroup:
     The rows (v, v) for v in S.canonical and (w, 0) for w in T.canonical
     span the pairs (a·S + b·T, a·S).  Those with first half zero are exactly
     the (0, x) with x = a·S = −b·T in S ∩ T, and a Hermite basis lists a
-    basis of them last."""
+    basis of them last.  On a finite ambient both halves hold diag(d), so
+    that block is already the canonical form."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
     n = s.ambient.ngens
     rows = [r + r for r in s.canonical] + [r + (0,) * n for r in t.canonical]
+    if s.ambient.is_finite:
+        canon = _seeded_block(s.ambient.factors * 2, rows, n)
+        return Subgroup(s.ambient, tuple(zip(*canon)), canon)
     gens = [r[n:] for r in hnf_rows(rows, 2 * n) if not any(r[:n])]
     return sub_from_gens(s.ambient, gens)
 

@@ -1,6 +1,10 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,38 @@ def test_numeric_flag_lower_bounds_accepted(capsys):
     assert code == 0 and err == ""
     code, out, err = run_cli(capsys, "verify", "--max-order", "1")
     assert code == 0
+
+
+# --- the CLI as a process --------------------------------------------------------
+
+
+def _cli_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_is_a_quiet_exit():
+    # the reader end of stdout is closed before the process starts, so the
+    # report meets EPIPE, as with `absplit verify ... | head -c 100`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "absplit", "verify", "--max-order", "12", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=600,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert proc.returncode == 0
+
+
+def test_module_form_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "absplit", "classify", "Z/4 x Z/2", "--json"],
+        capture_output=True, text=True, env=_cli_env(), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["group"] == "Z/2 x Z/4"

@@ -270,6 +270,45 @@ def test_idempotents_complete():
         assert is_abelian_ring(view) == abelian, m.factors
 
 
+def _full_product_end_ring(m):
+    """The End-ring pass before the row-by-row test: one flat product of
+    entry tables, sliced into rows, and a full e·e per element."""
+    from absplit.groups import _entry_values, hom_group
+
+    factors, w = m.factors, m.ngens
+
+    def product_rows(left, right):
+        return tuple(
+            tuple(sum(c * right[t][j] for t, c in enumerate(row)) % d for j in range(w))
+            for row, d in zip(left, factors)
+        )
+
+    tables = [_entry_values(a, b) for b in factors for a in factors]
+    size, idem = 0, []
+    for flat in itertools.product(*tables):
+        rows = tuple(flat[i * w : (i + 1) * w] for i in range(w))
+        size += 1
+        if product_rows(rows, rows) == rows:
+            idem.append(rows)
+    basis = [h.rows for h in hom_group(m, m).basis]
+    noncentral = next(
+        ((e, h) for e in idem for h in basis if product_rows(e, h) != product_rows(h, e)),
+        None,
+    )
+    return size, tuple(idem), noncentral
+
+
+def test_end_ring_row_test_matches_the_full_product_loop(monkeypatch):
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    for factors in [(2, 2, 2, 2), (2, 4), (3, 3), (2, 2, 6)]:
+        m = group(*factors)
+        view = end_ring(m)
+        assert (view.size, view.idempotent_rows, view.noncentral) == _full_product_end_ring(m)
+        if factors == (2, 2, 2, 2):
+            assert view.size == 65536 and len(view.idempotent_rows) == 802
+            assert view.noncentral is not None
+
+
 def test_end_ring_closed_under_add_and_compose():
     from absplit.groups import add_hom
 

@@ -19,7 +19,8 @@ from absplit.groups import (
     section_witness,
     zero_hom,
 )
-from absplit.intmat import SeededHnf, hnf_rows, row_lattice_contains
+from absplit.harness import enumerate_groups
+from absplit.intmat import SeededHnf, freeze, hnf_rows, row_lattice_contains, solution_lattice
 from absplit.subgroups import (
     FullyInvariantError,
     ShortExactSequence,
@@ -170,6 +171,127 @@ def test_intersect_lattice_infinite_ambient():
             assert inter.canonical == _pullback_intersect(s, t).canonical
             for x in window:
                 assert inter.contains(x) == (s.contains(x) and t.contains(x))
+
+
+# --- the seeded Hermite path on finite ambients ---------------------------------
+#
+# Test-local copies of the general routines (hnf_rows over the relation rows,
+# the hnf_rows Zassenhaus, the SNF preimage and kernel), which finite
+# ambients no longer take; the seeded path must give the same canonical forms.
+
+
+def _general_sub(ambient, gens):
+    n = ambient.ngens
+    rel = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(ambient.factors) if d > 0]
+    return hnf_rows([tuple(g) for g in gens] + rel, n)
+
+
+def _general_intersect(s, t):
+    n = s.ambient.ngens
+    rows = [r + r for r in s.canonical] + [r + (0,) * n for r in t.canonical]
+    return _general_sub(s.ambient, [r[n:] for r in hnf_rows(rows, 2 * n) if not any(r[:n])])
+
+
+def _general_preimage(f, t):
+    m, n = f.dom.ngens, f.cod.ngens
+    w = freeze(zip(*t.canonical)) if t.canonical else freeze([[] for _ in range(n)])
+    r = len(t.canonical)
+    sys_rows = [list(f.rows[i]) + [-w[i][k] for k in range(r)] for i in range(n)]
+    lat = solution_lattice(freeze(sys_rows), f.cod.factors, ncols=m + r)
+    gens = [[lat[i][j] for j in range(len(lat[0]))] for i in range(m)] if lat and lat[0] else []
+    return _general_sub(f.dom, list(zip(*gens)) if gens else [])
+
+
+def _general_kernel(f):
+    lat = solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens)
+    return _general_sub(f.dom, list(zip(*lat)) if lat and lat[0] else [])
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [m.factors for m in enumerate_groups(32)],
+    ids=lambda fs: "x".join(map(str, fs)) or "0",
+)
+def test_seeded_lattices_match_the_general_path_to_order_32(factors):
+    m = group(*factors)
+    elems = list(m.elements())
+    subs = all_subgroups(m)
+    members = {s.canonical: frozenset(x for x in elems if s.contains(x)) for s in subs}
+    for i, s in enumerate(subs):
+        for t in subs[i:]:
+            ms, mt = members[s.canonical], members[t.canonical]
+            want_inter = _general_intersect(s, t)
+            want_sum = _general_sub(m, s.canonical + t.canonical)
+            assert intersect(s, t).canonical == intersect(t, s).canonical == want_inter
+            assert sum_sub(s, t).canonical == want_sum
+            # the same sum from reduced, non-canonical generators, T's first
+            gens = [m.reduce(r) for r in t.canonical + s.canonical]
+            assert sub_from_gens(m, gens).canonical == want_sum
+            assert members[want_inter] == ms & mt
+            mu = members[want_sum]
+            assert ms | mt <= mu and len(mu) * len(ms & mt) == len(ms) * len(mt)
+
+
+def test_seeded_preimages_and_kernels_match_the_general_path_to_order_16():
+    groups = list(enumerate_groups(16))
+    for n in groups:
+        n_elems = list(n.elements())
+        targets = [(t, {x for x in n_elems if t.contains(x)}) for t in all_subgroups(n)]
+        for m in groups:
+            m_elems = list(m.elements())
+            for f in hom_group(m, n).basis:
+                images = [(x, f(x)) for x in m_elems]
+                ker = kernel_subgroup(f)
+                assert ker.canonical == _general_kernel(f), (m, n, f)
+                assert {x for x, y in images if not any(y)} == {x for x in m_elems if ker.contains(x)}
+                for t, t_members in targets:
+                    pre = preimage_subgroup(f, t)
+                    assert pre.canonical == _general_preimage(f, t), (m, n, f, t)
+                    want = {x for x, y in images if y in t_members}
+                    assert want == {x for x in m_elems if pre.contains(x)}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_finite_ambients_take_one_seeded_pass(monkeypatch):
+    import absplit.subgroups as subgroups_mod
+
+    solves = _count_calls(monkeypatch, subgroups_mod, "solution_lattice")
+    hnfs = _count_calls(monkeypatch, subgroups_mod, "hnf_rows")
+    m, n = group(2, 4, 4), group(2, 8)
+    for f in hom_group(m, n).basis:
+        kernel_subgroup(f)
+        for t in all_subgroups(n):
+            preimage_subgroup(f, t)
+    subs = all_subgroups(m)
+    for s in subs[::7]:
+        for t in subs[::5]:
+            intersect(s, t)
+            sum_sub(s, t)
+    sub_from_gens(m, [(1, 2, 3), (0, 2, 2)])
+    assert solves == [] and hnfs == []
+    # an ambient with a free part keeps the general routines
+    mixed = group(4, 0)
+    g = morphism(mixed, mixed, [[1, 0], [0, 2]])
+    preimage_subgroup(g, sub_from_gens(mixed, [(2, 0)]))
+    assert len(solves) == 1
+    kernel_subgroup(g)
+    assert len(solves) == 2
+    before = len(hnfs)
+    sub_from_gens(mixed, [(1, 3)])
+    assert len(hnfs) == before + 1
+    intersect(sub_from_gens(mixed, [(0, 2)]), sub_from_gens(mixed, [(2, 3)]))
+    assert len(hnfs) > before + 1
 
 
 # --- inclusion / quotient -------------------------------------------------------
