@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -53,21 +52,39 @@ def _chain_ok(factors: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+# The value classes (FgAbGroup, Morphism, Subgroup, Caps, Preradical) are
+# immutable, hashed on their fields, and used as cache keys: __init__ stores
+# through _store, and assigning or deleting a field afterwards raises.
+_store = object.__setattr__
+
+
+def _immutable(self, name, *_):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class FgAbGroup:
     """Canonical object: invariant factors (d1, ..., dk), di | di+1, 0 = Z."""
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        fs = tuple(int(d) for d in self.factors)
-        object.__setattr__(self, "factors", fs)
+    def __init__(self, factors: tuple[int, ...]):
+        fs = tuple(map(int, factors))
+        _store(self, "factors", fs)
         if any(d < 0 for d in fs):
             raise ValueError("invariant factors must be non-negative")
         if any(d == 1 for d in fs):
             raise ValueError("factor 1 is not allowed in canonical form")
         if not _chain_ok(fs):
             raise ValueError(f"factors {fs} violate the divisibility chain")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @property
     def ngens(self) -> int:
@@ -162,13 +179,24 @@ def _reduce_rows(cod: FgAbGroup, rows: Iterable[Sequence[int]]) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
 class Morphism:
     """Homomorphism dom -> cod; rows indexed by cod factors, cols by dom."""
 
-    dom: FgAbGroup
-    cod: FgAbGroup
-    rows: Matrix
+    __slots__ = ("dom", "cod", "rows")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, dom: FgAbGroup, cod: FgAbGroup, rows: Matrix):
+        _store(self, "dom", dom)
+        _store(self, "cod", cod)
+        _store(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.rows) == (other.dom, other.cod, other.rows)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -248,7 +276,6 @@ def sub_hom(f: Morphism, g: Morphism) -> Morphism:
 # canonicalization
 
 
-@dataclass(frozen=True)
 class CanonicalPresentation:
     """Cokernel of a relation matrix in canonical form with its certificate.
 
@@ -256,9 +283,12 @@ class CanonicalPresentation:
     one-sided inverse (to_canonical · from_canonical = identity exactly).
     """
 
-    group: FgAbGroup
-    to_canonical: Matrix
-    from_canonical: Matrix
+    __slots__ = ("group", "to_canonical", "from_canonical")
+
+    def __init__(self, group: FgAbGroup, to_canonical: Matrix, from_canonical: Matrix):
+        self.group = group
+        self.to_canonical = to_canonical
+        self.from_canonical = from_canonical
 
 
 def canonical_group(relations: Matrix, generators: int) -> CanonicalPresentation:
@@ -289,14 +319,16 @@ def canonical_group(relations: Matrix, generators: int) -> CanonicalPresentation
 # hom groups
 
 
-@dataclass(frozen=True)
 class HomGroup:
     """Additive basis of Hom(dom, cod); order 0 marks an infinite generator."""
 
-    dom: FgAbGroup
-    cod: FgAbGroup
-    basis: tuple[Morphism, ...]
-    orders: tuple[int, ...]
+    __slots__ = ("dom", "cod", "basis", "orders")
+
+    def __init__(self, dom: FgAbGroup, cod: FgAbGroup, basis: tuple[Morphism, ...], orders: tuple[int, ...]):
+        self.dom = dom
+        self.cod = cod
+        self.basis = basis
+        self.orders = orders
 
     @property
     def size(self) -> Optional[int]:

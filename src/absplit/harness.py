@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
@@ -112,10 +111,12 @@ def groups_of_order(n: int) -> list[FgAbGroup]:
     return sorted(out, key=lambda g: g.factors)
 
 
-@dataclass(frozen=True)
 class Corpus:
-    max_order: int
-    groups: tuple[FgAbGroup, ...]
+    __slots__ = ("max_order", "groups")
+
+    def __init__(self, max_order: int, groups: tuple[FgAbGroup, ...]):
+        self.max_order = max_order
+        self.groups = groups
 
     def __iter__(self):
         return iter(self.groups)
@@ -134,16 +135,32 @@ def enumerate_groups(max_order: int) -> Corpus:
 # reports
 
 
-@dataclass
 class TheoremReport:
-    theorem: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    expected_failures: list = field(default_factory=list)
-    expected_failure_misses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    elapsed_s: float = 0.0
+    __slots__ = (
+        "theorem", "instances", "failures", "skipped", "expected_failures",
+        "expected_failure_misses", "notes", "elapsed_s",
+    )
+
+    def __init__(
+        self,
+        theorem: str,
+        instances: int = 0,
+        failures: Optional[list] = None,
+        skipped: Optional[list] = None,
+        expected_failures: Optional[list] = None,
+        expected_failure_misses: Optional[list] = None,
+        notes: Optional[list] = None,
+        elapsed_s: float = 0.0,
+    ):
+        # each list omitted is a new one, never shared between reports
+        self.theorem = theorem
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.skipped = [] if skipped is None else skipped
+        self.expected_failures = [] if expected_failures is None else expected_failures
+        self.expected_failure_misses = [] if expected_failure_misses is None else expected_failure_misses
+        self.notes = [] if notes is None else notes
+        self.elapsed_s = elapsed_s
 
     @property
     def passed(self) -> bool:
@@ -161,14 +178,6 @@ class TheoremReport:
             "passed": self.passed,
             "elapsed_s": round(self.elapsed_s, 3),
         }
-
-
-def _gname(g: FgAbGroup) -> str:
-    return format_group(g)
-
-
-def _fname(s: Subgroup) -> str:
-    return str(s)
 
 
 # profile caches shared across checks (results are pure functions of the key)
@@ -211,13 +220,13 @@ def _group_feasible(m: FgAbGroup, caps: Caps, report: TheoremReport) -> bool:
     order = m.order
     if order is None or order > caps.subgroup_cap:
         report.skipped.append(
-            {"group": _gname(m), "reason": f"order exceeds subgroup cap {caps.subgroup_cap}"}
+            {"group": format_group(m), "reason": f"order exceeds subgroup cap {caps.subgroup_cap}"}
         )
         return False
     total = hom_count(m, m)
     if total is not None and total > caps.hom_budget:
         report.skipped.append(
-            {"group": _gname(m), "reason": f"|End| = {total} exceeds hom budget {caps.hom_budget}"}
+            {"group": format_group(m), "reason": f"|End| = {total} exceeds hom budget {caps.hom_budget}"}
         )
         return False
     return True
@@ -262,7 +271,7 @@ def check_tkey(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
                 and time.time() - group_start > caps.per_group_timeout_s
             ):
                 rep.skipped.append(
-                    {"group": _gname(m), "f": _fname(f), "reason": "per-group timeout"}
+                    {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
                 )
                 continue
             brute = cached_profile(m, f, caps.hom_budget)
@@ -272,14 +281,14 @@ def check_tkey(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
                 bv, tv = brute[k], theorem[k]
                 if bv.is_unknown:
                     rep.skipped.append(
-                        {"group": _gname(m), "f": _fname(f), "variant": k, "reason": bv.reason}
+                        {"group": format_group(m), "f": str(f), "variant": k, "reason": bv.reason}
                     )
                     continue
                 if bv.answer != tv.answer:
                     rep.failures.append(
                         {
-                            "group": _gname(m),
-                            "f": _fname(f),
+                            "group": format_group(m),
+                            "f": str(f),
                             "variant": k,
                             "brute": bv.answer,
                             "theorem": tv.answer,
@@ -302,7 +311,7 @@ def check_trel(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
         for f in _fi_subgroups(m, caps):
             brute = cached_profile(m, f, caps.hom_budget)
             if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": _gname(m), "f": _fname(f), "reason": "budget"})
+                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
                 continue
             over_fi = all(
                 analysis.subgroup_props(s).is_fi
@@ -320,7 +329,7 @@ def check_trel(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             if brute["primal_strong"].is_yes != expected_strong:
                 rep.failures.append(
                     {
-                        "group": _gname(m), "f": _fname(f), "variant": "primal",
+                        "group": format_group(m), "f": str(f), "variant": "primal",
                         "strong": brute["primal_strong"].answer,
                         "plain_and_summands_fi": expected_strong,
                     }
@@ -328,7 +337,7 @@ def check_trel(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             if brute["dual_strong"].is_yes != expected_dual_strong:
                 rep.failures.append(
                     {
-                        "group": _gname(m), "f": _fname(f), "variant": "dual",
+                        "group": format_group(m), "f": str(f), "variant": "dual",
                         "strong": brute["dual_strong"].answer,
                         "plain_and_summands_fi": expected_dual_strong,
                     }
@@ -352,7 +361,7 @@ def check_tendab(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
         for f in _fi_subgroups(m, caps):
             brute = cached_profile(m, f, caps.hom_budget)
             if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": _gname(m), "f": _fname(f), "reason": "budget"})
+                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
                 continue
             cgrp, _ = quotient(m, f)
             fgrp = subgroup_group(f)
@@ -360,7 +369,7 @@ def check_tendab(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             view_f = end_ring(fgrp, caps.endring_cap)
             if view_c is None or view_f is None:
                 rep.skipped.append(
-                    {"group": _gname(m), "f": _fname(f), "reason": "end ring cap"}
+                    {"group": format_group(m), "f": str(f), "reason": "end ring cap"}
                 )
                 continue
             expected_strong = brute["primal_plain"].is_yes and is_abelian_ring(view_c)
@@ -368,13 +377,13 @@ def check_tendab(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             rep.instances += 2
             if brute["primal_strong"].is_yes != expected_strong:
                 rep.failures.append(
-                    {"group": _gname(m), "f": _fname(f), "variant": "primal",
+                    {"group": format_group(m), "f": str(f), "variant": "primal",
                      "strong": brute["primal_strong"].answer,
                      "plain_and_end_abelian": expected_strong}
                 )
             if brute["dual_strong"].is_yes != expected_dual_strong:
                 rep.failures.append(
-                    {"group": _gname(m), "f": _fname(f), "variant": "dual",
+                    {"group": format_group(m), "f": str(f), "variant": "dual",
                      "strong": brute["dual_strong"].answer,
                      "plain_and_end_abelian": expected_dual_strong}
                 )
@@ -393,13 +402,13 @@ def check_csip(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
         for f in _fi_subgroups(m, caps):
             brute = cached_profile(m, f, caps.hom_budget)
             if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": _gname(m), "f": _fname(f), "reason": "budget"})
+                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
                 continue
             if brute["primal_plain"].is_yes:
                 rep.instances += 1
                 if not has_sip_summands_containing(m, f, caps.subgroup_cap):
                     rep.failures.append(
-                        {"group": _gname(m), "f": _fname(f), "property": "SIP"}
+                        {"group": format_group(m), "f": str(f), "property": "SIP"}
                     )
             if brute["primal_strong"].is_yes:
                 rep.instances += 1
@@ -407,13 +416,13 @@ def check_csip(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
                     m, f, caps.subgroup_cap, fully_invariant_only=True
                 ):
                     rep.failures.append(
-                        {"group": _gname(m), "f": _fname(f), "property": "SIP-fi"}
+                        {"group": format_group(m), "f": str(f), "property": "SIP-fi"}
                     )
             if brute["dual_plain"].is_yes:
                 rep.instances += 1
                 if not has_ssp_summands_contained_in(m, f, caps.subgroup_cap):
                     rep.failures.append(
-                        {"group": _gname(m), "f": _fname(f), "property": "SSP"}
+                        {"group": format_group(m), "f": str(f), "property": "SSP"}
                     )
             if brute["dual_strong"].is_yes:
                 rep.instances += 1
@@ -421,7 +430,7 @@ def check_csip(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
                     m, f, caps.subgroup_cap, fully_invariant_only=True
                 ):
                     rep.failures.append(
-                        {"group": _gname(m), "f": _fname(f), "property": "SSP-fi"}
+                        {"group": format_group(m), "f": str(f), "property": "SSP-fi"}
                     )
     rep.elapsed_s = time.time() - t0
     return rep
@@ -488,14 +497,14 @@ def check_tds(
                 parts = [piece(part, f) for part in (x, y)]
                 if None in parts:
                     rep.skipped.append(
-                        {"group": _gname(n_grp), "f": _fname(f),
+                        {"group": format_group(n_grp), "f": str(f),
                          "reason": "F∩Nk not fully invariant (hypothesis)"}
                     )
                     continue
                 quots = [quotient_piece(part, f) for part in (x, y)]
                 if None in quots:
                     rep.skipped.append(
-                        {"group": _gname(n_grp), "f": _fname(f),
+                        {"group": format_group(n_grp), "f": str(f),
                          "reason": "(F+Nk)/Nk not fully invariant (hypothesis)"}
                     )
                     continue
@@ -513,7 +522,7 @@ def check_tds(
                         ]
                         if whole.is_unknown or any(p.is_unknown for p in pieces):
                             rep.skipped.append(
-                                {"group": _gname(n_grp), "f": _fname(f), "m": _gname(m),
+                                {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
                                  "reason": "budget"}
                             )
                         else:
@@ -522,15 +531,15 @@ def check_tds(
                             rhs = all(p.is_yes for p in pieces)
                             if lhs != rhs:
                                 rep.failures.append(
-                                    {"group": _gname(n_grp), "f": _fname(f),
-                                     "m": _gname(m), "strongly": strongly,
-                                     "decomposition": [_fname(x), _fname(y)],
+                                    {"group": format_group(n_grp), "f": str(f),
+                                     "m": format_group(m), "strongly": strongly,
+                                     "decomposition": [str(x), str(y)],
                                      "whole": whole.answer,
                                      "parts": [p.answer for p in pieces]}
                                 )
                         if dual_whole.is_unknown or any(p.is_unknown for p in dual_pieces):
                             rep.skipped.append(
-                                {"group": _gname(n_grp), "f": _fname(f), "m": _gname(m),
+                                {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
                                  "reason": "budget (dual)"}
                             )
                         else:
@@ -539,9 +548,9 @@ def check_tds(
                             rhs = all(p.is_yes for p in dual_pieces)
                             if lhs != rhs:
                                 rep.failures.append(
-                                    {"group": _gname(n_grp), "f": _fname(f),
-                                     "m": _gname(m), "strongly": strongly, "dual": True,
-                                     "decomposition": [_fname(x), _fname(y)],
+                                    {"group": format_group(n_grp), "f": str(f),
+                                     "m": format_group(m), "strongly": strongly, "dual": True,
+                                     "decomposition": [str(x), str(y)],
                                      "whole": dual_whole.answer,
                                      "parts": [p.answer for p in dual_pieces]}
                                 )
@@ -585,7 +594,7 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
                 g, f = _fi_biproduct([a, b], [fa, fb])
                 if not is_fully_invariant(f):
                     rep.failures.append(
-                        {"parts": [_gname(a), _gname(b)],
+                        {"parts": [format_group(a), format_group(b)],
                          "reason": "⊕Fk not fully invariant despite zero Homs"}
                     )
                     continue
@@ -593,14 +602,14 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
                 pa = cached_profile(a, fa, caps.hom_budget)
                 pb = cached_profile(b, fb, caps.hom_budget)
                 if any(v.is_unknown for v in (whole["primal_plain"], pa["primal_plain"], pb["primal_plain"])):
-                    rep.skipped.append({"parts": [_gname(a), _gname(b)], "reason": "budget"})
+                    rep.skipped.append({"parts": [format_group(a), format_group(b)], "reason": "budget"})
                     continue
                 rep.instances += 1
                 if whole["primal_plain"].is_yes != (
                     pa["primal_plain"].is_yes and pb["primal_plain"].is_yes
                 ):
                     rep.failures.append(
-                        {"parts": [_gname(a), _gname(b)], "f": [_fname(fa), _fname(fb)],
+                        {"parts": [format_group(a), format_group(b)], "f": [str(fa), str(fb)],
                          "variant": "plain"}
                     )
                 # strong variant: include the Hom(Ck, Cl) = 0 condition
@@ -615,7 +624,7 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
                 )
                 if whole["primal_strong"].is_yes != expected:
                     rep.failures.append(
-                        {"parts": [_gname(a), _gname(b)], "f": [_fname(fa), _fname(fb)],
+                        {"parts": [format_group(a), format_group(b)], "f": [str(fa), str(fb)],
                          "variant": "strong"}
                     )
     # expected failure 1: strong equivalence without the Hom(C) condition
@@ -691,7 +700,7 @@ def check_tdsprerad(
                         gens.append(inj(row))
                 if sub_from_gens(n, gens).canonical != rn.canonical:
                     rep.failures.append(
-                        {"r": r.name, "parts": [_gname(n1), _gname(n2)],
+                        {"r": r.name, "parts": [format_group(n1), format_group(n2)],
                          "reason": "r(⊕Nk) != ⊕ r(Nk)"}
                     )
                     continue
@@ -702,7 +711,7 @@ def check_tdsprerad(
                             m, rm, caps.subgroup_cap, fully_invariant_only=strongly
                         ):
                             rep.skipped.append(
-                                {"r": r.name, "m": _gname(m),
+                                {"r": r.name, "m": format_group(m),
                                  "reason": "SIP hypothesis unmet", "strongly": strongly}
                             )
                             continue
@@ -711,14 +720,14 @@ def check_tdsprerad(
                         p2 = cached_mf_split(m, n2, parts_f[1], strongly, False, caps.hom_budget)
                         if any(v.is_unknown for v in (whole, p1, p2)):
                             rep.skipped.append(
-                                {"r": r.name, "m": _gname(m), "reason": "budget"}
+                                {"r": r.name, "m": format_group(m), "reason": "budget"}
                             )
                             continue
                         rep.instances += 1
                         if whole.is_yes != (p1.is_yes and p2.is_yes):
                             rep.failures.append(
-                                {"r": r.name, "m": _gname(m),
-                                 "parts": [_gname(n1), _gname(n2)],
+                                {"r": r.name, "m": format_group(m),
+                                 "parts": [format_group(n1), format_group(n2)],
                                  "strongly": strongly,
                                  "whole": whole.answer,
                                  "part_answers": [p1.answer, p2.answer]}
@@ -747,13 +756,13 @@ def check_semis(
                     prof = cached_profile(m, f, caps.hom_budget)
                     if any(prof[k].is_unknown for k in PROFILE_KEYS):
                         rep.skipped.append(
-                            {"n": n, "group": _gname(m), "reason": "budget"}
+                            {"n": n, "group": format_group(m), "reason": "budget"}
                         )
                         continue
                     rep.instances += 1
                     if not (prof["primal_plain"].is_yes and prof["dual_plain"].is_yes):
                         rep.failures.append(
-                            {"n": n, "group": _gname(m), "f": _fname(f),
+                            {"n": n, "group": format_group(m), "f": str(f),
                              "primal": prof["primal_plain"].answer,
                              "dual": prof["dual_plain"].answer}
                         )
@@ -765,7 +774,7 @@ def check_semis(
                         prof["dual_strong"].is_yes != want_dual_strong
                     ):
                         rep.failures.append(
-                            {"n": n, "group": _gname(m), "f": _fname(f),
+                            {"n": n, "group": format_group(m), "f": str(f),
                              "reason": "strong flag disagrees with End-ring criterion"}
                         )
         else:
@@ -775,7 +784,7 @@ def check_semis(
             v = cached_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
             if _expected_failure(
                 rep, (v,), v.is_no,
-                {"n": n, "witness_group": _gname(bad)},
+                {"n": n, "witness_group": format_group(bad)},
                 {"f": "<0>", "detail": "not self-Rickart"},
             ):
                 rep.instances += 1
@@ -804,21 +813,21 @@ def check_socrad(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             for prof in (prof_rad, prof_rick, prof_soc)
             for k in PROFILE_KEYS
         ):
-            rep.skipped.append({"group": _gname(m), "reason": "budget"})
+            rep.skipped.append({"group": format_group(m), "reason": "budget"})
             continue
         rad_zero = rad.order == 1
         semisimple = soc.is_full
         rep.instances += 4
         if prof_rad["primal_plain"].is_yes != (rad_zero and prof_rick["primal_plain"].is_yes):
-            rep.failures.append({"group": _gname(m), "variant": "rad plain"})
+            rep.failures.append({"group": format_group(m), "variant": "rad plain"})
         if prof_rad["primal_strong"].is_yes != (rad_zero and prof_rick["primal_strong"].is_yes):
-            rep.failures.append({"group": _gname(m), "variant": "rad strong"})
+            rep.failures.append({"group": format_group(m), "variant": "rad strong"})
         if prof_soc["dual_plain"].is_yes != semisimple:
-            rep.failures.append({"group": _gname(m), "variant": "soc dual plain"})
+            rep.failures.append({"group": format_group(m), "variant": "soc dual plain"})
         if prof_soc["dual_strong"].is_yes != (
             semisimple and end_ring_abelian_closed_form(m)
         ):
-            rep.failures.append({"group": _gname(m), "variant": "soc dual strong"})
+            rep.failures.append({"group": format_group(m), "variant": "soc dual strong"})
     rep.elapsed_s = time.time() - t0
     return rep
 
@@ -838,10 +847,6 @@ CHECKS = {
 
 # ---------------------------------------------------------------------------
 # classification tables
-
-
-def _verdict_cell(v: SplitVerdict) -> str:
-    return v.answer
 
 
 def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[str]]:
@@ -895,10 +900,10 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
             "order": s.order if s.order is not None else "infinite",
             "fully_invariant": True,
             "is_summand": props.is_summand,
-            "self_F_split": _verdict_cell(prof["primal_plain"]),
-            "strongly": _verdict_cell(prof["primal_strong"]),
-            "dual_self_F_split": _verdict_cell(prof["dual_plain"]),
-            "dual_strongly": _verdict_cell(prof["dual_strong"]),
+            "self_F_split": prof["primal_plain"].answer,
+            "strongly": prof["primal_strong"].answer,
+            "dual_self_F_split": prof["dual_plain"].answer,
+            "dual_strongly": prof["dual_strong"].answer,
             "deciding_mode": prof["primal_plain"].mode,
         }
         if order is None or order > caps.subgroup_cap:
@@ -990,7 +995,7 @@ def cyclic_pq_classification(p: int, q: int, caps: Caps = Caps()) -> dict:
     return {
         "p": p,
         "q": q,
-        "group": _gname(g),
+        "group": format_group(g),
         "subgroup_orders": orders,
         "table": {str(o): table[o] for o in orders},
         "primal_yes_orders": primal_yes,
@@ -1023,7 +1028,7 @@ def torsion_split_samples(
             plain = is_self_F_split_theorem(g, f, False, caps)
             strong = is_self_F_split_theorem(g, f, True, caps)
             entry = {
-                "group": _gname(g),
+                "group": format_group(g),
                 "free_rank": rank,
                 "torsion_order": t_grp.order,
                 "self_split": plain.answer,

@@ -9,7 +9,6 @@ morphism constructions in the rest of the package.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -91,7 +90,6 @@ def det(a: Matrix) -> int:
     return sign * w[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
 class SnfDecomposition:
     """u @ a @ v == s with u, v unimodular and s in Smith normal form.
 
@@ -100,11 +98,14 @@ class SnfDecomposition:
     given input.  u_inv and v_inv are the exact integer inverses.
     """
 
-    u: Matrix
-    s: Matrix
-    v: Matrix
-    u_inv: Matrix
-    v_inv: Matrix
+    __slots__ = ("u", "s", "v", "u_inv", "v_inv")
+
+    def __init__(self, u: Matrix, s: Matrix, v: Matrix, u_inv: Matrix, v_inv: Matrix):
+        self.u = u
+        self.s = s
+        self.v = v
+        self.u_inv = u_inv
+        self.v_inv = v_inv
 
     @property
     def diagonal(self) -> tuple[int, ...]:

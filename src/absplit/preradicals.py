@@ -9,22 +9,43 @@ as per-instance metadata rather than decided for arbitrary functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .groups import FgAbGroup, Morphism
+from .groups import FgAbGroup, Morphism, _immutable, _store
 from .intmat import prime_factors, squarefree_radical
 from .subgroups import Subgroup, sub_from_gens
 
 
-@dataclass(frozen=True)
 class Preradical:
-    tag: str
-    param: int = 0
-    hereditary: bool = False
-    cohereditary: bool = False
-    idempotent: bool = False
-    is_radical: bool = False
+    __slots__ = ("tag", "param", "hereditary", "cohereditary", "idempotent", "is_radical")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(
+        self,
+        tag: str,
+        param: int = 0,
+        hereditary: bool = False,
+        cohereditary: bool = False,
+        idempotent: bool = False,
+        is_radical: bool = False,
+    ):
+        _store(self, "tag", tag)
+        _store(self, "param", param)
+        _store(self, "hereditary", hereditary)
+        _store(self, "cohereditary", cohereditary)
+        _store(self, "idempotent", idempotent)
+        _store(self, "is_radical", is_radical)
+
+    def _key(self) -> tuple:
+        return (self.tag, self.param, self.hereditary, self.cohereditary, self.idempotent, self.is_radical)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def name(self) -> str:

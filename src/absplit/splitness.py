@@ -24,7 +24,6 @@ independently; brute-force Yes verdicts carry per-kernel witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Optional
@@ -42,6 +41,8 @@ from .groups import (
     morphism,
     retraction_witness,
     section_witness,
+    _immutable,
+    _store,
 )
 from .intmat import Matrix, SeededHnf, freeze, prime_factors, row_lattice_reduce
 from .subgroups import (
@@ -76,15 +77,36 @@ class InternalConsistencyError(RuntimeError):
     """Two decision routes disagree, or a fact they rely on fails to hold."""
 
 
-@dataclass(frozen=True)
 class Caps:
-    hom_budget: int = DEFAULT_HOM_BUDGET
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP
-    endring_cap: int = DEFAULT_ENDRING_CAP
-    entry_bound: int = DEFAULT_ENTRY_BOUND
-    # wall-clock guard per group; 0 disables it (and keeps reports
-    # deterministic, which timing-based skips cannot be)
-    per_group_timeout_s: float = 0.0
+    __slots__ = ("hom_budget", "subgroup_cap", "endring_cap", "entry_bound", "per_group_timeout_s")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(
+        self,
+        hom_budget: int = DEFAULT_HOM_BUDGET,
+        subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+        endring_cap: int = DEFAULT_ENDRING_CAP,
+        entry_bound: int = DEFAULT_ENTRY_BOUND,
+        # wall-clock guard per group; 0 disables it (and keeps reports
+        # deterministic, which timing-based skips cannot be)
+        per_group_timeout_s: float = 0.0,
+    ):
+        _store(self, "hom_budget", hom_budget)
+        _store(self, "subgroup_cap", subgroup_cap)
+        _store(self, "endring_cap", endring_cap)
+        _store(self, "entry_bound", entry_bound)
+        _store(self, "per_group_timeout_s", per_group_timeout_s)
+
+    def _key(self) -> tuple:
+        return (self.hom_budget, self.subgroup_cap, self.endring_cap, self.entry_bound, self.per_group_timeout_s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         return {
@@ -96,27 +118,48 @@ class Caps:
         }
 
 
-@dataclass(frozen=True)
 class Counterexample:
-    g: Morphism
-    subgroup: Subgroup
-    kind: str  # "not_summand" | "not_fully_invariant"
+    __slots__ = ("g", "subgroup", "kind")
+
+    def __init__(self, g: Morphism, subgroup: Subgroup, kind: str):
+        self.g = g
+        self.subgroup = subgroup
+        self.kind = kind  # "not_summand" | "not_fully_invariant"
 
 
-@dataclass(frozen=True)
 class SplitVerdict:
-    answer: str
-    predicate: str
-    mode: str
-    strongly: bool
-    dual: bool
-    source: FgAbGroup  # M, the quantifier side
-    carrier: FgAbGroup  # N, carrying the fully invariant sequence
-    f_sub: Optional[Subgroup] = None
-    counterexample: Optional[Counterexample] = None
-    witnesses: tuple = ()  # (canonical, sample_g, witness_morphism, count)
-    trace: tuple[str, ...] = ()
-    reason: Optional[str] = None
+    __slots__ = (
+        "answer", "predicate", "mode", "strongly", "dual", "source", "carrier",
+        "f_sub", "counterexample", "witnesses", "trace", "reason",
+    )
+
+    def __init__(
+        self,
+        answer: str,
+        predicate: str,
+        mode: str,
+        strongly: bool,
+        dual: bool,
+        source: FgAbGroup,  # M, the quantifier side
+        carrier: FgAbGroup,  # N, carrying the fully invariant sequence
+        f_sub: Optional[Subgroup] = None,
+        counterexample: Optional[Counterexample] = None,
+        witnesses: tuple = (),  # (canonical, sample_g, witness_morphism, count)
+        trace: tuple[str, ...] = (),
+        reason: Optional[str] = None,
+    ):
+        self.answer = answer
+        self.predicate = predicate
+        self.mode = mode
+        self.strongly = strongly
+        self.dual = dual
+        self.source = source
+        self.carrier = carrier
+        self.f_sub = f_sub
+        self.counterexample = counterexample
+        self.witnesses = witnesses
+        self.trace = trace
+        self.reason = reason
 
     @property
     def is_yes(self) -> bool:
@@ -162,10 +205,11 @@ def _require_fi(carrier: FgAbGroup, f_sub: Subgroup):
 # cached per-group analysis
 
 
-@dataclass
 class SubProps:
-    subgroup: Subgroup
-    fi_viol: Optional[tuple[Morphism, tuple[int, ...]]]
+    # no __slots__: cached_property stores its value in the instance __dict__
+    def __init__(self, subgroup: Subgroup, fi_viol: Optional[tuple[Morphism, tuple[int, ...]]]):
+        self.subgroup = subgroup
+        self.fi_viol = fi_viol
 
     @cached_property
     def retraction(self) -> Optional[Morphism]:
@@ -586,16 +630,24 @@ def end_ring_abelian_closed_form(m: FgAbGroup) -> bool:
 # end rings
 
 
-@dataclass(frozen=True)
 class EndRingView:
     """What the End-ring route keeps of a full enumeration of End(M): its
     size, its idempotents, and the first idempotent that fails to commute
     with an additive basis element (None when every idempotent is central)."""
 
-    object: FgAbGroup
-    size: int
-    idempotent_rows: tuple[Matrix, ...]
-    noncentral: Optional[tuple[Matrix, Matrix]]
+    __slots__ = ("object", "size", "idempotent_rows", "noncentral")
+
+    def __init__(
+        self,
+        object: FgAbGroup,
+        size: int,
+        idempotent_rows: tuple[Matrix, ...],
+        noncentral: Optional[tuple[Matrix, Matrix]],
+    ):
+        self.object = object
+        self.size = size
+        self.idempotent_rows = idempotent_rows
+        self.noncentral = noncentral
 
 
 def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:

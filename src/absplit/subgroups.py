@@ -10,7 +10,6 @@ can be hashed and deduplicated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -37,6 +36,8 @@ from .groups import (
     morphism,
     zero_hom,
     _diag_columns,
+    _immutable,
+    _store,
 )
 
 
@@ -53,15 +54,26 @@ class FullyInvariantError(ValueError):
         self.element = element
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    ambient: FgAbGroup
-    gens: Matrix = field(compare=False)  # generator columns as given
-    canonical: Matrix   # canonical Hermite rows of the generated lattice
+    """A subgroup of ambient: gens are the generator columns as given,
+    canonical the canonical Hermite rows of the generated lattice.  Equality
+    and hash read ambient and canonical only."""
 
-    @property
-    def is_trivial_subgroup(self) -> bool:
-        return self.canonical == trivial_subgroup(self.ambient).canonical
+    __slots__ = ("ambient", "gens", "canonical")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, ambient: FgAbGroup, gens: Matrix, canonical: Matrix):
+        _store(self, "ambient", ambient)
+        _store(self, "gens", gens)
+        _store(self, "canonical", canonical)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient, self.canonical) == (other.ambient, other.canonical)
+
+    def __hash__(self):
+        return hash((self.ambient, self.canonical))
 
     @property
     def is_full(self) -> bool:
@@ -387,16 +399,16 @@ def is_fully_coinvariant(d: Morphism) -> bool:
 # short exact sequences
 
 
-@dataclass(frozen=True)
 class ShortExactSequence:
     """0 -> dom(i) -> M -> cod(d) -> 0 with im(i) = ker(d)."""
 
-    i: Morphism
-    d: Morphism
+    __slots__ = ("i", "d")
 
-    def __post_init__(self):
-        if self.i.cod != self.d.dom:
+    def __init__(self, i: Morphism, d: Morphism):
+        if i.cod != d.dom:
             raise ObjectMismatchError("sequence does not compose")
+        self.i = i
+        self.d = d
 
     @property
     def middle(self) -> FgAbGroup:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from absplit.cli import main
+from absplit.cli import _caps_from_args, build_parser, main
+from absplit.splitness import Caps
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,18 @@ def test_caps_flags_accepted(capsys):
     assert code == 0
 
 
+def test_caps_flags_build_the_keyword_caps():
+    args = build_parser().parse_args([
+        "classify", "Z/6", "--budget-hom", "100", "--cap-subgroups", "64",
+        "--cap-endring", "100", "--entry-bound", "2", "--timeout", "1.5",
+    ])
+    caps = _caps_from_args(args)
+    kw = {"hom_budget": 100, "subgroup_cap": 64, "endring_cap": 100, "entry_bound": 2,
+          "per_group_timeout_s": 1.5}
+    assert caps == Caps(**kw) and hash(caps) == hash(Caps(**kw)) and caps.to_dict() == kw
+    assert _caps_from_args(build_parser().parse_args(["classify", "Z/6"])) == Caps()
+
+
 def test_classify_preradical_row(capsys):
     code, out, err = run_cli(
         capsys, "classify", "Z x Z/4", "--preradical", "torsion", "--json"
@@ -270,3 +283,19 @@ def test_module_form_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["group"] == "Z/2 x Z/4"
+
+
+def test_cold_import_loads_no_reflection_modules():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize, about 10 ms
+    # of the set-up every cold `absplit` call pays
+    code = (
+        "import sys; before = set(sys.modules); import absplit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "absplit.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})

@@ -93,6 +93,23 @@ def test_group_properties():
     assert group().is_trivial
 
 
+def test_groups_and_morphisms_are_immutable_values():
+    # equal fields give equal, hash-equal values, so both serve as cache keys
+    a, b = FgAbGroup((2, 4, 0)), group(4, 2, 0)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != group(2, 4) and a != (2, 4, 0)
+    f, g = morphism(Z4, Z2, [[3]]), Morphism(Z4, Z2, ((1,),))
+    assert f is not g and f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != zero_hom(Z4, Z2) and f != Morphism(Z2, Z2, ((1,),))
+    with pytest.raises(AttributeError):
+        a.factors = (3,)
+    with pytest.raises(AttributeError):
+        f.rows = ((0,),)
+    with pytest.raises(AttributeError):
+        del f.dom
+    assert a.factors == (2, 4, 0) and f.rows == ((1,),) and f.dom == Z4
+
+
 # --- morphism arithmetic ----------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from absplit.groups import group
 from absplit.harness import (
     CHECKS,
     Corpus,
+    TheoremReport,
     check_csip,
     check_semis,
     check_socrad,
@@ -46,6 +47,20 @@ def partition_count_pentagonal(n):
                 p[i] += sign * p[i - g2]
             k += 1
     return p[n]
+
+
+def test_theorem_reports_do_not_share_their_lists():
+    lists = ("failures", "skipped", "expected_failures", "expected_failure_misses", "notes")
+    a, b = TheoremReport("tkey"), TheoremReport("trel", 3, elapsed_s=0.25)
+    for name in lists:
+        getattr(a, name).append(name)
+    assert all(getattr(b, name) == [] for name in lists)
+    assert b.to_dict() == {
+        "theorem": "trel", "instances": 3, "failures": [], "skipped": [],
+        "expected_failures": [], "expected_failure_misses": [], "notes": [],
+        "passed": True, "elapsed_s": 0.25,
+    }
+    assert not a.passed and TheoremReport("tkey").failures == []
 
 
 def test_partitions_examples():

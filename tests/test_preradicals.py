@@ -7,6 +7,7 @@ import pytest
 from absplit.groups import group, hom_group
 from absplit.harness import enumerate_groups
 from absplit.preradicals import (
+    Preradical,
     divisible,
     evaluate,
     mul_image,
@@ -31,6 +32,17 @@ from absplit.subgroups import (
 )
 
 ALL = [torsion(), socle(), radical(), ppart(2), ppart(3), mul_image(2), ntorsion(2), divisible()]
+
+
+def test_preradicals_are_immutable_values():
+    a = ppart(3)
+    b = Preradical("ppart", 3, hereditary=True, idempotent=True, is_radical=True)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == parse_preradical("ppart:3") and a != ppart(5) and torsion() != socle()
+    assert Preradical("ppart", 3) != a  # the metadata flags count
+    with pytest.raises(AttributeError):
+        a.param = 5
+    assert a.name == "ppart:3"
 
 
 def test_evaluate_examples():

@@ -15,6 +15,10 @@ from absplit.groups import (
 )
 from absplit.harness import enumerate_groups
 from absplit.splitness import (
+    DEFAULT_ENDRING_CAP,
+    DEFAULT_ENTRY_BOUND,
+    DEFAULT_HOM_BUDGET,
+    DEFAULT_SUBGROUP_CAP,
     Caps,
     EndRingView,
     InternalConsistencyError,
@@ -54,6 +58,20 @@ Z12 = group(4, 3)
 
 def z12_by_order():
     return {s.order: s for s in all_subgroups(Z12)}
+
+
+def test_caps_are_immutable_values_with_the_default_budgets():
+    c = Caps()
+    assert (c.hom_budget, c.subgroup_cap, c.endring_cap, c.entry_bound, c.per_group_timeout_s) == (
+        DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENDRING_CAP, DEFAULT_ENTRY_BOUND, 0.0,
+    )
+    positional = Caps(DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENDRING_CAP, DEFAULT_ENTRY_BOUND, 0.0)
+    assert c == positional and hash(c) == hash(positional) and len({c, positional}) == 1
+    assert Caps(entry_bound=2) == Caps(entry_bound=2) != c
+    assert Caps(per_group_timeout_s=1.5) != c
+    with pytest.raises(AttributeError):
+        c.hom_budget = 1
+    assert c.hom_budget == DEFAULT_HOM_BUDGET
 
 
 # --- primal brute force ---------------------------------------------------------

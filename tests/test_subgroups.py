@@ -75,6 +75,11 @@ def test_subgroup_equality_follows_the_canonical_form():
     assert a != sub_from_gens(Z4, [(2,)])
     z2, z4 = full_subgroup(group(2)), full_subgroup(group(4))
     assert z2.canonical == z4.canonical and z2 != z4  # the ambient counts
+    with pytest.raises(AttributeError):
+        a.gens = b.gens
+    with pytest.raises(AttributeError):
+        a.canonical = ()
+    assert a.gens != b.gens and a.canonical == b.canonical
 
 
 def test_canonical_independent_of_generators():
