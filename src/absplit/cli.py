@@ -127,8 +127,11 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     caps = _caps_from_args(args)
     theorems = None
-    if args.theorems:
+    if args.theorems is not None:
         theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
+        if not theorems:
+            print("error: --theorems needs at least one check id", file=sys.stderr)
+            return 2
         unknown = [t for t in theorems if t not in CHECKS]
         if unknown:
             print(
@@ -138,13 +141,16 @@ def _cmd_verify(args) -> int:
             )
             return 2
     rads = None
-    if args.preradicals:
+    if args.preradicals is not None:
         from .preradicals import parse_preradical
 
         try:
             rads = [parse_preradical(t) for t in args.preradicals.split(",") if t.strip()]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if not rads:
+            print("error: --preradicals needs at least one preradical", file=sys.stderr)
             return 2
     report = run_verification(
         args.max_order, theorems, caps, preradicals=rads,

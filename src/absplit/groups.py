@@ -133,10 +133,6 @@ class FgAbGroup:
 
         return is_squarefree(exp) if exp > 1 else True
 
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.factors) <= 1
-
     def elements(self) -> Iterator[tuple[int, ...]]:
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
@@ -499,38 +495,49 @@ def pushout(f: Morphism, g: Morphism) -> tuple[FgAbGroup, Morphism, Morphism]:
     return q_grp, compose(q, injs[0]), compose(q, injs[1])
 
 
+def _solve_hom(
+    dom: FgAbGroup, cod: FgAbGroup, products: list[tuple[list[int], int, int]]
+) -> Optional[Morphism]:
+    """u: dom -> cod solving the product equations, or None if none exists.
+
+    The unknowns are the entries u[r][k], numbered r·ngens(dom) + k; each
+    product equation is (coefficients, right-hand side, modulus).  The
+    congruences d_k·u[r][k] ≡ 0 mod e_r, which make u well defined, come
+    first."""
+    nvars = cod.ngens * dom.ngens
+    rows_a: list[list[int]] = []
+    rhs: list[int] = []
+    moduli: list[int] = []
+    for r in range(cod.ngens):
+        for k in range(dom.ngens):
+            row = [0] * nvars
+            row[r * dom.ngens + k] = dom.factors[k]
+            rows_a.append(row)
+            rhs.append(0)
+            moduli.append(cod.factors[r])
+    for row, value, modulus in products:
+        rows_a.append(row)
+        rhs.append(value)
+        moduli.append(modulus)
+    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
+    if sol is None:
+        return None
+    return morphism(dom, cod, [sol[r * dom.ngens:(r + 1) * dom.ngens] for r in range(cod.ngens)])
+
+
 def solve_compose_left(a: Morphism, c: Morphism) -> Optional[Morphism]:
     """u with a∘u = c (u: dom(c) -> dom(a)), or None if no such morphism."""
     if a.cod != c.cod:
         raise ObjectMismatchError("solve_compose_left needs cod(a) = cod(c)")
     b, x = a.dom, c.dom
-    nvars = b.ngens * x.ngens  # u[i][j], i over b gens, j over x gens
-    rows_a: list[list[int]] = []
-    rhs: list[int] = []
-    moduli: list[int] = []
-    for i in range(b.ngens):
-        for j in range(x.ngens):
-            row = [0] * nvars
-            row[i * x.ngens + j] = x.factors[j]
-            rows_a.append(row)
-            rhs.append(0)
-            moduli.append(b.factors[i])
+    products = []
     for r in range(a.cod.ngens):
-        dr = a.cod.factors[r]
         for j in range(x.ngens):
-            row = [0] * nvars
+            row = [0] * (b.ngens * x.ngens)
             for i in range(b.ngens):
                 row[i * x.ngens + j] = a.rows[r][i]
-            rows_a.append(row)
-            rhs.append(c.rows[r][j])
-            moduli.append(dr)
-    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
-    if sol is None:
-        return None
-    u_rows = [
-        [sol[i * x.ngens + j] for j in range(x.ngens)] for i in range(b.ngens)
-    ]
-    return morphism(x, b, u_rows)
+            products.append((row, c.rows[r][j], a.cod.factors[r]))
+    return _solve_hom(x, b, products)
 
 
 def solve_compose_right(a: Morphism, c: Morphism) -> Optional[Morphism]:
@@ -538,33 +545,14 @@ def solve_compose_right(a: Morphism, c: Morphism) -> Optional[Morphism]:
     if a.dom != c.dom:
         raise ObjectMismatchError("solve_compose_right needs dom(a) = dom(c)")
     b, y = a.cod, c.cod
-    nvars = y.ngens * b.ngens  # u[r][i], r over y gens, i over b gens
-    rows_a: list[list[int]] = []
-    rhs: list[int] = []
-    moduli: list[int] = []
+    products = []
     for r in range(y.ngens):
-        for i in range(b.ngens):
-            row = [0] * nvars
-            row[r * b.ngens + i] = b.factors[i]
-            rows_a.append(row)
-            rhs.append(0)
-            moduli.append(y.factors[r])
-    for r in range(y.ngens):
-        dr = y.factors[r]
         for j in range(a.dom.ngens):
-            row = [0] * nvars
+            row = [0] * (y.ngens * b.ngens)
             for i in range(b.ngens):
                 row[r * b.ngens + i] = a.rows[i][j]
-            rows_a.append(row)
-            rhs.append(c.rows[r][j])
-            moduli.append(dr)
-    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
-    if sol is None:
-        return None
-    u_rows = [
-        [sol[r * b.ngens + i] for i in range(b.ngens)] for r in range(y.ngens)
-    ]
-    return morphism(b, y, u_rows)
+            products.append((row, c.rows[r][j], y.factors[r]))
+    return _solve_hom(b, y, products)
 
 
 def section_witness(f: Morphism) -> Optional[Morphism]:

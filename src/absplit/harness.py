@@ -30,6 +30,7 @@ from .splitness import (
     YES,
     SplitVerdict,
     analysis_for,
+    decide_self_profile,
     end_ring,
     end_ring_abelian_closed_form,
     has_sip_summands_containing,
@@ -252,15 +253,50 @@ def _expected_failure(
     return True
 
 
+CHECKS: dict = {}
+
+
+def _check(name: str):
+    """Register a law check in CHECKS under its id.  The decorated body
+    fills the report it is given; the public function creates and times it."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(corpus: Corpus, caps: Caps = Caps(), *args, **kwargs) -> TheoremReport:
+            rep = TheoremReport(name)
+            t0 = time.time()
+            body(rep, corpus, caps, *args, **kwargs)
+            rep.elapsed_s = time.time() - t0
+            return rep
+
+        CHECKS[name] = run
+        return run
+
+    return register
+
+
+def _decided_profiles(corpus: Corpus, caps: Caps, rep: TheoremReport):
+    """(M, F, brute-force profile) for every fully invariant F of every
+    feasible M; an F with an unknown verdict is recorded as skipped."""
+    for m in corpus:
+        if not _group_feasible(m, caps, rep):
+            continue
+        for f in _fi_subgroups(m, caps):
+            prof = cached_profile(m, f, caps.hom_budget)
+            if any(prof[k].is_unknown for k in PROFILE_KEYS):
+                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
+                continue
+            yield m, f, prof
+
+
 # ---------------------------------------------------------------------------
 # the key equivalence: brute force against the summand+Rickart reduction
 
 
-def check_tkey(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
+@_check("tkey")
+def check_tkey(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Brute-force verdict must equal theorem-mode verdict for all four
     predicate variants, on every group and every fully invariant subgroup."""
-    rep = TheoremReport("tkey")
-    t0 = time.time()
     for m in corpus:
         if not _group_feasible(m, caps, rep):
             continue
@@ -294,146 +330,78 @@ def check_tkey(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
                             "theorem": tv.answer,
                         }
                     )
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def check_trel(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
+@_check("trel")
+def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Strong splitness == plain splitness + every summand containing F
     (contained in F, dually) fully invariant, checked by direct enumeration."""
-    rep = TheoremReport("trel")
-    t0 = time.time()
-    for m in corpus:
-        if not _group_feasible(m, caps, rep):
-            continue
+    for m, f, brute in _decided_profiles(corpus, caps, rep):
         analysis = analysis_for(m)
         subs = analysis.subgroups(caps.subgroup_cap)
-        for f in _fi_subgroups(m, caps):
-            brute = cached_profile(m, f, caps.hom_budget)
-            if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
-                continue
-            over_fi = all(
+        sides = (("primal", lambda s: s.contains_subgroup(f)), ("dual", f.contains_subgroup))
+        for side, near in sides:
+            summands_fi = all(
                 analysis.subgroup_props(s).is_fi
                 for s in subs
-                if s.contains_subgroup(f) and analysis.subgroup_props(s).is_summand
+                if near(s) and analysis.subgroup_props(s).is_summand
             )
-            under_fi = all(
-                analysis.subgroup_props(s).is_fi
-                for s in subs
-                if f.contains_subgroup(s) and analysis.subgroup_props(s).is_summand
-            )
-            expected_strong = brute["primal_plain"].is_yes and over_fi
-            expected_dual_strong = brute["dual_plain"].is_yes and under_fi
-            rep.instances += 2
-            if brute["primal_strong"].is_yes != expected_strong:
+            expected = brute[side + "_plain"].is_yes and summands_fi
+            rep.instances += 1
+            if brute[side + "_strong"].is_yes != expected:
                 rep.failures.append(
                     {
-                        "group": format_group(m), "f": str(f), "variant": "primal",
-                        "strong": brute["primal_strong"].answer,
-                        "plain_and_summands_fi": expected_strong,
+                        "group": format_group(m), "f": str(f), "variant": side,
+                        "strong": brute[side + "_strong"].answer,
+                        "plain_and_summands_fi": expected,
                     }
                 )
-            if brute["dual_strong"].is_yes != expected_dual_strong:
-                rep.failures.append(
-                    {
-                        "group": format_group(m), "f": str(f), "variant": "dual",
-                        "strong": brute["dual_strong"].answer,
-                        "plain_and_summands_fi": expected_dual_strong,
-                    }
-                )
-            # the two theorem routes (end-ring and summand enumeration) are
-            # cross-validated inside theorem mode; a disagreement raises
-            is_self_F_split_theorem(m, f, True, caps)
-            is_dual_self_F_split_theorem(m, f, True, caps)
-    rep.elapsed_s = time.time() - t0
-    return rep
+        # the two theorem routes (end-ring and summand enumeration) are
+        # cross-validated inside theorem mode; a disagreement raises
+        is_self_F_split_theorem(m, f, True, caps)
+        is_dual_self_F_split_theorem(m, f, True, caps)
 
 
-def check_tendab(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
+@_check("tendab")
+def check_tendab(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Strong splitness == plain splitness + abelian endomorphism ring of the
     complement (of F itself, dually), with End rings fully enumerated."""
-    rep = TheoremReport("tendab")
-    t0 = time.time()
-    for m in corpus:
-        if not _group_feasible(m, caps, rep):
+    for m, f, brute in _decided_profiles(corpus, caps, rep):
+        cgrp, _ = quotient(m, f)
+        fgrp = subgroup_group(f)
+        view_c = end_ring(cgrp, caps.endring_cap)
+        view_f = end_ring(fgrp, caps.endring_cap)
+        if view_c is None or view_f is None:
+            rep.skipped.append(
+                {"group": format_group(m), "f": str(f), "reason": "end ring cap"}
+            )
             continue
-        for f in _fi_subgroups(m, caps):
-            brute = cached_profile(m, f, caps.hom_budget)
-            if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
-                continue
-            cgrp, _ = quotient(m, f)
-            fgrp = subgroup_group(f)
-            view_c = end_ring(cgrp, caps.endring_cap)
-            view_f = end_ring(fgrp, caps.endring_cap)
-            if view_c is None or view_f is None:
-                rep.skipped.append(
-                    {"group": format_group(m), "f": str(f), "reason": "end ring cap"}
-                )
-                continue
-            expected_strong = brute["primal_plain"].is_yes and is_abelian_ring(view_c)
-            expected_dual_strong = brute["dual_plain"].is_yes and is_abelian_ring(view_f)
-            rep.instances += 2
-            if brute["primal_strong"].is_yes != expected_strong:
+        for side, view in (("primal", view_c), ("dual", view_f)):
+            expected = brute[side + "_plain"].is_yes and is_abelian_ring(view)
+            rep.instances += 1
+            if brute[side + "_strong"].is_yes != expected:
                 rep.failures.append(
-                    {"group": format_group(m), "f": str(f), "variant": "primal",
-                     "strong": brute["primal_strong"].answer,
-                     "plain_and_end_abelian": expected_strong}
+                    {"group": format_group(m), "f": str(f), "variant": side,
+                     "strong": brute[side + "_strong"].answer,
+                     "plain_and_end_abelian": expected}
                 )
-            if brute["dual_strong"].is_yes != expected_dual_strong:
-                rep.failures.append(
-                    {"group": format_group(m), "f": str(f), "variant": "dual",
-                     "strong": brute["dual_strong"].answer,
-                     "plain_and_end_abelian": expected_dual_strong}
-                )
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def check_csip(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
+@_check("csip")
+def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Self-F-split groups have SIP for summands containing F (fully
     invariant summands in the strong case); dually SSP below F."""
-    rep = TheoremReport("csip")
-    t0 = time.time()
-    for m in corpus:
-        if not _group_feasible(m, caps, rep):
-            continue
-        for f in _fi_subgroups(m, caps):
-            brute = cached_profile(m, f, caps.hom_budget)
-            if any(brute[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
-                continue
-            if brute["primal_plain"].is_yes:
+    for m, f, brute in _decided_profiles(corpus, caps, rep):
+        for k, prop in zip(PROFILE_KEYS, ("SIP", "SIP-fi", "SSP", "SSP-fi")):
+            if brute[k].is_yes:
                 rep.instances += 1
-                if not has_sip_summands_containing(m, f, caps.subgroup_cap):
+                closed = (
+                    has_ssp_summands_contained_in if "dual" in k else has_sip_summands_containing
+                )
+                if not closed(m, f, caps.subgroup_cap, fully_invariant_only="strong" in k):
                     rep.failures.append(
-                        {"group": format_group(m), "f": str(f), "property": "SIP"}
+                        {"group": format_group(m), "f": str(f), "property": prop}
                     )
-            if brute["primal_strong"].is_yes:
-                rep.instances += 1
-                if not has_sip_summands_containing(
-                    m, f, caps.subgroup_cap, fully_invariant_only=True
-                ):
-                    rep.failures.append(
-                        {"group": format_group(m), "f": str(f), "property": "SIP-fi"}
-                    )
-            if brute["dual_plain"].is_yes:
-                rep.instances += 1
-                if not has_ssp_summands_contained_in(m, f, caps.subgroup_cap):
-                    rep.failures.append(
-                        {"group": format_group(m), "f": str(f), "property": "SSP"}
-                    )
-            if brute["dual_strong"].is_yes:
-                rep.instances += 1
-                if not has_ssp_summands_contained_in(
-                    m, f, caps.subgroup_cap, fully_invariant_only=True
-                ):
-                    rep.failures.append(
-                        {"group": format_group(m), "f": str(f), "property": "SSP-fi"}
-                    )
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +426,13 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
     return out
 
 
+@_check("tds")
 def check_tds(
-    corpus: Corpus, caps: Caps = Caps(), m_samples: Optional[Sequence[FgAbGroup]] = None
-) -> TheoremReport:
+    rep: TheoremReport, corpus: Corpus, caps: Caps, m_samples: Optional[Sequence[FgAbGroup]] = None
+) -> None:
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
     with (F+Nk)/Nk."""
-    rep = TheoremReport("tds")
-    t0 = time.time()
 
     # a summand Nk lies in many decompositions: each piece is built once
     # per (Nk, F) in this call
@@ -508,54 +475,32 @@ def check_tds(
                          "reason": "(F+Nk)/Nk not fully invariant (hypothesis)"}
                     )
                     continue
-                for m in samples:
-                    for strongly in (False, True):
-                        whole = cached_mf_split(m, n_grp, f, strongly, False, caps.hom_budget)
-                        pieces = [
-                            cached_mf_split(m, kg, fk, strongly, False, caps.hom_budget)
-                            for kg, fk in parts
-                        ]
-                        dual_whole = cached_mf_split(m, n_grp, f, strongly, True, caps.hom_budget)
-                        dual_pieces = [
-                            cached_mf_split(m, qg, fb, strongly, True, caps.hom_budget)
-                            for qg, fb in quots
-                        ]
-                        if whole.is_unknown or any(p.is_unknown for p in pieces):
-                            rep.skipped.append(
-                                {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
-                                 "reason": "budget"}
-                            )
-                        else:
-                            rep.instances += 1
-                            lhs = whole.is_yes
-                            rhs = all(p.is_yes for p in pieces)
-                            if lhs != rhs:
-                                rep.failures.append(
-                                    {"group": format_group(n_grp), "f": str(f),
-                                     "m": format_group(m), "strongly": strongly,
-                                     "decomposition": [str(x), str(y)],
-                                     "whole": whole.answer,
-                                     "parts": [p.answer for p in pieces]}
-                                )
-                        if dual_whole.is_unknown or any(p.is_unknown for p in dual_pieces):
-                            rep.skipped.append(
-                                {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
-                                 "reason": "budget (dual)"}
-                            )
-                        else:
-                            rep.instances += 1
-                            lhs = dual_whole.is_yes
-                            rhs = all(p.is_yes for p in dual_pieces)
-                            if lhs != rhs:
-                                rep.failures.append(
-                                    {"group": format_group(n_grp), "f": str(f),
-                                     "m": format_group(m), "strongly": strongly, "dual": True,
-                                     "decomposition": [str(x), str(y)],
-                                     "whole": dual_whole.answer,
-                                     "parts": [p.answer for p in dual_pieces]}
-                                )
-    rep.elapsed_s = time.time() - t0
-    return rep
+                # the dual side reads the quotient pieces
+                sides = ((False, parts, "budget"), (True, quots, "budget (dual)"))
+                for m, strongly, (dual, pieces_of, skip) in itertools.product(
+                    samples, (False, True), sides
+                ):
+                    whole = cached_mf_split(m, n_grp, f, strongly, dual, caps.hom_budget)
+                    pieces = [
+                        cached_mf_split(m, kg, fk, strongly, dual, caps.hom_budget)
+                        for kg, fk in pieces_of
+                    ]
+                    if whole.is_unknown or any(p.is_unknown for p in pieces):
+                        rep.skipped.append(
+                            {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
+                             "reason": skip}
+                        )
+                        continue
+                    rep.instances += 1
+                    if whole.is_yes != all(p.is_yes for p in pieces):
+                        failure = {"group": format_group(n_grp), "f": str(f),
+                                   "m": format_group(m), "strongly": strongly,
+                                   "decomposition": [str(x), str(y)],
+                                   "whole": whole.answer,
+                                   "parts": [p.answer for p in pieces]}
+                        if dual:
+                            failure["dual"] = True
+                        rep.failures.append(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +517,12 @@ def _fi_biproduct(parts: Sequence[FgAbGroup], f_parts: Sequence[Subgroup]):
     return g, sub_from_gens(g, gens)
 
 
-def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) -> TheoremReport:
+@_check("thomzero")
+def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: int = 40) -> None:
     """Families with pairwise-zero Homs: the biproduct is self-(⊕Fk)-split
     iff every part is self-Fk-split; the strong version holds iff every part
     is strongly split and Hom(Ck, Cl) = 0 for k != l.  Counterexample
     patterns with nonzero Homs are asserted to genuinely fail."""
-    rep = TheoremReport("thomzero")
-    t0 = time.time()
     finite = [g for g in corpus if g.order and g.order > 1]
     pairs = []
     for i, a in enumerate(finite):
@@ -663,21 +607,19 @@ def check_thomzero(corpus: Corpus, caps: Caps = Caps(), pair_limit: int = 40) ->
         {"pattern": "(Z/3 x Z, torsion) ⊕ (Z/2, 0)"},
         {"detail": "theorem mode: parts strongly split, biproduct not self-F-split"},
     )
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
+@_check("tdsprerad")
 def check_tdsprerad(
+    rep: TheoremReport,
     corpus: Corpus,
-    caps: Caps = Caps(),
+    caps: Caps,
     rads: Optional[Sequence[Preradical]] = None,
     sample_limit: int = 24,
-) -> TheoremReport:
+) -> None:
     """For preradicals r and M with SIP for (fully invariant) summands over
     r(M): N1 ⊕ N2 is (strongly) M-r(N1⊕N2)-split iff each Nk is (strongly)
     M-r(Nk)-split.  Also checks r(⊕Nk) = ⊕ r(Nk) coordinatewise."""
-    rep = TheoremReport("tdsprerad")
-    t0 = time.time()
     if rads is None:
         rads = [socle(), ppart(2), ntorsion(2)]
     finite = [g for g in corpus if g.order and g.order > 1][:8]
@@ -732,20 +674,15 @@ def check_tdsprerad(
                                  "whole": whole.answer,
                                  "part_answers": [p1.answer, p2.answer]}
                             )
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def check_semis(
-    corpus: Corpus, caps: Caps = Caps(), max_n: int = 30
-) -> TheoremReport:
+@_check("semis")
+def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30) -> None:
     """Mod(Z/n) instantiation: n squarefree iff every group of exponent
     dividing n is self-F-split and dual self-F-split for every fully
     invariant F.  Strong flags are cross-checked against the End-ring
     criterion rather than asserted to hold outright (a group with a p-rank
     >= 2 complement is never strongly split over it, squarefree or not)."""
-    rep = TheoremReport("semis")
-    t0 = time.time()
     for n in range(1, max_n + 1):
         mods = [g for g in corpus if g.order and n % (g.exponent or 1) == 0]
         if is_squarefree(n) if n > 1 else True:
@@ -788,18 +725,15 @@ def check_semis(
                 {"f": "<0>", "detail": "not self-Rickart"},
             ):
                 rep.instances += 1
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def check_socrad(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
+@_check("socrad")
+def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Radical/socle splitting: M self-Rad(M)-split iff Rad(M) = 0 and M
     self-Rickart (strongly likewise); M dual self-Soc(M)-split iff M is
     semisimple; dual strongly iff additionally End(M) is abelian."""
     from .preradicals import radical as rad_pr, socle as soc_pr
 
-    rep = TheoremReport("socrad")
-    t0 = time.time()
     for m in corpus:
         if not _group_feasible(m, caps, rep):
             continue
@@ -828,21 +762,8 @@ def check_socrad(corpus: Corpus, caps: Caps = Caps()) -> TheoremReport:
             semisimple and end_ring_abelian_closed_form(m)
         ):
             rep.failures.append({"group": format_group(m), "variant": "soc dual strong"})
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-CHECKS = {
-    "tkey": check_tkey,
-    "trel": check_trel,
-    "tendab": check_tendab,
-    "csip": check_csip,
-    "tds": check_tds,
-    "thomzero": check_thomzero,
-    "tdsprerad": check_tdsprerad,
-    "semis": check_semis,
-    "socrad": check_socrad,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +778,6 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
     preradical-generated fully invariant subgroups, theorem mode only.
     Returns (rows, notes)."""
     from .preradicals import divisible, radical as rad_pr, socle as soc_pr
-    from .splitness import decide_self_profile
 
     notes: list[str] = []
     rows: list[dict] = []
@@ -890,22 +810,7 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
         subs = [c["sub"] for c in cands.values()]
         name_map = {c["sub"].canonical: c["names"] for c in cands.values()}
     for s in subs:
-        prof = decide_self_profile(m, s, caps)
-        analysis = analysis_for(m)
-        props = analysis.subgroup_props(s)
-        gens = [tuple(m.reduce(r)) for r in s.canonical]
-        gens = [g for g in gens if any(g)]
-        row = {
-            "generators": [list(g) for g in gens],
-            "order": s.order if s.order is not None else "infinite",
-            "fully_invariant": True,
-            "is_summand": props.is_summand,
-            "self_F_split": prof["primal_plain"].answer,
-            "strongly": prof["primal_strong"].answer,
-            "dual_self_F_split": prof["dual_plain"].answer,
-            "dual_strongly": prof["dual_strong"].answer,
-            "deciding_mode": prof["primal_plain"].mode,
-        }
+        row = _row(m, s, caps)
         if order is None or order > caps.subgroup_cap:
             row["preradicals"] = name_map[s.canonical]
         rows.append(row)
@@ -915,18 +820,22 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
 def preradical_row(m: FgAbGroup, name: str, caps: Caps = Caps()) -> tuple[list[dict], list[str]]:
     """Single classification row for F = r(M) given a preradical name."""
     from .preradicals import parse_preradical
-    from .splitness import decide_self_profile
 
     r = parse_preradical(name)
-    f = evaluate(r, m)
-    prof = decide_self_profile(m, f, caps)
-    analysis = analysis_for(m)
-    props = analysis.subgroup_props(f)
-    gens = [tuple(m.reduce(row)) for row in f.canonical]
+    row = _row(m, evaluate(r, m), caps)
+    row["preradicals"] = [r.name]
+    return [row], []
+
+
+def _row(m: FgAbGroup, s: Subgroup, caps: Caps) -> dict:
+    """The classification row of one fully invariant subgroup."""
+    prof = decide_self_profile(m, s, caps)
+    props = analysis_for(m).subgroup_props(s)
+    gens = [tuple(m.reduce(r)) for r in s.canonical]
     gens = [g for g in gens if any(g)]
-    row = {
+    return {
         "generators": [list(g) for g in gens],
-        "order": f.order if f.order is not None else "infinite",
+        "order": s.order if s.order is not None else "infinite",
         "fully_invariant": True,
         "is_summand": props.is_summand,
         "self_F_split": prof["primal_plain"].answer,
@@ -934,9 +843,7 @@ def preradical_row(m: FgAbGroup, name: str, caps: Caps = Caps()) -> tuple[list[d
         "dual_self_F_split": prof["dual_plain"].answer,
         "dual_strongly": prof["dual_strong"].answer,
         "deciding_mode": prof["primal_plain"].mode,
-        "preradicals": [r.name],
     }
-    return [row], []
 
 
 # ---------------------------------------------------------------------------
@@ -1072,7 +979,7 @@ def run_verification(
 ) -> dict:
     """Run the selected checks over the corpus; structured, deterministic
     report (timing fields aside)."""
-    names = list(theorems) if theorems else list(CHECKS)
+    names = list(CHECKS) if theorems is None else list(theorems)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(
@@ -1081,7 +988,7 @@ def run_verification(
     corpus = enumerate_groups(max_order)
     reports = []
     for n in names:
-        if n == "tdsprerad" and preradicals:
+        if n == "tdsprerad" and preradicals is not None:
             reports.append(check_tdsprerad(corpus, caps, rads=preradicals))
         else:
             reports.append(CHECKS[n](corpus, caps))

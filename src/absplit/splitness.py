@@ -51,6 +51,7 @@ from .subgroups import (
     all_subgroups,
     fi_violation,
     inclusion,
+    intersect,
     is_fully_invariant,
     kernel_subgroup,
     map_subgroup,
@@ -58,6 +59,7 @@ from .subgroups import (
     quotient,
     sub_from_gens,
     subgroup_group,
+    sum_sub,
     summand_witness,
     trivial_subgroup,
 )
@@ -98,7 +100,7 @@ class Caps:
         _store(self, "per_group_timeout_s", per_group_timeout_s)
 
     def _key(self) -> tuple:
-        return (self.hom_budget, self.subgroup_cap, self.endring_cap, self.entry_bound, self.per_group_timeout_s)
+        return tuple(getattr(self, k) for k in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -109,13 +111,7 @@ class Caps:
         return hash(self._key())
 
     def to_dict(self) -> dict:
-        return {
-            "hom_budget": self.hom_budget,
-            "subgroup_cap": self.subgroup_cap,
-            "endring_cap": self.endring_cap,
-            "entry_bound": self.entry_bound,
-            "per_group_timeout_s": self.per_group_timeout_s,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 class Counterexample:
@@ -172,12 +168,6 @@ class SplitVerdict:
     @property
     def is_unknown(self) -> bool:
         return self.answer == UNKNOWN
-
-    def describe(self) -> str:
-        base = f"{self.predicate}: {self.answer} [{self.mode}]"
-        if self.reason:
-            base += f" ({self.reason})"
-        return base
 
 
 def _label(strongly: bool, dual: bool, self_case: bool) -> str:
@@ -894,6 +884,60 @@ def _strong_routes(
             )
 
 
+def _self_F_split_theorem(
+    m: FgAbGroup, f_sub: Subgroup, strongly: bool, dual: bool, caps: Caps
+) -> SplitVerdict:
+    """Theorem mode on one side.  The factor is M/F, reached through the
+    quotient q (primal), or F, reached through the inclusion inc (dual); a
+    witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
+    with s a section of q and ρ a retraction onto F."""
+    _require_fi(m, f_sub)
+    trace: list[str] = []
+
+    def verdict(answer, g=None, bad=None, kind=None):
+        ce = None if g is None else Counterexample(g, bad, kind)
+        return SplitVerdict(
+            answer, _label(strongly, dual, True), "theorem", strongly, dual, m, m,
+            f_sub, counterexample=ce, trace=tuple(trace),
+        )
+
+    fprops = analysis_for(m).subgroup_props(f_sub)
+    if fprops.retraction is None:
+        trace.append("F is not a direct summand; identity is a counterexample")
+        return verdict(NO, identity_hom(m), f_sub, "not_summand")
+    trace.append("F is a direct summand")
+    if dual:
+        inc = inclusion(f_sub)
+        factor = inc.dom
+        plain_ok, wit = structural_dual_self_rickart(factor)
+        noun, rickart, part = "kernel object", "dual self-Rickart", "image"
+    else:
+        factor, q = quotient(m, f_sub)
+        plain_ok, wit = structural_self_rickart(factor)
+        noun, rickart, part = "complement", "self-Rickart", "kernel"
+
+    def lifted(w, kind):
+        if dual:
+            g = compose(inc, compose(w, fprops.retraction))
+            return verdict(NO, g, map_subgroup(g, f_sub), kind)
+        g = compose(retraction_witness(q), compose(w, q))
+        return verdict(NO, g, preimage_subgroup(g, f_sub), kind)
+
+    if not plain_ok:
+        trace.append(f"{noun} {factor} is not {rickart}")
+        return lifted(wit, "not_summand")
+    trace.append(f"{noun} {factor} is {rickart}")
+    if not strongly:
+        return verdict(YES)
+    strong_wit = structural_strong_rickart_witness(factor)
+    structural = strong_wit is None
+    _strong_routes(m, f_sub, factor, structural, caps, contained_in=dual, trace=trace)
+    if structural:
+        return verdict(YES)
+    trace.append(f"{noun} has a summand {part} that is not fully invariant")
+    return lifted(strong_wit, "not_fully_invariant")
+
+
 def is_self_F_split_theorem(
     m: FgAbGroup,
     f_sub: Subgroup,
@@ -903,52 +947,7 @@ def is_self_F_split_theorem(
     """Theorem mode: M is (strongly) self-F-split iff F is a direct summand
     and M/F is (strongly) self-Rickart; strong verdicts are derived along
     the End-ring and the summand routes, which must agree."""
-    _require_fi(m, f_sub)
-    label = _label(strongly, False, True)
-    trace: list[str] = []
-    analysis = analysis_for(m)
-    fprops = analysis.subgroup_props(f_sub)
-    if fprops.retraction is None:
-        trace.append("F is not a direct summand; identity is a counterexample")
-        return SplitVerdict(
-            NO, label, "theorem", strongly, False, m, m, f_sub,
-            counterexample=Counterexample(identity_hom(m), f_sub, "not_summand"),
-            trace=tuple(trace),
-        )
-    trace.append("F is a direct summand")
-    cgrp, q = quotient(m, f_sub)
-    plain_ok, wit = structural_self_rickart(cgrp)
-    if not plain_ok:
-        s = retraction_witness(q)
-        g = compose(s, compose(wit, q))
-        bad = preimage_subgroup(g, f_sub)
-        trace.append(f"complement {cgrp} is not self-Rickart")
-        return SplitVerdict(
-            NO, label, "theorem", strongly, False, m, m, f_sub,
-            counterexample=Counterexample(g, bad, "not_summand"),
-            trace=tuple(trace),
-        )
-    trace.append(f"complement {cgrp} is self-Rickart")
-    if not strongly:
-        return SplitVerdict(
-            YES, label, "theorem", strongly, False, m, m, f_sub, trace=tuple(trace)
-        )
-    strong_wit = structural_strong_rickart_witness(cgrp)
-    structural = strong_wit is None
-    _strong_routes(m, f_sub, cgrp, structural, caps, contained_in=False, trace=trace)
-    if structural:
-        return SplitVerdict(
-            YES, label, "theorem", strongly, False, m, m, f_sub, trace=tuple(trace)
-        )
-    s = retraction_witness(q)
-    g = compose(s, compose(strong_wit, q))
-    bad = preimage_subgroup(g, f_sub)
-    trace.append("complement has a summand kernel that is not fully invariant")
-    return SplitVerdict(
-        NO, label, "theorem", strongly, False, m, m, f_sub,
-        counterexample=Counterexample(g, bad, "not_fully_invariant"),
-        trace=tuple(trace),
-    )
+    return _self_F_split_theorem(m, f_sub, strongly, False, caps)
 
 
 def is_dual_self_F_split_theorem(
@@ -959,53 +958,7 @@ def is_dual_self_F_split_theorem(
 ) -> SplitVerdict:
     """Theorem mode dual: M is dual (strongly) self-F-split iff F is a direct
     summand and F is dual (strongly) self-Rickart."""
-    _require_fi(m, f_sub)
-    label = _label(strongly, True, True)
-    trace: list[str] = []
-    analysis = analysis_for(m)
-    fprops = analysis.subgroup_props(f_sub)
-    if fprops.retraction is None:
-        trace.append("F is not a direct summand; identity is a counterexample")
-        return SplitVerdict(
-            NO, label, "theorem", strongly, True, m, m, f_sub,
-            counterexample=Counterexample(identity_hom(m), f_sub, "not_summand"),
-            trace=tuple(trace),
-        )
-    trace.append("F is a direct summand")
-    inc = inclusion(f_sub)
-    fgrp = inc.dom
-    plain_ok, wit = structural_dual_self_rickart(fgrp)
-    if not plain_ok:
-        rho = fprops.retraction
-        g = compose(inc, compose(wit, rho))
-        bad = map_subgroup(g, f_sub)
-        trace.append(f"kernel object {fgrp} is not dual self-Rickart")
-        return SplitVerdict(
-            NO, label, "theorem", strongly, True, m, m, f_sub,
-            counterexample=Counterexample(g, bad, "not_summand"),
-            trace=tuple(trace),
-        )
-    trace.append(f"kernel object {fgrp} is dual self-Rickart")
-    if not strongly:
-        return SplitVerdict(
-            YES, label, "theorem", strongly, True, m, m, f_sub, trace=tuple(trace)
-        )
-    strong_wit = structural_strong_rickart_witness(fgrp)
-    structural = strong_wit is None
-    _strong_routes(m, f_sub, fgrp, structural, caps, contained_in=True, trace=trace)
-    if structural:
-        return SplitVerdict(
-            YES, label, "theorem", strongly, True, m, m, f_sub, trace=tuple(trace)
-        )
-    rho = fprops.retraction
-    g = compose(inc, compose(strong_wit, rho))
-    bad = map_subgroup(g, f_sub)
-    trace.append("kernel object has a summand image that is not fully invariant")
-    return SplitVerdict(
-        NO, label, "theorem", strongly, True, m, m, f_sub,
-        counterexample=Counterexample(g, bad, "not_fully_invariant"),
-        trace=tuple(trace),
-    )
+    return _self_F_split_theorem(m, f_sub, strongly, True, caps)
 
 
 def self_split_profile_theorem(
@@ -1023,6 +976,24 @@ def self_split_profile_theorem(
 # SIP / SSP
 
 
+def _summands_closed(
+    m: FgAbGroup, f_sub: Subgroup, cap: int, fully_invariant_only: bool, dual: bool
+) -> bool:
+    """SIP over F, or SSP under F dually: does the intersection (sum) of any
+    two (fully invariant) direct summands containing F (contained in F)
+    remain one?"""
+    analysis = analysis_for(m)
+    near = f_sub.contains_subgroup if dual else (lambda s: s.contains_subgroup(f_sub))
+    join = sum_sub if dual else intersect
+
+    def kept(s: Subgroup) -> bool:
+        props = analysis.subgroup_props(s)
+        return props.is_summand and (not fully_invariant_only or props.is_fi)
+
+    cands = [s for s in analysis.subgroups(cap) if near(s) and kept(s)]
+    return all(kept(join(a, b)) for a, b in itertools.combinations(cands, 2))
+
+
 def has_sip_summands_containing(
     m: FgAbGroup,
     f_sub: Subgroup,
@@ -1031,22 +1002,7 @@ def has_sip_summands_containing(
 ) -> bool:
     """Do pairwise intersections of direct summands containing F remain
     (fully invariant) direct summands?"""
-    from .subgroups import intersect
-
-    analysis = analysis_for(m)
-    cands = []
-    for s in analysis.subgroups(cap):
-        if not s.contains_subgroup(f_sub):
-            continue
-        props = analysis.subgroup_props(s)
-        if props.is_summand and (not fully_invariant_only or props.is_fi):
-            cands.append(s)
-    for a, b in itertools.combinations(cands, 2):
-        inter = intersect(a, b)
-        props = analysis.subgroup_props(inter)
-        if not props.is_summand or (fully_invariant_only and not props.is_fi):
-            return False
-    return True
+    return _summands_closed(m, f_sub, cap, fully_invariant_only, False)
 
 
 def has_ssp_summands_contained_in(
@@ -1057,22 +1013,7 @@ def has_ssp_summands_contained_in(
 ) -> bool:
     """Do pairwise sums of direct summands contained in F remain (fully
     invariant) direct summands?"""
-    from .subgroups import sum_sub
-
-    analysis = analysis_for(m)
-    cands = []
-    for s in analysis.subgroups(cap):
-        if not f_sub.contains_subgroup(s):
-            continue
-        props = analysis.subgroup_props(s)
-        if props.is_summand and (not fully_invariant_only or props.is_fi):
-            cands.append(s)
-    for a, b in itertools.combinations(cands, 2):
-        u = sum_sub(a, b)
-        props = analysis.subgroup_props(u)
-        if not props.is_summand or (fully_invariant_only and not props.is_fi):
-            return False
-    return True
+    return _summands_closed(m, f_sub, cap, fully_invariant_only, True)
 
 
 # ---------------------------------------------------------------------------

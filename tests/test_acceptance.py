@@ -8,6 +8,7 @@ and the corrected counterparts next to them must pass.  See the project
 notes ledger for the analysis.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -20,15 +21,18 @@ import pytest
 
 from absplit.cli import main as cli_main
 from absplit.groups import (
+    add_hom,
+    biproduct,
     compose,
     group,
     hom_count,
     identity_hom,
     iter_hom,
-    morphism,
     pullback,
     pushout,
     section_witness,
+    solve_compose_left,
+    solve_compose_right,
 )
 from absplit.harness import (
     check_csip,
@@ -252,7 +256,7 @@ def _random_group(rng):
 
 
 def _random_hom(rng, m, n):
-    from absplit.groups import Morphism, add_hom, hom_group
+    from absplit.groups import Morphism, hom_group
     from absplit.intmat import freeze
 
     h = hom_group(m, n)
@@ -261,36 +265,6 @@ def _random_hom(rng, m, n):
         c = rng.randint(0, (o - 1) if o else 4)
         f = add_hom(f, Morphism(m, n, tuple(tuple(c * x for x in row) for row in b.rows)))
     return f
-
-
-def _factor_pair(pa, pb, x, y):
-    from absplit.intmat import freeze, solve_congruences
-
-    p, t = pa.dom, x.dom
-    nvars = p.ngens * t.ngens
-    rows_a, rhs, moduli = [], [], []
-    for i in range(p.ngens):
-        for j in range(t.ngens):
-            row = [0] * nvars
-            row[i * t.ngens + j] = t.factors[j]
-            rows_a.append(row)
-            rhs.append(0)
-            moduli.append(p.factors[i])
-    for leg, target in ((pa, x), (pb, y)):
-        for r in range(leg.cod.ngens):
-            for j in range(t.ngens):
-                row = [0] * nvars
-                for i in range(p.ngens):
-                    row[i * t.ngens + j] = leg.rows[r][i]
-                rows_a.append(row)
-                rhs.append(target.rows[r][j])
-                moduli.append(leg.cod.factors[r])
-    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
-    if sol is None:
-        return None
-    return morphism(
-        t, p, [[sol[i * t.ngens + j] for j in range(t.ngens)] for i in range(p.ngens)]
-    )
 
 
 def test_criterion_9_pullback_pushout_500():
@@ -304,7 +278,13 @@ def test_criterion_9_pullback_pushout_500():
             assert compose(f, pa) == compose(g, pb)
             t = _random_group(rng)
             u = _random_hom(rng, t, p)
-            got = _factor_pair(pa, pb, compose(pa, u), compose(pb, u))
+            # ia∘s + ib∘t determines s and t (the injections of A ⊕ B are
+            # jointly monic), so this one equation is pa∘u = x and pb∘u = y
+            _, (ia, ib), _ = biproduct([a, b])
+            got = solve_compose_left(
+                add_hom(compose(ia, pa), compose(ib, pb)),
+                add_hom(compose(ia, compose(pa, u)), compose(ib, compose(pb, u))),
+            )
             assert got == u  # existence and uniqueness of the mediating map
         else:
             f = _random_hom(rng, c, a)
@@ -313,40 +293,15 @@ def test_criterion_9_pullback_pushout_500():
             assert compose(qa, f) == compose(qb, g)
             t = _random_group(rng)
             u = _random_hom(rng, q, t)
-            got = _cofactor_pair(qa, qb, compose(u, qa), compose(u, qb))
+            # s∘pr_a + t∘pr_b determines s and t (the projections of A ⊕ B
+            # are jointly epic), so this one equation is u∘qa = x and u∘qb = y
+            _, _, (pr_a, pr_b) = biproduct([a, b])
+            got = solve_compose_right(
+                add_hom(compose(qa, pr_a), compose(qb, pr_b)),
+                add_hom(compose(compose(u, qa), pr_a), compose(compose(u, qb), pr_b)),
+            )
             assert got == u  # existence and uniqueness of the mediating map
     assert report("9 (pullback/pushout universal properties, 500 spans)", True)
-
-
-def _cofactor_pair(qa, qb, x, y):
-    """Unique u: cod(qa) -> cod(x) with u∘qa = x and u∘qb = y."""
-    from absplit.intmat import freeze, solve_congruences
-
-    q, t = qa.cod, x.cod
-    nvars = t.ngens * q.ngens
-    rows_a, rhs, moduli = [], [], []
-    for r in range(t.ngens):
-        for i in range(q.ngens):
-            row = [0] * nvars
-            row[r * q.ngens + i] = q.factors[i]
-            rows_a.append(row)
-            rhs.append(0)
-            moduli.append(t.factors[r])
-    for leg, target in ((qa, x), (qb, y)):
-        for r in range(t.ngens):
-            for j in range(leg.dom.ngens):
-                row = [0] * nvars
-                for i in range(q.ngens):
-                    row[r * q.ngens + i] = leg.rows[i][j]
-                rows_a.append(row)
-                rhs.append(target.rows[r][j])
-                moduli.append(t.factors[r])
-    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
-    if sol is None:
-        return None
-    return morphism(
-        q, t, [[sol[r * q.ngens + i] for i in range(q.ngens)] for r in range(t.ngens)]
-    )
 
 
 def test_criterion_9_section_vs_exhaustive():
@@ -415,3 +370,87 @@ def test_criterion_10_cold_process_determinism():
     warm = _strip_timing(json.dumps(run_verification(12)))
     ok = cold[0] == cold[1] == warm
     assert report("10", ok, "two cold verify processes and a warm run byte-identical")
+
+
+# SHA-256 of each report below with every elapsed_s removed, recorded on the
+# engine before the primal and dual sides shared one implementation; a
+# refactor must leave every one of them unchanged, and a change that alters
+# a report on purpose records the new digest here
+GOLDEN_DIGESTS = {
+    "verify": "094d17fc076dcad8eec3d48d15492c77c7ac190a442810f148e024ddf8371a04",
+    "examples": "ebf7a89282e65a868c79e252f856fff677565fd98f042efc95188ea41123933b",
+    "classify 2,4": "6aeaff021fbbf9a5731d2fdfb87148127be4d6ec09099876454d56e98c6e73f3",
+    "classify 2,2,2": "c8731695e470bf74ddea4ae31b4d613c514874e83d7de2d0ce216b4eba903f31",
+    "classify 4,0": "033dc61670468d88875858642841fbd64e2da6b1a3fcb8e9272a12ce35feb894",
+    "classify 2,4,0": "f775b257c572a8e12c1c64bc9957f96b89b4be127ffc42bf7e60343b90497b1b",
+    "classify 2,4,0 --preradical torsion": "f5ff56854b9396dbf2c42d4dac05fe59f152ff0a977c81c656514d2edb4aef13",
+    "theorem internals": "1da86d5865abd2927d92fe2b2f109b995bfbe1de5720c783f1f44a1412efe45e",
+}
+
+_GOLDEN_CLASSIFY = (
+    ("2,4",),
+    ("2,2,2",),
+    ("4,0",),
+    ("2,4,0",),
+    ("2,4,0", "--preradical", "torsion"),
+)
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _theorem_internals(m):
+    """Every theorem-mode verdict on M, with its trace and counterexample,
+    over the fully invariant subgroups of a finite M, or over the
+    preradical-generated ones when M is infinite."""
+    from absplit.preradicals import evaluate, parse_preradical
+    from absplit.splitness import analysis_for, self_split_profile_theorem
+    from absplit.subgroups import full_subgroup
+
+    if m.is_finite:
+        subs = analysis_for(m).fi_subgroups(CAPS.subgroup_cap)
+    else:
+        names = ("torsion", "socle", "radical", "divisible", "mul:2", "ntorsion:2", "ppart:2")
+        found = {}
+        for s in (trivial_subgroup(m), *(evaluate(parse_preradical(n), m) for n in names),
+                  full_subgroup(m)):
+            found.setdefault(s.canonical, s)
+        subs = list(found.values())
+    out = []
+    for f in subs:
+        for key, v in self_split_profile_theorem(m, f, CAPS).items():
+            ce = v.counterexample
+            out.append({
+                "group": str(m), "f": [list(r) for r in f.canonical], "variant": key,
+                "answer": v.answer, "trace": list(v.trace),
+                "counterexample": None if ce is None else {
+                    "g": [list(r) for r in ce.g.rows],
+                    "subgroup": [list(r) for r in ce.subgroup.canonical],
+                    "kind": ce.kind,
+                },
+            })
+    return out
+
+
+def _golden_reports(capsys):
+    def cli_doc(*argv):
+        code = cli_main(list(argv))
+        out, err = capsys.readouterr()
+        return {"argv": list(argv), "code": code, "stderr": err,
+                "doc": json.loads(_strip_timing(out))}
+
+    docs = {
+        "verify": cli_doc("verify", "--max-order", "16", "--json"),
+        "examples": cli_doc("examples", "--json"),
+    }
+    for argv in _GOLDEN_CLASSIFY:
+        docs["classify " + " ".join(argv)] = cli_doc("classify", *argv, "--json")
+    groups = list(enumerate_groups(16)) + [group(4, 0), group(2, 4, 0), group(0, 0)]
+    docs["theorem internals"] = [row for m in groups for row in _theorem_internals(m)]
+    return {name: _digest(doc) for name, doc in docs.items()}
+
+
+def test_criterion_10_golden_reports(capsys):
+    digests = _golden_reports(capsys)
+    assert report("10", digests == GOLDEN_DIGESTS, "reports match their recorded digests"), digests

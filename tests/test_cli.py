@@ -202,6 +202,18 @@ def test_verify_preradicals_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--theorems", ""), ("--theorems", ",,"), ("--preradicals", ""), ("--preradicals", ", ,")],
+)
+def test_verify_rejects_an_empty_list(capsys, flag, value):
+    # an empty list is a user error, not a request for the default list
+    code, out, err = run_cli(capsys, "verify", "--max-order", "2", flag, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
+
+
 def test_verify_report_contains_examples_field(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     code, out, err = run_cli(
