@@ -55,7 +55,6 @@ from .subgroups import (
     quotient,
     sub_from_gens,
     subgroup_group,
-    sum_sub,
     trivial_subgroup,
 )
 
@@ -412,17 +411,14 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
     """Unordered complementary summand pairs (X, Y): X + Y = M, X ∩ Y = 0."""
     analysis = analysis_for(m)
     summands = analysis.summands(caps.subgroup_cap)
+    orders = [s.order for s in summands]
     order = m.order
     out = []
+    # with |X||Y| = |M|, X + Y = M exactly when X ∩ Y = 0
     for i, x in enumerate(summands):
-        for y in summands[i:]:
-            if x.order * y.order != order:
-                continue
-            if not sum_sub(x, y).is_full:
-                continue
-            if intersect(x, y).order != 1:
-                continue
-            out.append((x, y))
+        for j in range(i, len(summands)):
+            if orders[i] * orders[j] == order and intersect(x, summands[j]).order == 1:
+                out.append((x, summands[j]))
     return out
 
 

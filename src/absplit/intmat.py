@@ -345,6 +345,9 @@ class SeededHnf:
     For positive moduli (d_1, ..., d_n), canonical(extra) equals
     hnf_rows(extra + diag-rows, n) but avoids the general bookkeeping: the
     basis always stays upper triangular with positive pivots on the diagonal.
+    canonical(extra, start) begins from the given n×n upper-triangular basis
+    with positive diagonal, such as a canonical form already in hand, in place
+    of diag(d), and equals hnf_rows(extra + start, n).
     """
 
     __slots__ = ("n", "_template")
@@ -358,9 +361,11 @@ class SeededHnf:
             for i in range(self.n)
         ]
 
-    def canonical(self, extra: Iterable[Sequence[int]]) -> Matrix:
+    def canonical(
+        self, extra: Iterable[Sequence[int]], start: Optional[Iterable[Sequence[int]]] = None
+    ) -> Matrix:
         n = self.n
-        basis = [row[:] for row in self._template]
+        basis = [list(row) for row in (self._template if start is None else start)]
         for v0 in extra:
             v = list(v0)
             for j in range(n):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .groups import (
     FgAbGroup,
@@ -40,7 +40,6 @@ from .groups import (
     iter_hom_rows,
     morphism,
     retraction_witness,
-    section_witness,
     _immutable,
     _store,
 )
@@ -53,12 +52,12 @@ from .subgroups import (
     inclusion,
     intersect,
     is_fully_invariant,
+    is_pure,
     kernel_subgroup,
     map_subgroup,
     preimage_subgroup,
     quotient,
     sub_from_gens,
-    subgroup_group,
     sum_sub,
     summand_witness,
     trivial_subgroup,
@@ -126,7 +125,7 @@ class Counterexample:
 class SplitVerdict:
     __slots__ = (
         "answer", "predicate", "mode", "strongly", "dual", "source", "carrier",
-        "f_sub", "counterexample", "witnesses", "trace", "reason",
+        "f_sub", "counterexample", "_witnesses", "trace", "reason",
     )
 
     def __init__(
@@ -140,7 +139,9 @@ class SplitVerdict:
         carrier: FgAbGroup,  # N, carrying the fully invariant sequence
         f_sub: Optional[Subgroup] = None,
         counterexample: Optional[Counterexample] = None,
-        witnesses: tuple = (),  # (canonical, sample_g, witness_morphism, count)
+        # (canonical, sample_g, witness_morphism, count) per subgroup, or a
+        # function that builds them on first read
+        witnesses: Union[tuple, Callable[[], tuple]] = (),
         trace: tuple[str, ...] = (),
         reason: Optional[str] = None,
     ):
@@ -153,9 +154,17 @@ class SplitVerdict:
         self.carrier = carrier
         self.f_sub = f_sub
         self.counterexample = counterexample
-        self.witnesses = witnesses
+        self._witnesses = witnesses
         self.trace = trace
         self.reason = reason
+
+    @property
+    def witnesses(self) -> tuple:
+        """Brute-force Yes certificates; their retractions are solved for
+        only when a reader asks."""
+        if callable(self._witnesses):
+            self._witnesses = self._witnesses()
+        return self._witnesses
 
     @property
     def is_yes(self) -> bool:
@@ -206,8 +215,12 @@ class SubProps:
         """Witness that the inclusion is a section, computed on first read."""
         return summand_witness(self.subgroup)
 
-    @property
+    @cached_property
     def is_summand(self) -> bool:
+        """Purity decides on a finite ambient, with no retraction built;
+        with a free part the witness does."""
+        if self.subgroup.ambient.is_finite:
+            return is_pure(self.subgroup)
         return self.retraction is not None
 
     @property
@@ -349,7 +362,8 @@ def _sweep(
         (a finite Hom set sends no torsion of N into a free factor and has
         no free factor of N unless M is finite); the state is that sum.
     A state is a canonical lattice (SeededHnf); each level joins every state
-    with every distinct coordinate value, memoised on the pair, and counts
+    with every distinct coordinate value, memoised on the pair, by a pass
+    that starts from the state's basis and inserts the value, and counts
     multiply."""
     m, carrier = (dst, src) if dual else (src, dst)
     steps = _fi_steps(carrier, f_sub)
@@ -387,7 +401,7 @@ def _sweep(
             for v, (vcount, part) in values.items():
                 out = joins.get((lat, v))
                 if out is None:
-                    out = joins[(lat, v)] = acc.canonical(lat + (v,))
+                    out = joins[(lat, v)] = acc.canonical((v,), lat)
                 rec = nxt.get(out)
                 if rec is None:
                     nxt[out] = [count * vcount, parts + (part,)]
@@ -421,11 +435,11 @@ def _sweep_verdict(
     f_sub: Subgroup,
 ) -> SplitVerdict:
     """No with the first failing subgroup's sample morphism, else Yes with
-    one witness per subgroup."""
+    one witness per subgroup, built when first read."""
     label = _label(strongly, dual, m == n)
     for props, _count, g in outcomes:
         kind = None
-        if props.retraction is None:
+        if not props.is_summand:
             kind = "not_summand"
         elif strongly and props.fi_viol is not None:
             kind = "not_fully_invariant"
@@ -436,7 +450,7 @@ def _sweep_verdict(
             )
     return SplitVerdict(
         YES, label, "brute", strongly, dual, m, n, f_sub,
-        witnesses=tuple(
+        witnesses=lambda: tuple(
             (props.subgroup.canonical, g, props.retraction, count)
             for props, count, g in outcomes
         ),
@@ -902,7 +916,7 @@ def _self_F_split_theorem(
         )
 
     fprops = analysis_for(m).subgroup_props(f_sub)
-    if fprops.retraction is None:
+    if not fprops.is_summand:
         trace.append("F is not a direct summand; identity is a counterexample")
         return verdict(NO, identity_hom(m), f_sub, "not_summand")
     trace.append("F is a direct summand")
@@ -1042,7 +1056,7 @@ def decide_self_profile(
             out[k] = SplitVerdict(
                 bv.answer, bv.predicate, "brute+theorem", bv.strongly, bv.dual,
                 m, m, f_sub, counterexample=bv.counterexample,
-                witnesses=bv.witnesses, trace=tv.trace,
+                witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
             )
         else:
             out[k] = tv

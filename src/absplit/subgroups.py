@@ -19,8 +19,10 @@ from .intmat import (
     freeze,
     hnf_rows,
     hstack,
+    identity,
     lattice_index,
     mat_mul,
+    prime_factors,
     row_lattice_contains,
     solution_lattice,
     solve_congruences,
@@ -77,7 +79,8 @@ class Subgroup:
 
     @property
     def is_full(self) -> bool:
-        return self.canonical == full_subgroup(self.ambient).canonical
+        # Z^n is the lattice of the full subgroup, finite ambient or not
+        return self.canonical == identity(self.ambient.ngens)
 
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ambient.ngens:
@@ -105,15 +108,28 @@ def _seeded(factors: tuple[int, ...]) -> SeededHnf:
     return SeededHnf(factors)
 
 
-def _seeded_block(factors: tuple[int, ...], rows: Iterable[Sequence[int]], k: int) -> Matrix:
-    """Rows and columns k.. of the Hermite basis of the rows over diag(factors).
+def _seeded_block(
+    factors: tuple[int, ...],
+    rows: Iterable[Sequence[int]],
+    k: int,
+    start: Optional[Sequence[Sequence[int]]] = None,
+) -> Matrix:
+    """Rows and columns k.. of the Hermite basis of the rows over diag(factors),
+    or over the start basis when one is given (see SeededHnf).
 
     Every factor is positive, so the basis is upper triangular with one row
     per column, and its rows from k on are exactly the basis vectors with
     zero in the first k coordinates: the block is the canonical basis of
     {x : (0, x) in the lattice}."""
-    basis = _seeded(factors).canonical(rows)
+    basis = _seeded(factors).canonical(rows, start)
     return tuple(r[k:] for r in basis[k:])
+
+
+def _diag_after(k: int, factors: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows (0, d_i e_i), with k leading zeros: the relations of a second
+    block, which complete a start basis for a two-block lattice."""
+    n = len(factors)
+    return [(0,) * (k + i) + (d,) + (0,) * (n - i - 1) for i, d in enumerate(factors)]
 
 
 def sub_from_gens(ambient: FgAbGroup, gens: Iterable[Sequence[int]]) -> Subgroup:
@@ -234,18 +250,20 @@ def image_subgroup(f: Morphism) -> Subgroup:
     return sub_from_gens(f.cod, cols)
 
 
-def _seeded_preimage(f: Morphism, top: Matrix) -> Subgroup:
-    """f^{-1}(T) on finite groups, for T spanned by the rows top and the
-    relations of cod(f).  The rows (col_j(f), e_j) and (h, 0), h in top,
-    span the pairs (f(x) + t, x) with t in T; those with first part zero
-    are the (0, x) with x in f^{-1}(T), the block after ngens(cod) columns."""
+def _seeded_preimage(f: Morphism, top: Sequence[Sequence[int]]) -> Subgroup:
+    """f^{-1}(T) on finite groups, for T with the canonical (n×n Hermite)
+    basis top.  The rows (col_j(f), e_j) and (h, 0), h in top, span the
+    pairs (f(x) + t, x) with t in T; those with first part zero are the
+    (0, x) with x in f^{-1}(T), the block after ngens(cod) columns.  The
+    rows (h, 0) and (0, d_i e_i) are already a triangular basis, so the pass
+    starts from them and inserts the graph rows."""
     m, n = f.dom.ngens, f.cod.ngens
     graph = [
         col + tuple(int(i == j) for i in range(m))
         for j, col in enumerate(zip(*f.rows) if f.rows else [()] * m)
     ]
-    rows = [h + (0,) * m for h in top] + graph
-    canon = _seeded_block(f.cod.factors + f.dom.factors, rows, n)
+    start = [h + (0,) * m for h in top] + _diag_after(n, f.dom.factors)
+    canon = _seeded_block(f.cod.factors + f.dom.factors, graph, n, start)
     return Subgroup(f.dom, tuple(zip(*canon)), canon)
 
 
@@ -266,7 +284,7 @@ def preimage_subgroup(f: Morphism, t: Subgroup) -> Subgroup:
 
 def kernel_subgroup(f: Morphism) -> Subgroup:
     if f.dom.is_finite and f.cod.is_finite:
-        return _seeded_preimage(f, ())
+        return _seeded_preimage(f, _diag_after(0, f.cod.factors))
     lat = solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens)
     cols = list(zip(*lat)) if lat and lat[0] else []
     return sub_from_gens(f.dom, cols)
@@ -283,22 +301,30 @@ def intersect(s: Subgroup, t: Subgroup) -> Subgroup:
     span the pairs (a·S + b·T, a·S).  Those with first half zero are exactly
     the (0, x) with x = a·S = −b·T in S ∩ T, and a Hermite basis lists a
     basis of them last.  On a finite ambient both halves hold diag(d), so
-    that block is already the canonical form."""
+    that block is already the canonical form; there the rows (v, v) and
+    (0, d_i e_i) are a triangular basis to start from, and T's rows are
+    inserted into it."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
     n = s.ambient.ngens
-    rows = [r + r for r in s.canonical] + [r + (0,) * n for r in t.canonical]
+    tops = [r + (0,) * n for r in t.canonical]
     if s.ambient.is_finite:
-        canon = _seeded_block(s.ambient.factors * 2, rows, n)
+        start = [r + r for r in s.canonical] + _diag_after(n, s.ambient.factors)
+        canon = _seeded_block(s.ambient.factors * 2, tops, n, start)
         return Subgroup(s.ambient, tuple(zip(*canon)), canon)
+    rows = [r + r for r in s.canonical] + tops
     gens = [r[n:] for r in hnf_rows(rows, 2 * n) if not any(r[:n])]
     return sub_from_gens(s.ambient, gens)
 
 
 def sum_sub(s: Subgroup, t: Subgroup) -> Subgroup:
-    """S + T via the juxtaposed generator matrix."""
+    """S + T via the juxtaposed generator matrix; on a finite ambient, one
+    seeded pass that starts from S's canonical basis and inserts T's."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
+    if s.ambient.is_finite:
+        canon = _seeded_block(s.ambient.factors, t.canonical, 0, s.canonical)
+        return Subgroup(s.ambient, freeze(zip(*(s.canonical + t.canonical))), canon)
     return sub_from_gens(s.ambient, list(s.canonical) + list(t.canonical))
 
 
@@ -448,6 +474,36 @@ def fi_ses(m: FgAbGroup, s: Subgroup) -> ShortExactSequence:
 
 # ---------------------------------------------------------------------------
 # summands
+
+
+@lru_cache(maxsize=64)
+def _pure_layers(m: FgAbGroup) -> tuple[tuple[int, Subgroup], ...]:
+    """(p^k, p^k M) for each prime p of |M| and 1 <= k < e_p, the largest
+    exponent of p in the factors of the finite group M."""
+    out = []
+    for p in prime_factors(m.order):
+        e_p = max(prime_factors(d).get(p, 0) for d in m.factors)
+        for k in range(1, e_p):
+            q = p**k
+            out.append((q, sub_from_gens(m, [tuple(q * x for x in r) for r in identity(m.ngens)])))
+    return tuple(out)
+
+
+def is_pure(s: Subgroup) -> bool:
+    """Is S pure in its finite ambient M: S ∩ p^k M = p^k S for every prime p
+    and every k >= 1?  In a finite abelian group the pure subgroups are
+    exactly the direct summands (Kulikov; Fuchs, Infinite Abelian Groups I,
+    §27–28), so this decides summands without solving for a retraction.
+    Only k < e_p needs a test: from e_p on, p^k M is the p'-part of M and
+    both sides are the p'-part of S."""
+    m = s.ambient
+    if not m.is_finite:
+        raise ObjectMismatchError("purity test requires a finite ambient")
+    for q, layer in _pure_layers(m):
+        multiples = sub_from_gens(m, [tuple(q * x for x in r) for r in s.canonical])
+        if intersect(s, layer).canonical != multiples.canonical:
+            return False
+    return True
 
 
 def summand_witness(s: Subgroup) -> Optional[Morphism]:

@@ -42,7 +42,6 @@ from absplit.harness import (
     check_tendab,
     check_tkey,
     check_trel,
-    classify_rows,
     cyclic_pq_classification,
     enumerate_groups,
 )

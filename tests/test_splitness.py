@@ -809,6 +809,31 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def test_yes_witnesses_are_built_only_when_read(monkeypatch):
+    import absplit.groups
+    import absplit.subgroups
+
+    m = group(2, 2, 2, 2)
+    monkeypatch.setattr(splitness, "_ANALYSES", {})  # no retraction cached yet
+    witnesses = _counting(monkeypatch, splitness, "summand_witness")
+    solves = _counting(monkeypatch, absplit.groups, "solve_congruences")
+    member_solves = _counting(monkeypatch, absplit.subgroups, "solve_congruences")
+    prof = self_split_profile(m, trivial_subgroup(m))
+    assert [prof[k].answer for k in ("primal_plain", "primal_strong", "dual_plain", "dual_strong")] == [
+        "yes", "no", "yes", "yes"
+    ]
+    assert witnesses == [] and solves == [] and member_solves == []
+    # theorem mode solves for its own counterexamples, not for these witnesses
+    decided = decide_self_profile(m, trivial_subgroup(m))
+    assert witnesses == []
+    v = prof["primal_plain"]
+    assert sum(w[3] for w in v.witnesses) == 65536
+    assert len(witnesses) == len(v.witnesses) > 1 and solves
+    assert decided["primal_plain"].witnesses == v.witnesses
+    monkeypatch.undo()
+    assert reverify(v)
+
+
 def test_classify_computes_summand_witnesses_only_when_read(monkeypatch):
     from absplit.harness import classify_rows
     from absplit.subgroups import is_summand

@@ -36,6 +36,7 @@ from absplit.subgroups import (
     intersect,
     is_fully_coinvariant,
     is_fully_invariant,
+    is_pure,
     is_summand,
     kernel_subgroup,
     map_subgroup,
@@ -121,6 +122,23 @@ def test_sum_fills_group():
     a = sub_from_gens(V4, [(1, 0)])
     b = sub_from_gens(V4, [(0, 1)])
     assert sum_sub(a, b).is_full
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (4, 0), (0, 0)])
+def test_is_full_reads_the_identity_basis(factors):
+    m = group(*factors)
+    full, trivial = full_subgroup(m), trivial_subgroup(m)
+    assert full.is_full and not trivial.is_full
+    n = m.ngens
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # the full subgroup from redundant, non-canonical generators
+    assert sub_from_gens(m, [(3,) * n, *units[1:], tuple(range(1, n + 1))]).is_full
+    for i in range(n):
+        doubled = [tuple(2 * x for x in u) if k == i else u for k, u in enumerate(units)]
+        assert not sub_from_gens(m, doubled).is_full
+    if m.is_finite:
+        for s in all_subgroups(m):
+            assert s.is_full == (s.order == m.order)
 
 
 def test_intersect_matches_elements_random():
@@ -254,6 +272,54 @@ def test_seeded_preimages_and_kernels_match_the_general_path_to_order_16():
                     assert pre.canonical == _general_preimage(f, t), (m, n, f, t)
                     want = {x for x, y in images if y in t_members}
                     assert want == {x for x in m_elems if pre.contains(x)}
+
+
+def _checked_start_bases(monkeypatch):
+    """Make every SeededHnf pass that starts from a given basis also run from
+    the diagonal seed over the start rows followed by the inserted rows, and
+    require the two to agree; returns the list of checked passes."""
+    real = SeededHnf.canonical
+    checked = []
+
+    def canonical(self, extra, start=None):
+        extra = list(extra)
+        got = real(self, extra, start)
+        if start is not None:
+            assert got == real(self, list(start) + extra), (start, extra)
+            checked.append(len(extra))
+        return got
+
+    monkeypatch.setattr(SeededHnf, "canonical", canonical)
+    return checked
+
+
+def test_start_basis_passes_match_passes_from_the_seed_to_order_16(monkeypatch):
+    checked = _checked_start_bases(monkeypatch)
+    for m in enumerate_groups(16):
+        subs = all_subgroups(m)
+        for i, s in enumerate(subs):
+            _, q = quotient(m, s)
+            assert kernel_subgroup(q) == s
+            for t in subs[i:]:
+                total = sum_sub(s, t)
+                assert total.canonical == SeededHnf(m.factors).canonical(s.canonical + t.canonical)
+                assert preimage_subgroup(q, map_subgroup(q, t)) == total
+                assert total.contains_subgroup(intersect(s, t))
+                assert intersect(t, s) == intersect(s, t)
+    assert len(checked) > 10_000
+
+
+def test_sweep_joins_match_passes_from_the_seed(monkeypatch):
+    from absplit.splitness import self_split_profile
+
+    checked = _checked_start_bases(monkeypatch)
+    m = group(2, 2, 2, 2)
+    for f in (trivial_subgroup(m), full_subgroup(m)):
+        before = len(checked)
+        self_split_profile(m, f)
+        # each sweep joins its states with 16 coordinate values per level
+        joins = [n for n in checked[before:] if n == 1]
+        assert len(joins) >= 2 * 16
 
 
 def _count_calls(monkeypatch, module, name):
@@ -746,6 +812,22 @@ def test_zero_hom_family_biproduct_fi():
             assert is_fully_invariant(block) == (
                 is_fully_invariant(sa) and is_fully_invariant(sb)
             )
+
+
+def test_purity_decides_summands_to_order_32():
+    # in a finite abelian group the pure subgroups are the direct summands;
+    # Z/2 x Z/8 has <(1, 2)> with S ∩ 2M = 2S but S ∩ 4M != 4S = 0
+    count = 0
+    for m in enumerate_groups(32):
+        for s in all_subgroups(m):
+            assert is_pure(s) == (summand_witness(s) is not None), (m, s)
+            count += 1
+    assert count == 1030
+    m = group(2, 8)
+    s = sub_from_gens(m, [(1, 2)])
+    assert not is_pure(s) and summand_witness(s) is None
+    with pytest.raises(ValueError):
+        is_pure(full_subgroup(group(2, 0)))
 
 
 def test_cokernel_retraction_factoring():
