@@ -386,9 +386,9 @@ def _entry_values(a: int, b: int) -> Optional[tuple[int, ...]]:
     return tuple(range(0, step * order, step))
 
 
-def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All hom matrices in canonical odometer order (finite Hom only): the
-    product of the per-row tables, each the product of its entry values."""
+def _hom_row_tables(m: FgAbGroup, n: FgAbGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """Every legal row of a hom matrix, one table per generator of n, each
+    the product of its entry values in odometer order (finite Hom only)."""
     row_tables = []
     for b in n.factors:
         tables = []
@@ -398,7 +398,13 @@ def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...],
                 raise ValueError("infinite Hom group cannot be enumerated")
             tables.append(vals)
         row_tables.append(tuple(itertools.product(*tables)))
-    yield from itertools.product(*row_tables)
+    return row_tables
+
+
+def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All hom matrices in canonical odometer order (finite Hom only): the
+    product of the per-row tables."""
+    yield from itertools.product(*_hom_row_tables(m, n))
 
 
 def iter_hom(m: FgAbGroup, n: FgAbGroup) -> Iterator[Morphism]:

@@ -26,8 +26,10 @@ from .groups import (
 from .intmat import is_squarefree, prime_factors
 from .preradicals import Preradical, evaluate, ntorsion, ppart, socle, torsion
 from .splitness import (
+    PROFILE_KEYS,
     Caps,
     YES,
+    _profile_key,
     SplitVerdict,
     analysis_for,
     decide_self_profile,
@@ -57,8 +59,6 @@ from .subgroups import (
     subgroup_group,
     trivial_subgroup,
 )
-
-PROFILE_KEYS = ("primal_plain", "primal_strong", "dual_plain", "dual_strong")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def cached_mf_split(
 ) -> SplitVerdict:
     if m == carrier:
         prof = cached_profile(m, f_sub, budget)
-        return prof[("dual_" if dual else "primal_") + ("strong" if strongly else "plain")]
+        return prof[_profile_key(strongly, dual)]
     key = (m.factors, carrier.factors, f_sub.canonical, strongly, dual, budget)
     v = _MF_CACHE.get(key)
     if v is None:

@@ -9,7 +9,7 @@ morphism constructions in the rest of the package.
 from __future__ import annotations
 
 import bisect
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -446,12 +446,71 @@ def lattice_index(basis: Matrix, width: int) -> Optional[int]:
 # Miller–Rabin and Pollard rho
 _TRIAL_BOUND = 50
 # Miller–Rabin with the primes up to 41 as bases decides primality exactly
-# for n < 3.3·10^24 (Sorenson and Webster 2017)
+# below ψ₁₃ = 3317044064679887385961981 ≈ 3.3·10^24, the least strong
+# pseudoprime to all of them (Sorenson and Webster 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test for an odd n > 2, with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4.  Write n + 1 = d·2^s; n passes when U_d ≡ 0 or
+    V_{d·2^r} ≡ 0 (mod n) for some 0 <= r < s."""
+    if isqrt(n) ** 2 == n:  # no D exists
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k from k = 1 up the bits of d (P = 1)
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _is_prime(n: int) -> bool:
-    """Miller–Rabin for an odd n with no prime factor below the bases."""
+    """Miller–Rabin for an odd n with no prime factor below the bases, and
+    from ψ₁₃ on a strong Lucas test as well (Baillie–PSW): exact below ψ₁₃,
+    and beyond it free of known counterexamples but not proven."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -466,7 +525,7 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _is_strong_lucas_prp(n)
 
 
 def _rho_factor(n: int) -> int:
@@ -503,8 +562,10 @@ def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
 
     Trial division removes the factors below a small bound; the cofactor is
-    split by Pollard rho, and its pieces tested by Miller–Rabin (exact for
-    n < 3.3·10^24)."""
+    split by Pollard rho, and its pieces tested by Miller–Rabin, exact below
+    ψ₁₃ ≈ 3.3·10^24.  Above that a strong Lucas test is added (Baillie–PSW),
+    which has no known counterexample but is not proven: a piece above
+    3.3·10^24 reported prime is a probable prime."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
     out: dict[int, int] = {}

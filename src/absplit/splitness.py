@@ -25,19 +25,20 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterator, Optional, Union
 
 from .groups import (
     FgAbGroup,
     _entry_values,
+    _hom_row_tables,
     Morphism,
     compose,
     hom_count,
     hom_group,
     identity_hom,
     iter_hom,
-    iter_hom_rows,
     morphism,
     retraction_witness,
     _immutable,
@@ -179,6 +180,17 @@ class SplitVerdict:
         return self.answer == UNKNOWN
 
 
+# the four self predicates of a profile, as (dual, strongly), and their keys
+_PROFILE_SIDES = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _profile_key(strongly: bool, dual: bool) -> str:
+    return ("dual_" if dual else "primal_") + ("strong" if strongly else "plain")
+
+
+PROFILE_KEYS = tuple(_profile_key(strongly, dual) for dual, strongly in _PROFILE_SIDES)
+
+
 def _label(strongly: bool, dual: bool, self_case: bool) -> str:
     parts = []
     if dual:
@@ -242,6 +254,9 @@ class GroupAnalysis:
         self._props: dict[Matrix, SubProps] = {}
         self._all_subgroups: Optional[list[Subgroup]] = None
         self._end_ring: Optional[EndRingView] = None
+        # _sweep outcome lists with this group quantified over, by (the other
+        # group's factors, F, side); the budget only gates the sweep
+        self._sweeps: dict[tuple, list[tuple[SubProps, int, Morphism]]] = {}
 
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
@@ -474,12 +489,21 @@ def _brute_sweep(
     strongly: bool,
     dual: bool,
     budget: int,
+    name: Optional[str] = None,
 ) -> SplitVerdict:
+    """The verdict from the sweep of (M, N, F, side), which runs once and is
+    kept on M's analysis, so the plain and the strong predicate read one
+    outcome list."""
     src, dst = (n, m) if dual else (m, n)
-    reason = _hom_refusal(src, dst, budget, f"{src}, {dst}")
+    reason = _hom_refusal(src, dst, budget, name or f"{src}, {dst}")
     if reason is not None:
         return _verdict_unknown(reason, strongly, dual, m, n, f_sub)
-    return _sweep_verdict(_sweep(src, dst, f_sub, dual), strongly, dual, m, n, f_sub)
+    kept = analysis_for(m)._sweeps
+    key = (n.factors, f_sub.canonical, dual)
+    outcomes = kept.get(key)
+    if outcomes is None:
+        outcomes = kept[key] = _sweep(src, dst, f_sub, dual)
+    return _sweep_verdict(outcomes, strongly, dual, m, n, f_sub)
 
 
 def is_M_F_split(
@@ -532,20 +556,10 @@ def self_split_profile(
     """All four self predicates for (M, F): one primal and one dual sweep
     over End(M), each deciding its plain and strong predicate."""
     _require_fi(m, f_sub)
-    keys = ("primal_plain", "primal_strong", "dual_plain", "dual_strong")
-    reason = _hom_refusal(m, m, budget, "M, M")
-    if reason is not None:
-        return {
-            k: _verdict_unknown(reason, "strong" in k, "dual" in k, m, m, f_sub)
-            for k in keys
-        }
-    out = {}
-    for dual in (False, True):
-        outcomes = _sweep(m, m, f_sub, dual)
-        for strongly in (False, True):
-            key = ("dual_" if dual else "primal_") + ("strong" if strongly else "plain")
-            out[key] = _sweep_verdict(outcomes, strongly, dual, m, m, f_sub)
-    return out
+    return {
+        _profile_key(strongly, dual): _brute_sweep(m, m, f_sub, strongly, dual, budget, "M, M")
+        for dual, strongly in _PROFILE_SIDES
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -654,31 +668,61 @@ class EndRingView:
         self.noncentral = noncentral
 
 
-def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
-    """One pass over End(M) on raw matrices: e is idempotent iff e·e = e.
+def _bitmask(bits: list[int], width: int) -> int:
+    """The integer with exactly the given bits set, built in one pass over
+    its width."""
+    digits = bytearray(b"0") * width
+    for k in bits:
+        digits[width - 1 - k] = 49  # ord("1")
+    return int(digits, 2)
 
-    Entry (i, j) of e·e is row_i(e)·col_j(e) mod d_i; the test runs one row
-    at a time, entry by entry, and stops at the first that differs, so most
-    elements cost a single entry.  Centrality against the additive basis
-    suffices: commutation with e is additive in the other argument."""
+
+def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
+    """All of End(M) on raw matrices: e is idempotent iff e·e = e.
+
+    Row i of e·e = e reads Σ_t r_i[t]·r_t ≡ r_i (mod d_i).  The first n-1
+    rows run in odometer order; each of them fixes r_i[n-1]·r_{n-1}, looked
+    up in a table from (i, r_i[n-1]) and that image to the bitmask of the
+    last rows giving it.  The masks are ANDed, and the last row's own
+    equation is tested on the survivors in table order, so the idempotents
+    come out in the order of iter_hom_rows.  Centrality against the additive
+    basis suffices: commutation with e is additive in the other argument."""
     factors = m.factors
-    size = 0
+    n = len(factors)
+    if n == 0:
+        return EndRingView(m, 1, ((),), None)
+    *head, last = _hom_row_tables(m, m)
+    d_last = factors[-1]
+    images = []
+    for d in factors[:-1]:
+        by_coeff = {}
+        for c in _entry_values(d_last, d):
+            hits: dict[tuple[int, ...], list[int]] = {}
+            for k, row in enumerate(last):
+                hits.setdefault(tuple(c * x % d for x in row), []).append(k)
+            by_coeff[c] = {key: _bitmask(ks, len(last)) for key, ks in hits.items()}
+        images.append(by_coeff)
+    everything = (1 << len(last)) - 1
     idem = []
-    for rows in iter_hom_rows(m, m):
-        size += 1
-        for row, d in zip(rows, factors):
-            for j, x in enumerate(row):
-                acc = -x
-                for c, other in zip(row, rows):
-                    if c:
-                        acc += c * other[j]
-                if acc % d:
+    for prefix in itertools.product(*head):
+        alive = everything
+        cols = tuple(zip(*prefix)) or ((),) * n  # column j of the first n-1 rows
+        for r, d, by_coeff in zip(prefix, factors, images):
+            target = tuple((x - sum(map(mul, r, col))) % d for x, col in zip(r, cols))
+            alive &= by_coeff[r[-1]].get(target, 0)
+            if not alive:
+                break
+        bits = bin(alive)[:1:-1]  # bit k at index k
+        k = bits.find("1")
+        while k >= 0:
+            row = last[k]
+            c = row[-1] - 1  # Σ_{t<n-1} row[t]·r_t + (row[n-1] - 1)·row ≡ 0
+            for x, col in zip(row, cols):
+                if (sum(map(mul, row, col)) + c * x) % d_last:
                     break
             else:
-                continue
-            break
-        else:
-            idem.append(rows)
+                idem.append(prefix + (row,))
+            k = bits.find("1", k + 1)
     basis = [h.rows for h in hom_group(m, m).basis]
     noncentral = next(
         (
@@ -689,7 +733,7 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
         ),
         None,
     )
-    return EndRingView(m, size, tuple(idem), noncentral)
+    return EndRingView(m, prod(map(len, head)) * len(last), tuple(idem), noncentral)
 
 
 def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:

@@ -349,3 +349,28 @@ def test_prime_factors_of_large_numbers():
     # a prime square and a product of three primes above the trial bound
     assert prime_factors(1009**2 * 12) == {2: 2, 3: 1, 1009: 2}
     assert prime_factors(10007 * 10009 * 10037) == {10007: 1, 10009: 1, 10037: 1}
+
+
+def test_strong_lucas_step_matches_known_pseudoprimes():
+    # the odd composites below 10^5 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255); every odd prime passes it
+    from absplit.intmat import _is_strong_lucas_prp
+
+    factors = {n: _trial_division(n) for n in range(3, 100000, 2)}
+    passing = [n for n, f in factors.items() if _is_strong_lucas_prp(n) and f != {n: 1}]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    assert all(_is_strong_lucas_prp(n) for n, f in factors.items() if f == {n: 1})
+
+
+def test_prime_factors_beyond_the_exact_miller_rabin_range():
+    # ψ₁₃ is a strong pseudoprime to every prime base up to 41, the least
+    # such number; the strong Lucas step finds it composite
+    p, q = 1287836182261, 2575672364521
+    psi13 = p * q
+    assert psi13 == 3317044064679887385961981
+    assert prime_factors(psi13) == {p: 1, q: 1}
+    assert prime_factors(4 * psi13) == {2: 2, p: 1, q: 1}
+    # primes above ψ₁₃ still pass both steps
+    m89, m107 = 2**89 - 1, 2**107 - 1
+    assert prime_factors(m89) == {m89: 1}
+    assert prime_factors(m107 * 3**5) == {3: 5, m107: 1}

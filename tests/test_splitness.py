@@ -289,8 +289,8 @@ def test_idempotents_complete():
 
 
 def _full_product_end_ring(m):
-    """The End-ring pass before the row-by-row test: one flat product of
-    entry tables, sliced into rows, and a full e·e per element."""
+    """An End-ring pass with no shortcut: one flat product of entry tables,
+    sliced into rows, and a full e·e per element."""
     from absplit.groups import _entry_values, hom_group
 
     factors, w = m.factors, m.ngens
@@ -317,14 +317,17 @@ def _full_product_end_ring(m):
 
 
 def test_end_ring_row_test_matches_the_full_product_loop(monkeypatch):
+    # the enumeration solves for the last row of each idempotent; it must
+    # find the same ones, in the same order, as testing every element
     monkeypatch.setattr(splitness, "_ANALYSES", {})
-    for factors in [(2, 2, 2, 2), (2, 4), (3, 3), (2, 2, 6)]:
-        m = group(*factors)
+    groups = [m for m in enumerate_groups(32) if hom_count(m, m) <= 10**5]
+    assert len(groups) == 53 and groups[0] == group()
+    for m in groups:
         view = end_ring(m)
-        assert (view.size, view.idempotent_rows, view.noncentral) == _full_product_end_ring(m)
-        if factors == (2, 2, 2, 2):
-            assert view.size == 65536 and len(view.idempotent_rows) == 802
-            assert view.noncentral is not None
+        assert (view.size, view.idempotent_rows, view.noncentral) == _full_product_end_ring(m), m
+    view = end_ring(group(2, 2, 2, 2))
+    assert view.size == 65536 and len(view.idempotent_rows) == 802
+    assert view.noncentral is not None
 
 
 def test_end_ring_closed_under_add_and_compose():
@@ -735,14 +738,66 @@ def test_sweep_decides_one_coordinate_at_a_time(monkeypatch):
     # End((Z/2)^4) has 65,536 elements; the sweep joins lattices instead
     from absplit.intmat import SeededHnf
 
+    monkeypatch.setattr(splitness, "_ANALYSES", {})  # no sweep kept yet
     calls = _counting(monkeypatch, SeededHnf, "canonical")
     m = group(2, 2, 2, 2)
     prof = self_split_profile(m, trivial_subgroup(m))
-    assert len(calls) <= 5000
+    assert 0 < len(calls) <= 5000
     assert [prof[k].answer for k in ("primal_plain", "primal_strong", "dual_plain", "dual_strong")] == [
         "yes", "no", "yes", "yes"
     ]
     assert sum(w[3] for w in prof["primal_plain"].witnesses) == 65536
+
+
+def _verdict_fields(v):
+    ce = v.counterexample
+    return (
+        v.answer, v.predicate, v.strongly, v.dual, v.source, v.carrier,
+        None if ce is None else (ce.g, ce.subgroup.canonical, ce.kind),
+        v.witnesses,
+    )
+
+
+@pytest.mark.parametrize(
+    "m_factors, n_factors",
+    [((6,), (2, 4)), ((2, 4), (4,)), ((2, 2), (8,))],
+    ids=["6-2x4", "2x4-4", "2x2-8"],
+)
+def test_plain_and_strong_read_one_sweep_between_groups(monkeypatch, m_factors, n_factors):
+    # M != N: both predicates of a side read the outcome list kept on M's
+    # analysis, and each verdict equals one decided on a fresh analysis
+    m, n = group(*m_factors), group(*n_factors)
+    for f in (trivial_subgroup(n), evaluate(socle(), n), full_subgroup(n)):
+        for dual in (False, True):
+            def decide(strongly):
+                if dual:
+                    return is_dual_M_F_split(n, m, f, strongly)
+                return is_M_F_split(m, n, f, strongly)
+
+            monkeypatch.setattr(splitness, "_ANALYSES", {})
+            sweeps = _counting(monkeypatch, splitness, "_sweep")
+            shared = [decide(strongly) for strongly in (False, True)]
+            assert len(sweeps) == 1, (m, n, f, dual)
+            for strongly, v in zip((False, True), shared):
+                monkeypatch.setattr(splitness, "_ANALYSES", {})
+                assert _verdict_fields(v) == _verdict_fields(decide(strongly)), (m, n, f, dual)
+                assert reverify(v), (m, n, f, dual, strongly)
+            monkeypatch.undo()
+
+
+def test_verify_sweeps_each_argument_once(monkeypatch):
+    # on cold caches, verify-24 sweeps every (src, dst, F, side) once:
+    # the plain and the strong predicate no longer sweep apart for M != N
+    from absplit import harness
+
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    monkeypatch.setattr(harness, "_PROFILE_CACHE", {})
+    monkeypatch.setattr(harness, "_MF_CACHE", {})
+    sweeps = _counting(monkeypatch, splitness, "_sweep")
+    assert harness.run_verification(24)["passed"]
+    keys = [(src.factors, dst.factors, f.canonical, dual) for src, dst, f, dual in sweeps]
+    assert len(keys) == len(set(keys)) == 991
+    assert any(src != dst for src, dst, _, _ in keys)
 
 
 def test_sweep_evaluators_match_direct_computation():

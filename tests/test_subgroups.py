@@ -310,8 +310,11 @@ def test_start_basis_passes_match_passes_from_the_seed_to_order_16(monkeypatch):
 
 
 def test_sweep_joins_match_passes_from_the_seed(monkeypatch):
+    from absplit import splitness
     from absplit.splitness import self_split_profile
 
+    # sweep outcomes are kept on the group's analysis; start from none
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
     checked = _checked_start_bases(monkeypatch)
     m = group(2, 2, 2, 2)
     for f in (trivial_subgroup(m), full_subgroup(m)):
