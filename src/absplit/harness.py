@@ -13,7 +13,7 @@ import functools
 import itertools
 import time
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .groups import (
@@ -29,7 +29,6 @@ from .splitness import (
     PROFILE_KEYS,
     Caps,
     YES,
-    _profile_key,
     SplitVerdict,
     analysis_for,
     decide_self_profile,
@@ -180,37 +179,6 @@ class TheoremReport:
         }
 
 
-# profile caches shared across checks (results are pure functions of the key)
-_PROFILE_CACHE: dict = {}
-_MF_CACHE: dict = {}
-
-
-def cached_profile(m: FgAbGroup, f_sub: Subgroup, budget: int) -> dict[str, SplitVerdict]:
-    key = (m.factors, f_sub.canonical, budget)
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
-        prof = self_split_profile(m, f_sub, budget)
-        _PROFILE_CACHE[key] = prof
-    return prof
-
-
-def cached_mf_split(
-    m: FgAbGroup, carrier: FgAbGroup, f_sub: Subgroup, strongly: bool, dual: bool, budget: int
-) -> SplitVerdict:
-    if m == carrier:
-        prof = cached_profile(m, f_sub, budget)
-        return prof[_profile_key(strongly, dual)]
-    key = (m.factors, carrier.factors, f_sub.canonical, strongly, dual, budget)
-    v = _MF_CACHE.get(key)
-    if v is None:
-        if dual:
-            v = is_dual_M_F_split(carrier, m, f_sub, strongly, budget)
-        else:
-            v = is_M_F_split(m, carrier, f_sub, strongly, budget)
-        _MF_CACHE[key] = v
-    return v
-
-
 def _fi_subgroups(m: FgAbGroup, caps: Caps) -> list[Subgroup]:
     analysis = analysis_for(m)
     return analysis.fi_subgroups(caps.subgroup_cap)
@@ -274,14 +242,22 @@ def _check(name: str):
     return register
 
 
-def _decided_profiles(corpus: Corpus, caps: Caps, rep: TheoremReport):
+def _decided_profiles(groups: Iterable[FgAbGroup], caps: Caps, rep: TheoremReport):
     """(M, F, brute-force profile) for every fully invariant F of every
-    feasible M; an F with an unknown verdict is recorded as skipped."""
-    for m in corpus:
+    feasible M.  An F is recorded as skipped when a verdict is unknown, or
+    when it comes after M's per-group timeout has run out; the time counted
+    includes what the caller does with the profiles of M."""
+    for m in groups:
         if not _group_feasible(m, caps, rep):
             continue
+        group_start = time.time()
         for f in _fi_subgroups(m, caps):
-            prof = cached_profile(m, f, caps.hom_budget)
+            if caps.per_group_timeout_s and time.time() - group_start > caps.per_group_timeout_s:
+                rep.skipped.append(
+                    {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
+                )
+                continue
+            prof = self_split_profile(m, f, caps.hom_budget)
             if any(prof[k].is_unknown for k in PROFILE_KEYS):
                 rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
                 continue
@@ -296,39 +272,20 @@ def _decided_profiles(corpus: Corpus, caps: Caps, rep: TheoremReport):
 def check_tkey(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Brute-force verdict must equal theorem-mode verdict for all four
     predicate variants, on every group and every fully invariant subgroup."""
-    for m in corpus:
-        if not _group_feasible(m, caps, rep):
-            continue
-        group_start = time.time()
-        for f in _fi_subgroups(m, caps):
-            if (
-                caps.per_group_timeout_s
-                and time.time() - group_start > caps.per_group_timeout_s
-            ):
-                rep.skipped.append(
-                    {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
+    for m, f, brute in _decided_profiles(corpus, caps, rep):
+        theorem = self_split_profile_theorem(m, f, caps)
+        for k in PROFILE_KEYS:
+            rep.instances += 1
+            if brute[k].answer != theorem[k].answer:
+                rep.failures.append(
+                    {
+                        "group": format_group(m),
+                        "f": str(f),
+                        "variant": k,
+                        "brute": brute[k].answer,
+                        "theorem": theorem[k].answer,
+                    }
                 )
-                continue
-            brute = cached_profile(m, f, caps.hom_budget)
-            theorem = self_split_profile_theorem(m, f, caps)
-            for k in PROFILE_KEYS:
-                rep.instances += 1
-                bv, tv = brute[k], theorem[k]
-                if bv.is_unknown:
-                    rep.skipped.append(
-                        {"group": format_group(m), "f": str(f), "variant": k, "reason": bv.reason}
-                    )
-                    continue
-                if bv.answer != tv.answer:
-                    rep.failures.append(
-                        {
-                            "group": format_group(m),
-                            "f": str(f),
-                            "variant": k,
-                            "brute": bv.answer,
-                            "theorem": tv.answer,
-                        }
-                    )
 
 
 @_check("trel")
@@ -476,10 +433,10 @@ def check_tds(
                 for m, strongly, (dual, pieces_of, skip) in itertools.product(
                     samples, (False, True), sides
                 ):
-                    whole = cached_mf_split(m, n_grp, f, strongly, dual, caps.hom_budget)
-                    pieces = [
-                        cached_mf_split(m, kg, fk, strongly, dual, caps.hom_budget)
-                        for kg, fk in pieces_of
+                    whole, *pieces = [
+                        is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+                        else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+                        for n, fn in ((n_grp, f), *pieces_of)
                     ]
                     if whole.is_unknown or any(p.is_unknown for p in pieces):
                         rep.skipped.append(
@@ -538,9 +495,9 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: i
                          "reason": "⊕Fk not fully invariant despite zero Homs"}
                     )
                     continue
-                whole = cached_profile(g, f, caps.hom_budget)
-                pa = cached_profile(a, fa, caps.hom_budget)
-                pb = cached_profile(b, fb, caps.hom_budget)
+                whole = self_split_profile(g, f, caps.hom_budget)
+                pa = self_split_profile(a, fa, caps.hom_budget)
+                pb = self_split_profile(b, fb, caps.hom_budget)
                 if any(v.is_unknown for v in (whole["primal_plain"], pa["primal_plain"], pb["primal_plain"])):
                     rep.skipped.append({"parts": [format_group(a), format_group(b)], "reason": "budget"})
                     continue
@@ -570,8 +527,8 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: i
     # expected failure 1: strong equivalence without the Hom(C) condition
     z2 = group(2)
     g, f = _fi_biproduct([z2, z2], [trivial_subgroup(z2), trivial_subgroup(z2)])
-    parts_strong = cached_profile(z2, trivial_subgroup(z2), caps.hom_budget)["primal_strong"]
-    whole_strong = cached_profile(g, f, caps.hom_budget)["primal_strong"]
+    parts_strong = self_split_profile(z2, trivial_subgroup(z2), caps.hom_budget)["primal_strong"]
+    whole_strong = self_split_profile(g, f, caps.hom_budget)["primal_strong"]
     _expected_failure(
         rep, (parts_strong, whole_strong),
         parts_strong.is_yes and whole_strong.is_no and hom_count(z2, z2) != 1,
@@ -584,7 +541,7 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: i
     f1 = evaluate(ppart(3), m1)
     m2 = group(2)
     g2, f2 = _fi_biproduct([m1, m2], [f1, trivial_subgroup(m2)])
-    v = cached_profile(g2, f2, caps.hom_budget)["primal_plain"]
+    v = self_split_profile(g2, f2, caps.hom_budget)["primal_plain"]
     _expected_failure(
         rep, (v,), v.is_no and hom_count(m1, m2) != 1,
         {"pattern": "(Z/3 x Z/8, 3-part) ⊕ (Z/2, 0)"},
@@ -626,17 +583,13 @@ def check_tdsprerad(
             for n2 in finite[i:]:
                 if count >= sample_limit:
                     break
-                n, injs, _ = biproduct([n1, n2])
-                if n.order > corpus.max_order:
+                if n1.order * n2.order > corpus.max_order:
                     continue
                 count += 1
-                rn = evaluate(r, n)
                 parts_f = [evaluate(r, n1), evaluate(r, n2)]
-                gens = []
-                for inj, fp in zip(injs, parts_f):
-                    for row in fp.canonical:
-                        gens.append(inj(row))
-                if sub_from_gens(n, gens).canonical != rn.canonical:
+                n, sum_f = _fi_biproduct([n1, n2], parts_f)
+                rn = evaluate(r, n)
+                if sum_f.canonical != rn.canonical:
                     rep.failures.append(
                         {"r": r.name, "parts": [format_group(n1), format_group(n2)],
                          "reason": "r(⊕Nk) != ⊕ r(Nk)"}
@@ -653,9 +606,9 @@ def check_tdsprerad(
                                  "reason": "SIP hypothesis unmet", "strongly": strongly}
                             )
                             continue
-                        whole = cached_mf_split(m, n, rn, strongly, False, caps.hom_budget)
-                        p1 = cached_mf_split(m, n1, parts_f[0], strongly, False, caps.hom_budget)
-                        p2 = cached_mf_split(m, n2, parts_f[1], strongly, False, caps.hom_budget)
+                        whole = is_M_F_split(m, n, rn, strongly, caps.hom_budget)
+                        p1 = is_M_F_split(m, n1, parts_f[0], strongly, caps.hom_budget)
+                        p2 = is_M_F_split(m, n2, parts_f[1], strongly, caps.hom_budget)
                         if any(v.is_unknown for v in (whole, p1, p2)):
                             rep.skipped.append(
                                 {"r": r.name, "m": format_group(m), "reason": "budget"}
@@ -680,41 +633,32 @@ def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30)
     criterion rather than asserted to hold outright (a group with a p-rank
     >= 2 complement is never strongly split over it, squarefree or not)."""
     for n in range(1, max_n + 1):
-        mods = [g for g in corpus if g.order and n % (g.exponent or 1) == 0]
         if is_squarefree(n) if n > 1 else True:
-            for m in mods:
-                if not _group_feasible(m, caps, rep):
-                    continue
-                for f in _fi_subgroups(m, caps):
-                    prof = cached_profile(m, f, caps.hom_budget)
-                    if any(prof[k].is_unknown for k in PROFILE_KEYS):
-                        rep.skipped.append(
-                            {"n": n, "group": format_group(m), "reason": "budget"}
-                        )
-                        continue
-                    rep.instances += 1
-                    if not (prof["primal_plain"].is_yes and prof["dual_plain"].is_yes):
-                        rep.failures.append(
-                            {"n": n, "group": format_group(m), "f": str(f),
-                             "primal": prof["primal_plain"].answer,
-                             "dual": prof["dual_plain"].answer}
-                        )
-                    cgrp, _ = quotient(m, f)
-                    fgrp = subgroup_group(f)
-                    want_strong = prof["primal_plain"].is_yes and end_ring_abelian_closed_form(cgrp)
-                    want_dual_strong = prof["dual_plain"].is_yes and end_ring_abelian_closed_form(fgrp)
-                    if prof["primal_strong"].is_yes != want_strong or (
-                        prof["dual_strong"].is_yes != want_dual_strong
-                    ):
-                        rep.failures.append(
-                            {"n": n, "group": format_group(m), "f": str(f),
-                             "reason": "strong flag disagrees with End-ring criterion"}
-                        )
+            mods = [g for g in corpus if g.order and n % (g.exponent or 1) == 0]
+            for m, f, prof in _decided_profiles(mods, caps, rep):
+                rep.instances += 1
+                if not (prof["primal_plain"].is_yes and prof["dual_plain"].is_yes):
+                    rep.failures.append(
+                        {"n": n, "group": format_group(m), "f": str(f),
+                         "primal": prof["primal_plain"].answer,
+                         "dual": prof["dual_plain"].answer}
+                    )
+                cgrp, _ = quotient(m, f)
+                fgrp = subgroup_group(f)
+                want_strong = prof["primal_plain"].is_yes and end_ring_abelian_closed_form(cgrp)
+                want_dual_strong = prof["dual_plain"].is_yes and end_ring_abelian_closed_form(fgrp)
+                if prof["primal_strong"].is_yes != want_strong or (
+                    prof["dual_strong"].is_yes != want_dual_strong
+                ):
+                    rep.failures.append(
+                        {"n": n, "group": format_group(m), "f": str(f),
+                         "reason": "strong flag disagrees with End-ring criterion"}
+                    )
         else:
             # non-squarefree: exhibit an explicit failing (group, F)
             p = next(p for p, e in prime_factors(n).items() if e >= 2)
             bad = group(p * p)
-            v = cached_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
+            v = self_split_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
             if _expected_failure(
                 rep, (v,), v.is_no,
                 {"n": n, "witness_group": format_group(bad)},
@@ -735,9 +679,9 @@ def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
             continue
         rad = evaluate(rad_pr(), m)
         soc = evaluate(soc_pr(), m)
-        prof_rad = cached_profile(m, rad, caps.hom_budget)
-        prof_rick = cached_profile(m, trivial_subgroup(m), caps.hom_budget)
-        prof_soc = cached_profile(m, soc, caps.hom_budget)
+        prof_rad = self_split_profile(m, rad, caps.hom_budget)
+        prof_rick = self_split_profile(m, trivial_subgroup(m), caps.hom_budget)
+        prof_soc = self_split_profile(m, soc, caps.hom_budget)
         if any(
             prof[k].is_unknown
             for prof in (prof_rad, prof_rick, prof_soc)
@@ -850,7 +794,7 @@ def _self_table(g: FgAbGroup, caps: Caps) -> dict[int, dict]:
     subs = _fi_subgroups(g, caps)
     table = {}
     for s in subs:
-        prof = cached_profile(g, s, caps.hom_budget)
+        prof = self_split_profile(g, s, caps.hom_budget)
         tprof = self_split_profile_theorem(g, s, caps)
         for k in PROFILE_KEYS:
             if not prof[k].is_unknown and prof[k].answer != tprof[k].answer:

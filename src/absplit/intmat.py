@@ -9,6 +9,7 @@ morphism constructions in the rest of the package.
 from __future__ import annotations
 
 import bisect
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -565,9 +566,16 @@ def prime_factors(n: int) -> dict[int, int]:
     split by Pollard rho, and its pieces tested by Miller–Rabin, exact below
     ψ₁₃ ≈ 3.3·10^24.  Above that a strong Lucas test is added (Baillie–PSW),
     which has no known counterexample but is not proven: a piece above
-    3.3·10^24 reported prime is a probable prime."""
+    3.3·10^24 reported prime is a probable prime.  Each n is factored once
+    per process (the memo is bounded); every call returns a new dict."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
+    return dict(_factorization(n))
+
+
+@lru_cache(maxsize=1024)
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """((prime, exponent), ...) of n >= 1, primes ascending."""
     out: dict[int, int] = {}
     d = 2
     while d < _TRIAL_BOUND and d * d <= n:
@@ -584,7 +592,7 @@ def prime_factors(n: int) -> dict[int, int]:
         else:
             f = _rho_factor(k)
             pending += [f, k // f]
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def squarefree_radical(n: int) -> int:

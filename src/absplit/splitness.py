@@ -254,9 +254,10 @@ class GroupAnalysis:
         self._props: dict[Matrix, SubProps] = {}
         self._all_subgroups: Optional[list[Subgroup]] = None
         self._end_ring: Optional[EndRingView] = None
-        # _sweep outcome lists with this group quantified over, by (the other
-        # group's factors, F, side); the budget only gates the sweep
-        self._sweeps: dict[tuple, list[tuple[SubProps, int, Morphism]]] = {}
+        # (|Hom|, plain verdict, strong verdict) of each sweep with this group
+        # quantified over, by (the other group's factors, F, side); the budget
+        # only gates the sweep, so a refusal is never kept
+        self._sweeps: dict[tuple, tuple[int, SplitVerdict, SplitVerdict]] = {}
 
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
@@ -308,6 +309,12 @@ def _compose_rows(left: Matrix, right: Matrix, out_factors: tuple[int, ...]) -> 
             row.append(acc % d if d else acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _reached(g: Morphism, f_sub: Subgroup, dual: bool) -> Subgroup:
+    """The subgroup of M that g reaches: g(F) for g: N -> M (dual), or the
+    kernel g^-1(F) of M -> N -> N/F (primal)."""
+    return map_subgroup(g, f_sub) if dual else preimage_subgroup(g, f_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +479,6 @@ def _sweep_verdict(
     )
 
 
-def _hom_refusal(src: FgAbGroup, dst: FgAbGroup, budget: int, name: str) -> Optional[str]:
-    """Why brute force cannot sweep Hom(src, dst), or None when it can."""
-    total = hom_count(src, dst)
-    if total is None:
-        return f"Hom({name}) is infinite"
-    if total > budget:
-        return f"|Hom({name})| = {total} exceeds budget {budget}"
-    return None
-
-
 def _brute_sweep(
     m: FgAbGroup,
     n: FgAbGroup,
@@ -491,19 +488,35 @@ def _brute_sweep(
     budget: int,
     name: Optional[str] = None,
 ) -> SplitVerdict:
-    """The verdict from the sweep of (M, N, F, side), which runs once and is
-    kept on M's analysis, so the plain and the strong predicate read one
-    outcome list."""
+    """The verdict from the sweep of (M, N, F, side).  The sweep runs once,
+    and both of its verdicts are kept on M's analysis, so the plain and the
+    strong predicate, and every later call, read one entry.  F is checked
+    in full when no entry is kept; otherwise only its ambient is, since an F
+    of Z/4 can share its canonical matrix with an F of Z/2."""
     src, dst = (n, m) if dual else (m, n)
-    reason = _hom_refusal(src, dst, budget, name or f"{src}, {dst}")
-    if reason is not None:
-        return _verdict_unknown(reason, strongly, dual, m, n, f_sub)
     kept = analysis_for(m)._sweeps
     key = (n.factors, f_sub.canonical, dual)
-    outcomes = kept.get(key)
-    if outcomes is None:
-        outcomes = kept[key] = _sweep(src, dst, f_sub, dual)
-    return _sweep_verdict(outcomes, strongly, dual, m, n, f_sub)
+    entry = kept.get(key)
+    if entry is not None and f_sub.ambient.factors == n.factors:
+        total = entry[0]
+    else:
+        _require_fi(n, f_sub)
+        total = hom_count(src, dst)
+        if total is not None and total <= budget:
+            outcomes = _sweep(src, dst, f_sub, dual)
+            entry = kept[key] = (
+                total,
+                _sweep_verdict(outcomes, False, dual, m, n, f_sub),
+                _sweep_verdict(outcomes, True, dual, m, n, f_sub),
+            )
+    if total is None or total > budget:
+        name = name or f"{src}, {dst}"
+        reason = (
+            f"Hom({name}) is infinite" if total is None
+            else f"|Hom({name})| = {total} exceeds budget {budget}"
+        )
+        return _verdict_unknown(reason, strongly, dual, m, n, f_sub)
+    return entry[1 + strongly]
 
 
 def is_M_F_split(
@@ -515,7 +528,6 @@ def is_M_F_split(
 ) -> SplitVerdict:
     """Brute force: for every g: M -> N, must ker((N->N/F)∘g) be a (fully
     invariant) direct summand of M."""
-    _require_fi(n, f_sub)
     return _brute_sweep(m, n, f_sub, strongly, False, budget)
 
 
@@ -528,7 +540,6 @@ def is_dual_M_F_split(
 ) -> SplitVerdict:
     """Brute force: for every g: N -> M, must coker(g∘i) be a (fully
     coinvariant) retraction — i.e. g(F) a (fully invariant) summand of M."""
-    _require_fi(n, f_sub)
     return _brute_sweep(m, n, f_sub, strongly, True, budget)
 
 
@@ -555,7 +566,6 @@ def self_split_profile(
 ) -> dict[str, SplitVerdict]:
     """All four self predicates for (M, F): one primal and one dual sweep
     over End(M), each deciding its plain and strong predicate."""
-    _require_fi(m, f_sub)
     return {
         _profile_key(strongly, dual): _brute_sweep(m, m, f_sub, strongly, dual, budget, "M, M")
         for dual, strongly in _PROFILE_SIDES
@@ -588,18 +598,19 @@ def _bad_prime(m: FgAbGroup) -> int:
     raise ValueError("group is semisimple; no witness prime")
 
 
-def structural_self_rickart(c: FgAbGroup) -> tuple[bool, Optional[Morphism]]:
-    """(decision, witness endo with non-summand kernel when negative)."""
-    if c.is_trivial or c.is_free:
+def structural_self_rickart(
+    c: FgAbGroup, dual: bool = False
+) -> tuple[bool, Optional[Morphism]]:
+    """(decision, witness endo with a non-summand kernel, or image when dual,
+    when negative)."""
+    if c.is_trivial or (c.is_free and not dual) or (c.is_finite and c.is_semisimple):
         return True, None
-    if c.is_finite:
-        if c.is_semisimple:
-            return True, None
-        p = _bad_prime(c)
+    if c.is_finite or dual:
+        p = _bad_prime(c) if c.is_finite else 2
         return False, morphism(
             c, c, [[p if i == j else 0 for j in range(c.ngens)] for i in range(c.ngens)]
         )
-    # mixed: send a free generator onto a torsion generator
+    # mixed, primal: send a free generator onto a torsion generator
     free_j = next(j for j, d in enumerate(c.factors) if d == 0)
     tor_i = max(i for i, d in enumerate(c.factors) if d > 0)
     rows = [
@@ -607,21 +618,6 @@ def structural_self_rickart(c: FgAbGroup) -> tuple[bool, Optional[Morphism]]:
         for i in range(c.ngens)
     ]
     return False, morphism(c, c, rows)
-
-
-def structural_dual_self_rickart(c: FgAbGroup) -> tuple[bool, Optional[Morphism]]:
-    """(decision, witness endo with non-summand image when negative)."""
-    if c.is_trivial:
-        return True, None
-    if c.is_finite:
-        if c.is_semisimple:
-            return True, None
-        p = _bad_prime(c)
-    else:
-        p = 2
-    return False, morphism(
-        c, c, [[p if i == j else 0 for j in range(c.ngens)] for i in range(c.ngens)]
-    )
 
 
 def structural_strong_rickart_witness(c: FgAbGroup) -> Optional[Morphism]:
@@ -967,19 +963,18 @@ def _self_F_split_theorem(
     if dual:
         inc = inclusion(f_sub)
         factor = inc.dom
-        plain_ok, wit = structural_dual_self_rickart(factor)
         noun, rickart, part = "kernel object", "dual self-Rickart", "image"
     else:
         factor, q = quotient(m, f_sub)
-        plain_ok, wit = structural_self_rickart(factor)
         noun, rickart, part = "complement", "self-Rickart", "kernel"
+    plain_ok, wit = structural_self_rickart(factor, dual)
 
     def lifted(w, kind):
         if dual:
             g = compose(inc, compose(w, fprops.retraction))
-            return verdict(NO, g, map_subgroup(g, f_sub), kind)
-        g = compose(retraction_witness(q), compose(w, q))
-        return verdict(NO, g, preimage_subgroup(g, f_sub), kind)
+        else:
+            g = compose(retraction_witness(q), compose(w, q))
+        return verdict(NO, g, _reached(g, f_sub, dual), kind)
 
     if not plain_ok:
         trace.append(f"{noun} {factor} is not {rickart}")
@@ -1023,10 +1018,10 @@ def self_split_profile_theorem(
     m: FgAbGroup, f_sub: Subgroup, caps: Caps = Caps()
 ) -> dict[str, SplitVerdict]:
     return {
-        "primal_plain": is_self_F_split_theorem(m, f_sub, False, caps),
-        "primal_strong": is_self_F_split_theorem(m, f_sub, True, caps),
-        "dual_plain": is_dual_self_F_split_theorem(m, f_sub, False, caps),
-        "dual_strong": is_dual_self_F_split_theorem(m, f_sub, True, caps),
+        _profile_key(strongly, dual): (
+            is_dual_self_F_split_theorem if dual else is_self_F_split_theorem
+        )(m, f_sub, strongly, caps)
+        for dual, strongly in _PROFILE_SIDES
     }
 
 
@@ -1116,10 +1111,7 @@ def reverify(verdict: SplitVerdict) -> bool:
         ce = verdict.counterexample
         if ce is None:
             return False
-        if verdict.dual:
-            sub = map_subgroup(ce.g, f_sub)
-        else:
-            sub = preimage_subgroup(ce.g, f_sub)
+        sub = _reached(ce.g, f_sub, verdict.dual)
         if sub.canonical != ce.subgroup.canonical:
             return False
         if ce.kind == "not_summand":
@@ -1141,12 +1133,7 @@ def reverify(verdict: SplitVerdict) -> bool:
         total = hom_count(src, dst)
         if total is not None and total <= DEFAULT_HOM_BUDGET:
             for g in iter_hom(src, dst):
-                sub = (
-                    map_subgroup(g, f_sub)
-                    if verdict.dual
-                    else preimage_subgroup(g, f_sub)
-                )
-                if sub.canonical not in certified:
+                if _reached(g, f_sub, verdict.dual).canonical not in certified:
                     return False
         return True
     # theorem-mode Yes: recheck the two reduction legs
@@ -1154,10 +1141,9 @@ def reverify(verdict: SplitVerdict) -> bool:
         return False
     if verdict.dual:
         comp = inclusion(f_sub).dom
-        ok, _ = structural_dual_self_rickart(comp)
     else:
         comp, _q = quotient(verdict.carrier, f_sub)
-        ok, _ = structural_self_rickart(comp)
+    ok, _ = structural_self_rickart(comp, verdict.dual)
     if not ok:
         return False
     if verdict.strongly:

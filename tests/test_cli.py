@@ -45,6 +45,28 @@ def test_classify_infinite_theorem_mode(capsys):
     assert all(r["deciding_mode"] == "theorem" for r in doc["rows"])
 
 
+def test_classify_factors_each_number_once(capsys, monkeypatch):
+    # one classify of Z/ψ₁₃ asks for the factors of ψ₁₃ ten times; Pollard
+    # rho, the costly part, must split it once
+    from absplit import intmat
+
+    psi13 = 3317044064679887385961981
+    intmat._factorization.cache_clear()
+    split = []
+    real = intmat._rho_factor
+    monkeypatch.setattr(intmat, "_rho_factor", lambda k: split.append(k) or real(k))
+    code, out, _ = run_cli(capsys, "classify", str(psi13), "--json")
+    assert code == 0 and json.loads(out)["rows"]
+    info = intmat._factorization.cache_info()
+    # nothing evicted, so every miss is a distinct n factored once
+    assert info.misses == info.currsize and info.hits >= 9
+    assert split.count(psi13) == 1
+    # callers get their own dict
+    got = intmat.prime_factors(psi13)
+    got.clear()
+    assert intmat.prime_factors(psi13) == {1287836182261: 1, 2575672364521: 1}
+
+
 def test_classify_parse_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "classify", "Z/1 x Z/4")
     assert code == 2

@@ -159,6 +159,34 @@ def test_check_socrad_small():
     assert rep.passed and rep.instances > 50
 
 
+class _TickingClock:
+    """Stands in for the time module: each read is one second later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def time(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("name", ["tkey", "trel", "tendab", "csip", "semis"])
+def test_per_group_timeout_guards_every_profile_check(monkeypatch, name):
+    # each check that walks (M, F) through the shared loop honours --timeout:
+    # with reads one second apart and a 1.5 s guard, the first F of a group
+    # is decided and the next one is skipped
+    from absplit import harness
+
+    corpus = enumerate_groups(8)
+    monkeypatch.setattr(harness, "time", _TickingClock())
+    rep = CHECKS[name](corpus, Caps(per_group_timeout_s=1.5))
+    timed_out = [s for s in rep.skipped if s["reason"] == "per-group timeout"]
+    assert timed_out and all(set(s) == {"group", "f", "reason"} for s in timed_out)
+    assert rep.passed and rep.instances > 0
+    rep = CHECKS[name](corpus, Caps())  # 0, the default, turns the guard off
+    assert not any(s["reason"] == "per-group timeout" for s in rep.skipped)
+
+
 def test_run_verification_unknown_id():
     with pytest.raises(KeyError):
         run_verification(6, ["nope"])

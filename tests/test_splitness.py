@@ -39,7 +39,6 @@ from absplit.splitness import (
     self_split_profile,
     self_split_profile_theorem,
     strongly_no_witness_search,
-    structural_dual_self_rickart,
     structural_self_rickart,
 )
 from absplit import splitness
@@ -154,21 +153,19 @@ def test_finite_rickart_iff_semisimple():
 
 
 def test_structural_matches_brute_on_corpus():
+    from absplit.subgroups import image_subgroup, kernel_subgroup, summand_witness
+
     for m in enumerate_groups(24):
         if hom_count(m, m) > 10**5:
             continue
-        ok, wit = structural_self_rickart(m)
-        assert ok == is_self_rickart(m).is_yes, m.factors
-        if not ok:
-            from absplit.subgroups import kernel_subgroup, summand_witness
-
-            assert summand_witness(kernel_subgroup(wit)) is None
-        ok_d, wit_d = structural_dual_self_rickart(m)
-        assert ok_d == is_dual_self_rickart(m).is_yes, m.factors
-        if not ok_d:
-            from absplit.subgroups import image_subgroup, summand_witness
-
-            assert summand_witness(image_subgroup(wit_d)) is None
+        for dual, brute, reached in (
+            (False, is_self_rickart, kernel_subgroup),
+            (True, is_dual_self_rickart, image_subgroup),
+        ):
+            ok, wit = structural_self_rickart(m, dual)
+            assert ok == brute(m).is_yes, (m.factors, dual)
+            if not ok:
+                assert summand_witness(reached(wit)) is None
 
 
 def test_structural_infinite_witnesses():
@@ -178,13 +175,11 @@ def test_structural_infinite_witnesses():
 
     for factors in [(0,), (0, 0), (2, 0), (4, 0, 0), (6, 12, 0)]:
         m = group(*factors)
-        ok, wit = structural_self_rickart(m)
-        assert ok == m.is_free
-        if wit is not None:
-            assert summand_witness(kernel_subgroup(wit)) is None
-        ok_d, wit_d = structural_dual_self_rickart(m)
-        assert not ok_d
-        assert summand_witness(image_subgroup(wit_d)) is None
+        for dual, reached in ((False, kernel_subgroup), (True, image_subgroup)):
+            ok, wit = structural_self_rickart(m, dual)
+            assert ok == (m.is_free and not dual)
+            if not ok:
+                assert summand_witness(reached(wit)) is None
 
 
 def test_end_ring_abelian_closed_form_matches_enumeration():
@@ -791,8 +786,6 @@ def test_verify_sweeps_each_argument_once(monkeypatch):
     from absplit import harness
 
     monkeypatch.setattr(splitness, "_ANALYSES", {})
-    monkeypatch.setattr(harness, "_PROFILE_CACHE", {})
-    monkeypatch.setattr(harness, "_MF_CACHE", {})
     sweeps = _counting(monkeypatch, splitness, "_sweep")
     assert harness.run_verification(24)["passed"]
     keys = [(src.factors, dst.factors, f.canonical, dual) for src, dst, f, dual in sweeps]
@@ -827,12 +820,49 @@ def test_sweep_evaluators_match_direct_computation():
             assert d_props.is_summand == (summand_witness(want_d) is not None)
 
 
+def test_kept_verdict_still_checks_its_arguments(monkeypatch):
+    # the memo of brute-force verdicts keys on F's canonical matrix: a kept
+    # entry must not let a wrong F through
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    m = group(2, 4)
+    fi = sub_from_gens(m, [(0, 2)])
+    assert is_fully_invariant(fi)
+    kept = is_M_F_split(m, m, fi)
+    assert is_M_F_split(m, m, fi) is kept
+    assert self_split_profile(m, fi)["primal_plain"] is kept
+    assert self_split_profile(m, fi)["dual_strong"] is is_dual_M_F_split(m, m, fi, True)
+    not_fi = sub_from_gens(m, [(1, 0)])
+    for decide in (
+        lambda: is_M_F_split(m, m, not_fi),
+        lambda: is_dual_M_F_split(m, m, not_fi, True),
+        lambda: self_split_profile(m, not_fi),
+    ):
+        with pytest.raises(FullyInvariantError):
+            decide()
+    # <2> of Z/4 has the canonical matrix of 0 in Z/2, whose verdict is kept
+    z2, z4 = group(2), group(4)
+    assert is_M_F_split(z2, z2, trivial_subgroup(z2)).is_yes
+    assert self_split_profile(z2, trivial_subgroup(z2))["dual_plain"].is_yes
+    two = sub_from_gens(z4, [(2,)])
+    assert two.canonical == trivial_subgroup(z2).canonical
+    for decide in (
+        lambda: is_M_F_split(z2, z2, two),
+        lambda: is_dual_M_F_split(z2, z2, two),
+        lambda: self_split_profile(z2, two),
+    ):
+        with pytest.raises(ValueError, match="carrier"):
+            decide()
+
+
 def test_profile_budget_respected():
     m = group(4, 2)  # |End| = 32
     prof = self_split_profile(m, trivial_subgroup(m), budget=31)
     assert all(v.is_unknown and "exceeds budget" in v.reason for v in prof.values())
     prof2 = self_split_profile(m, trivial_subgroup(m), budget=32)
     assert not any(v.is_unknown for v in prof2.values())
+    # a kept verdict is still refused to a caller with a smaller budget
+    prof3 = self_split_profile(m, trivial_subgroup(m), budget=31)
+    assert all(v.is_unknown and "exceeds budget" in v.reason for v in prof3.values())
 
 
 # --- verdict plumbing ------------------------------------------------------------------------------
