@@ -380,12 +380,10 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
 
 
 @_check("tds")
-def check_tds(
-    rep: TheoremReport, corpus: Corpus, caps: Caps, m_samples: Optional[Sequence[FgAbGroup]] = None
-) -> None:
+def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
-    with (F+Nk)/Nk."""
+    with (F+Nk)/Nk.  M runs over N itself and Z/6."""
 
     # a summand Nk lies in many decompositions: each piece is built once
     # per (Nk, F) in this call
@@ -408,10 +406,7 @@ def check_tds(
         if not _group_feasible(n_grp, caps, rep):
             continue
         decomps = _decompositions(n_grp, caps)
-        if m_samples is not None:
-            samples = list(m_samples)
-        else:
-            samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
+        samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
         for f in _fi_subgroups(n_grp, caps):
             for x, y in decomps:
                 parts = [piece(part, f) for part in (x, y)]
@@ -470,8 +465,12 @@ def _fi_biproduct(parts: Sequence[FgAbGroup], f_parts: Sequence[Subgroup]):
     return g, sub_from_gens(g, gens)
 
 
+# thomzero checks at most this many coprime pairs (A, B)
+_THOMZERO_PAIRS = 40
+
+
 @_check("thomzero")
-def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: int = 40) -> None:
+def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Families with pairwise-zero Homs: the biproduct is self-(⊕Fk)-split
     iff every part is self-Fk-split; the strong version holds iff every part
     is strongly split and Hom(Ck, Cl) = 0 for k != l.  Counterexample
@@ -482,7 +481,7 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: i
         for b in finite[i:]:
             if gcd(a.order, b.order) == 1 and a.order * b.order <= corpus.max_order:
                 pairs.append((a, b))
-    pairs = pairs[:pair_limit]
+    pairs = pairs[:_THOMZERO_PAIRS]
     for a, b in pairs:
         fa_list = _fi_subgroups(a, caps)
         fb_list = _fi_subgroups(b, caps)
@@ -562,13 +561,17 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps, pair_limit: i
     )
 
 
+# tdsprerad checks at most this many pairs (N1, N2), a count shared by all
+# its preradicals
+_TDSPRERAD_SAMPLES = 24
+
+
 @_check("tdsprerad")
 def check_tdsprerad(
     rep: TheoremReport,
     corpus: Corpus,
     caps: Caps,
     rads: Optional[Sequence[Preradical]] = None,
-    sample_limit: int = 24,
 ) -> None:
     """For preradicals r and M with SIP for (fully invariant) summands over
     r(M): N1 ⊕ N2 is (strongly) M-r(N1⊕N2)-split iff each Nk is (strongly)
@@ -581,7 +584,7 @@ def check_tdsprerad(
     for r in rads:
         for i, n1 in enumerate(finite):
             for n2 in finite[i:]:
-                if count >= sample_limit:
+                if count >= _TDSPRERAD_SAMPLES:
                     break
                 if n1.order * n2.order > corpus.max_order:
                     continue

@@ -432,17 +432,6 @@ def row_lattice_contains(basis: Matrix, vec: Sequence[int]) -> bool:
     return not any(row_lattice_reduce(basis, vec))
 
 
-def lattice_index(basis: Matrix, width: int) -> Optional[int]:
-    """Index of the row lattice in Z^width; None when not full rank."""
-    if len(basis) < width:
-        return None
-    result = 1
-    for row in basis:
-        j = next(c for c in range(len(row)) if row[c])
-        result *= row[j]
-    return abs(result)
-
-
 # trial division covers the factors below this bound; the cofactor goes to
 # Miller–Rabin and Pollard rho
 _TRIAL_BOUND = 50

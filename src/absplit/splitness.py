@@ -435,7 +435,7 @@ def _sweep(
     for lat, (count, parts) in states.items():
         if dual:
             canonical = tuple(row + (0,) * m.rank for row in lat)
-            sub = Subgroup(m, freeze(zip(*canonical)), canonical)
+            sub = Subgroup(m, canonical)
             rows = tuple(tuple(col[r] for col in parts) for r in range(m.ngens))
         else:
             chars = [
@@ -1123,7 +1123,7 @@ def reverify(verdict: SplitVerdict) -> bool:
         certified = {w[0] for w in verdict.witnesses}
         for w in verdict.witnesses:
             canonical, sample_g, witness, _count = w
-            sub = Subgroup(verdict.source, (), canonical)
+            sub = Subgroup(verdict.source, canonical)
             inc = inclusion(sub)
             if compose(witness, inc) != identity_hom(inc.dom):
                 return False

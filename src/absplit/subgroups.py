@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .intmat import (
@@ -20,7 +21,6 @@ from .intmat import (
     hnf_rows,
     hstack,
     identity,
-    lattice_index,
     mat_mul,
     prime_factors,
     row_lattice_contains,
@@ -57,16 +57,14 @@ class FullyInvariantError(ValueError):
 
 
 class Subgroup:
-    """A subgroup of ambient: gens are the generator columns as given,
-    canonical the canonical Hermite rows of the generated lattice.  Equality
-    and hash read ambient and canonical only."""
+    """A subgroup of ambient, held as the canonical Hermite rows of its
+    lattice (the generators together with the ambient relations)."""
 
-    __slots__ = ("ambient", "gens", "canonical")
+    __slots__ = ("ambient", "canonical")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, ambient: FgAbGroup, gens: Matrix, canonical: Matrix):
+    def __init__(self, ambient: FgAbGroup, canonical: Matrix):
         _store(self, "ambient", ambient)
-        _store(self, "gens", gens)
         _store(self, "canonical", canonical)
 
     def __eq__(self, other):
@@ -94,8 +92,14 @@ class Subgroup:
 
     @property
     def order(self) -> Optional[int]:
-        """Number of elements, None when infinite."""
-        return _subgroup_order(self.ambient.factors, self.canonical)
+        """Number of elements, None when infinite.  The lattice L holds the
+        relations R of the t finite factors, which come first, so S = L/R is
+        finite exactly when L has rank t; then row i pivots in column i and
+        |S| = [L : R] = prod(d) / prod(pivots)."""
+        torsion = self.ambient.torsion_factors
+        if len(self.canonical) > len(torsion):
+            return None
+        return prod(torsion) // prod(r[i] for i, r in enumerate(self.canonical))
 
     def __str__(self) -> str:
         gens = [tuple(self.ambient.reduce(r)) for r in self.canonical]
@@ -114,38 +118,35 @@ def _seeded_block(
     k: int,
     start: Optional[Sequence[Sequence[int]]] = None,
 ) -> Matrix:
-    """Rows and columns k.. of the Hermite basis of the rows over diag(factors),
-    or over the start basis when one is given (see SeededHnf).
-
-    Every factor is positive, so the basis is upper triangular with one row
-    per column, and its rows from k on are exactly the basis vectors with
-    zero in the first k coordinates: the block is the canonical basis of
-    {x : (0, x) in the lattice}."""
-    basis = _seeded(factors).canonical(rows, start)
-    return tuple(r[k:] for r in basis[k:])
+    """Columns k.. of the basis rows with zero in the first k coordinates, in
+    the Hermite basis of the rows over the relations diag(factors), or over
+    the start rows when given: the canonical basis of {x : (0, x) in the
+    lattice}.  The only place that picks the engine: SeededHnf when every
+    factor is positive (the start is then a triangular basis), else hnf_rows
+    over the same seed or start rows."""
+    if all(factors):
+        basis = _seeded(factors).canonical(rows, start)
+    else:
+        seed = _diag_after(0, factors) if start is None else list(start)
+        basis = hnf_rows(seed + list(rows), len(factors))
+    return tuple(r[k:] for r in basis if not any(r[:k]))
 
 
 def _diag_after(k: int, factors: Sequence[int]) -> list[tuple[int, ...]]:
-    """The rows (0, d_i e_i), with k leading zeros: the relations of a second
-    block, which complete a start basis for a two-block lattice."""
+    """The rows (0, d_i e_i) for d_i > 0, with k leading zeros: the relations
+    of a second block, which complete a start basis for a two-block lattice."""
     n = len(factors)
-    return [(0,) * (k + i) + (d,) + (0,) * (n - i - 1) for i, d in enumerate(factors)]
+    return [(0,) * (k + i) + (d,) + (0,) * (n - i - 1) for i, d in enumerate(factors) if d]
 
 
 def sub_from_gens(ambient: FgAbGroup, gens: Iterable[Sequence[int]]) -> Subgroup:
-    """The subgroup generated by the given vectors.  On a finite ambient its
-    lattice contains diag(d), so one seeded Hermite pass gives the form."""
+    """The subgroup generated by the given vectors: one Hermite pass over the
+    generators and the relations."""
     gen_list = [tuple(v) for v in gens]
     for v in gen_list:
         if len(v) != ambient.ngens:
             raise ObjectMismatchError("generator has wrong coordinate count")
-    if ambient.is_finite:
-        canon = _seeded_block(ambient.factors, gen_list, 0)
-    else:
-        rel = list(zip(*_diag_columns(ambient.factors)))
-        canon = hnf_rows(gen_list + rel, ambient.ngens)
-    cols = freeze(zip(*gen_list)) if gen_list else freeze([[] for _ in range(ambient.ngens)])
-    return Subgroup(ambient, cols, canon)
+    return Subgroup(ambient, _seeded_block(ambient.factors, gen_list, 0))
 
 
 def trivial_subgroup(ambient: FgAbGroup) -> Subgroup:
@@ -161,23 +162,6 @@ def sub_equal(s: Subgroup, t: Subgroup) -> bool:
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
     return s.canonical == t.canonical
-
-
-def _subgroup_order(factors: tuple[int, ...], canonical: Matrix) -> Optional[int]:
-    n = len(factors)
-    rel_index = 1
-    for d in factors:
-        if d == 0:
-            rel_index = None
-            break
-        rel_index *= d
-    idx = lattice_index(canonical, n)
-    if rel_index is not None:
-        # |S| = [lattice : relations] = |M| / [Z^n : lattice]
-        return rel_index // idx if idx else None
-    # infinite ambient: finite iff lattice/relations has no free part
-    grp = subgroup_group(Subgroup(FgAbGroup(factors), (), canonical))
-    return grp.order
 
 
 # ---------------------------------------------------------------------------
@@ -251,43 +235,30 @@ def image_subgroup(f: Morphism) -> Subgroup:
 
 
 def _seeded_preimage(f: Morphism, top: Sequence[Sequence[int]]) -> Subgroup:
-    """f^{-1}(T) on finite groups, for T with the canonical (n×n Hermite)
-    basis top.  The rows (col_j(f), e_j) and (h, 0), h in top, span the
-    pairs (f(x) + t, x) with t in T; those with first part zero are the
-    (0, x) with x in f^{-1}(T), the block after ngens(cod) columns.  The
-    rows (h, 0) and (0, d_i e_i) are already a triangular basis, so the pass
-    starts from them and inserts the graph rows."""
+    """f^{-1}(T), for T with the canonical basis top.  The rows
+    (col_j(f), e_j) and (h, 0), h in top, span the pairs (f(x) + t, x) with t
+    in T; those with first part zero are the (0, x) with x in f^{-1}(T), the
+    block after ngens(cod) columns.  On finite groups the rows (h, 0) and
+    (0, d_i e_i) are already a triangular basis, so the pass starts from them
+    and inserts the graph rows."""
     m, n = f.dom.ngens, f.cod.ngens
     graph = [
         col + tuple(int(i == j) for i in range(m))
         for j, col in enumerate(zip(*f.rows) if f.rows else [()] * m)
     ]
     start = [h + (0,) * m for h in top] + _diag_after(n, f.dom.factors)
-    canon = _seeded_block(f.cod.factors + f.dom.factors, graph, n, start)
-    return Subgroup(f.dom, tuple(zip(*canon)), canon)
+    return Subgroup(f.dom, _seeded_block(f.cod.factors + f.dom.factors, graph, n, start))
 
 
 def preimage_subgroup(f: Morphism, t: Subgroup) -> Subgroup:
     """f^{-1}(T) as a subgroup of dom(f)."""
     if t.ambient != f.cod:
         raise ObjectMismatchError("subgroup does not live in cod(f)")
-    if f.dom.is_finite and f.cod.is_finite:
-        return _seeded_preimage(f, t.canonical)
-    m, n = f.dom.ngens, f.cod.ngens
-    w = freeze(zip(*t.canonical)) if t.canonical else freeze([[] for _ in range(n)])
-    r = len(t.canonical)
-    sys_rows = [list(f.rows[i]) + [-w[i][k] for k in range(r)] for i in range(n)]
-    lat = solution_lattice(freeze(sys_rows), f.cod.factors, ncols=m + r)
-    gens = [[lat[i][j] for j in range(len(lat[0]))] for i in range(m)] if lat and lat[0] else []
-    return sub_from_gens(f.dom, list(zip(*gens)) if gens else [])
+    return _seeded_preimage(f, t.canonical)
 
 
 def kernel_subgroup(f: Morphism) -> Subgroup:
-    if f.dom.is_finite and f.cod.is_finite:
-        return _seeded_preimage(f, _diag_after(0, f.cod.factors))
-    lat = solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens)
-    cols = list(zip(*lat)) if lat and lat[0] else []
-    return sub_from_gens(f.dom, cols)
+    return _seeded_preimage(f, _diag_after(0, f.cod.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +271,23 @@ def intersect(s: Subgroup, t: Subgroup) -> Subgroup:
     The rows (v, v) for v in S.canonical and (w, 0) for w in T.canonical
     span the pairs (a·S + b·T, a·S).  Those with first half zero are exactly
     the (0, x) with x = a·S = −b·T in S ∩ T, and a Hermite basis lists a
-    basis of them last.  On a finite ambient both halves hold diag(d), so
-    that block is already the canonical form; there the rows (v, v) and
-    (0, d_i e_i) are a triangular basis to start from, and T's rows are
-    inserted into it."""
+    basis of them last.  Both lattices hold the relations, so that block is
+    already the canonical form.  The pass starts from the rows (v, v) and
+    (0, d_i e_i), a triangular basis on a finite ambient, and inserts T's
+    rows."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
     n = s.ambient.ngens
+    start = [r + r for r in s.canonical] + _diag_after(n, s.ambient.factors)
     tops = [r + (0,) * n for r in t.canonical]
-    if s.ambient.is_finite:
-        start = [r + r for r in s.canonical] + _diag_after(n, s.ambient.factors)
-        canon = _seeded_block(s.ambient.factors * 2, tops, n, start)
-        return Subgroup(s.ambient, tuple(zip(*canon)), canon)
-    rows = [r + r for r in s.canonical] + tops
-    gens = [r[n:] for r in hnf_rows(rows, 2 * n) if not any(r[:n])]
-    return sub_from_gens(s.ambient, gens)
+    return Subgroup(s.ambient, _seeded_block(s.ambient.factors * 2, tops, n, start))
 
 
 def sum_sub(s: Subgroup, t: Subgroup) -> Subgroup:
-    """S + T via the juxtaposed generator matrix; on a finite ambient, one
-    seeded pass that starts from S's canonical basis and inserts T's."""
+    """S + T: one pass that starts from S's canonical basis and inserts T's."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
-    if s.ambient.is_finite:
-        canon = _seeded_block(s.ambient.factors, t.canonical, 0, s.canonical)
-        return Subgroup(s.ambient, freeze(zip(*(s.canonical + t.canonical))), canon)
-    return sub_from_gens(s.ambient, list(s.canonical) + list(t.canonical))
+    return Subgroup(s.ambient, _seeded_block(s.ambient.factors, t.canonical, 0, s.canonical))
 
 
 def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
@@ -371,7 +333,7 @@ def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
                     extend(i - 1, ((0,) * i + (h,) + t,) + below)
 
     extend(len(factors) - 1, ())
-    subs = [Subgroup(m, freeze(zip(*h)), h) for h in forms]
+    subs = [Subgroup(m, h) for h in forms]
     return sorted(subs, key=lambda s: (s.order, s.canonical))
 
 

@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 
 from absplit.groups import (
+    add_hom,
     biproduct,
     compose,
     group,
@@ -69,18 +70,21 @@ def test_sub_from_gens_examples():
 
 def test_subgroup_equality_follows_the_canonical_form():
     # == and hash go by (ambient, canonical), as sub_equal does; the
-    # generators a subgroup was built from do not count
+    # generators a subgroup was built from are not kept
     a, b = sub_from_gens(Z4, [(1,)]), sub_from_gens(Z4, [(3,)])
-    assert a.gens != b.gens and sub_equal(a, b)
+    assert sub_equal(a, b) and Subgroup.__slots__ == ("ambient", "canonical")
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != sub_from_gens(Z4, [(2,)])
     z2, z4 = full_subgroup(group(2)), full_subgroup(group(4))
     assert z2.canonical == z4.canonical and z2 != z4  # the ambient counts
+    c = sub_from_gens(Z4, [(2,)])
     with pytest.raises(AttributeError):
-        a.gens = b.gens
+        a.canonical = c.canonical
     with pytest.raises(AttributeError):
-        a.canonical = ()
-    assert a.gens != b.gens and a.canonical == b.canonical
+        del a.canonical
+    with pytest.raises(AttributeError):
+        a.ambient = V4
+    assert a.canonical == b.canonical != c.canonical and a.ambient == Z4
 
 
 def test_canonical_independent_of_generators():
@@ -196,11 +200,13 @@ def test_intersect_lattice_infinite_ambient():
                 assert inter.contains(x) == (s.contains(x) and t.contains(x))
 
 
-# --- the seeded Hermite path on finite ambients ---------------------------------
+# --- one set of rows per operation, on every ambient ----------------------------
 #
-# Test-local copies of the general routines (hnf_rows over the relation rows,
-# the hnf_rows Zassenhaus, the SNF preimage and kernel), which finite
-# ambients no longer take; the seeded path must give the same canonical forms.
+# Test-local copies of the earlier general routines (hnf_rows over the
+# relation rows, the hnf_rows Zassenhaus, the SNF preimage and kernel), which
+# no ambient takes any more; the seeded pass on finite ambients and the
+# hnf_rows pass over the same rows on mixed ones must give the same
+# canonical forms.
 
 
 def _general_sub(ambient, gens):
@@ -272,6 +278,80 @@ def test_seeded_preimages_and_kernels_match_the_general_path_to_order_16():
                     assert pre.canonical == _general_preimage(f, t), (m, n, f, t)
                     want = {x for x, y in images if y in t_members}
                     assert want == {x for x in m_elems if pre.contains(x)}
+
+
+MIXED = [(0,), (0, 0), (2, 0), (4, 0), (2, 4, 0), (2, 0, 0)]
+MIXED_IDS = ["x".join(map(str, fs)) for fs in MIXED]
+
+
+def _window(m, free=range(-3, 5)):
+    """Elements of m with finite coordinates reduced and free ones in free."""
+    return list(product(*(range(d) if d else free for d in m.factors)))
+
+
+def _window_subgroups(m, pairs=80):
+    """The subgroups generated by no vector, one vector or a seeded sample of
+    two vectors of the window, once each, with their generators."""
+    vecs = _window(m)
+    rng = random.Random(len(vecs))
+    two = list(combinations(vecs, 2))
+    gen_sets = [[]] + [[v] for v in vecs] + [list(p) for p in rng.sample(two, min(pairs, len(two)))]
+    subs = {}
+    for gens in gen_sets:
+        subs.setdefault(sub_from_gens(m, gens), gens)
+    return list(subs.items())
+
+
+def _window_morphisms(m, n):
+    """The hom_group basis, the sums of two basis elements, and the sum with
+    multiplicities 1, 2, 3, ... of the whole basis."""
+    basis = list(hom_group(m, n).basis)
+    out = [zero_hom(m, n)] + basis + [add_hom(a, b) for a, b in combinations(basis, 2)]
+    total = zero_hom(m, n)
+    for k, h in enumerate(basis, 1):
+        for _ in range(k):
+            total = add_hom(total, h)
+    return out + [total]
+
+
+@pytest.mark.parametrize("factors", MIXED, ids=MIXED_IDS)
+def test_mixed_lattices_match_the_general_path(factors):
+    m = group(*factors)
+    window = _window(m)
+    subs = _window_subgroups(m)
+    assert len(subs) >= 5
+    for s, gens in subs:
+        assert s.canonical == _general_sub(m, gens)
+        assert all(s.contains(g) for g in gens)
+        assert s.order == subgroup_group(s).order
+    tested = [s for s, _ in subs[::2]]
+    for s in tested:
+        for t in tested:
+            inter, total = intersect(s, t), sum_sub(s, t)
+            assert inter.canonical == _general_intersect(s, t), (s, t)
+            assert total.canonical == _general_sub(m, s.canonical + t.canonical), (s, t)
+            assert inter.order == subgroup_group(inter).order
+            assert total.order == subgroup_group(total).order
+            for x in window:
+                assert inter.contains(x) == (s.contains(x) and t.contains(x))
+
+
+@pytest.mark.parametrize("factors", MIXED, ids=MIXED_IDS)
+def test_mixed_preimages_and_kernels_match_the_general_path(factors):
+    m = group(*factors)
+    window = _window(m)
+    for n in [group(*fs) for fs in MIXED] + [group(2, 4)]:
+        targets = [t for t, _ in _window_subgroups(n, pairs=10)[::4]]
+        for f in _window_morphisms(m, n) + _window_morphisms(n, m):
+            images = [(x, f(x)) for x in (window if f.dom == m else _window(n))]
+            ker = kernel_subgroup(f)
+            assert ker.canonical == _general_kernel(f), f
+            assert ker.order == subgroup_group(ker).order
+            assert all(ker.contains(x) == (not any(y)) for x, y in images)
+            for t in targets if f.cod == n else [full_subgroup(m), trivial_subgroup(m)]:
+                pre = preimage_subgroup(f, t)
+                assert pre.canonical == _general_preimage(f, t), (f, t)
+                assert all(pre.contains(x) == t.contains(y) for x, y in images)
 
 
 def _checked_start_bases(monkeypatch):
@@ -354,18 +434,23 @@ def test_finite_ambients_take_one_seeded_pass(monkeypatch):
             sum_sub(s, t)
     sub_from_gens(m, [(1, 2, 3), (0, 2, 2)])
     assert solves == [] and hnfs == []
-    # an ambient with a free part keeps the general routines
+    # a free part only switches each pass to the general Hermite form: the
+    # same rows, one hnf_rows pass per operation, and no congruence solving
     mixed = group(4, 0)
     g = morphism(mixed, mixed, [[1, 0], [0, 2]])
-    preimage_subgroup(g, sub_from_gens(mixed, [(2, 0)]))
-    assert len(solves) == 1
-    kernel_subgroup(g)
-    assert len(solves) == 2
-    before = len(hnfs)
-    sub_from_gens(mixed, [(1, 3)])
-    assert len(hnfs) == before + 1
-    intersect(sub_from_gens(mixed, [(0, 2)]), sub_from_gens(mixed, [(2, 3)]))
-    assert len(hnfs) > before + 1
+    s, t = sub_from_gens(mixed, [(0, 2)]), sub_from_gens(mixed, [(2, 3)])
+    assert len(hnfs) == 2
+    for op in (
+        lambda: preimage_subgroup(g, t),
+        lambda: kernel_subgroup(g),
+        lambda: sub_from_gens(mixed, [(1, 3)]),
+        lambda: intersect(s, t),
+        lambda: sum_sub(s, t),
+    ):
+        before = len(hnfs)
+        op()
+        assert len(hnfs) == before + 1
+    assert solves == []
 
 
 # --- inclusion / quotient -------------------------------------------------------
