@@ -426,24 +426,34 @@ def enumerate_hom(
 # kernels, cokernels, biproducts, pullbacks, pushouts
 
 
+def _span_mono(m: FgAbGroup, cols: Matrix) -> Morphism:
+    """The monomorphism into M from the abstract group spanned by the
+    columns of cols, one row per generator of M; the relations among the
+    columns are the solutions y of cols·y ≡ 0."""
+    ngen = len(cols[0]) if cols else 0
+    if ngen == 0:
+        return zero_hom(TRIVIAL, m)
+    pres = canonical_group(solution_lattice(cols, m.factors, ncols=ngen), ngen)
+    return morphism(pres.group, m, mat_mul(cols, pres.from_canonical))
+
+
+def _quotient_epi(m: FgAbGroup, cols: Matrix) -> Morphism:
+    """The epimorphism from M onto M modulo the span of the columns of cols,
+    one row per generator of M."""
+    pres = canonical_group(hstack(_diag_columns(m.factors), cols), m.ngens)
+    return morphism(m, pres.group, pres.to_canonical)
+
+
 def kernel(f: Morphism) -> tuple[FgAbGroup, Morphism]:
     """(K, k) with k: K -> dom(f) the universal monomorphism killed by f."""
-    lat = solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens)
-    ngen = len(lat[0]) if lat else 0
-    rel = solution_lattice(lat, f.dom.factors, ncols=ngen) if ngen else ()
-    if ngen == 0:
-        return TRIVIAL, zero_hom(TRIVIAL, f.dom)
-    pres = canonical_group(rel if rel else freeze([[] for _ in range(ngen)]), ngen)
-    k = morphism(pres.group, f.dom, mat_mul(lat, pres.from_canonical))
-    return pres.group, k
+    k = _span_mono(f.dom, solution_lattice(f.rows, f.cod.factors, ncols=f.dom.ngens))
+    return k.dom, k
 
 
 def cokernel(f: Morphism) -> tuple[FgAbGroup, Morphism]:
     """(C, q) with q: cod(f) -> C the universal epimorphism killing im(f)."""
-    rel = hstack(_diag_columns(f.cod.factors), f.rows)
-    pres = canonical_group(rel, f.cod.ngens)
-    q = morphism(f.cod, pres.group, pres.to_canonical)
-    return pres.group, q
+    q = _quotient_epi(f.cod, f.rows)
+    return q.cod, q
 
 
 def is_mono(f: Morphism) -> bool:

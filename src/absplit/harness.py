@@ -24,7 +24,17 @@ from .groups import (
     hom_count,
 )
 from .intmat import is_squarefree, prime_factors
-from .preradicals import Preradical, evaluate, ntorsion, ppart, socle, torsion
+from .preradicals import (
+    Preradical,
+    divisible,
+    evaluate,
+    ntorsion,
+    parse_preradical,
+    ppart,
+    radical,
+    socle,
+    torsion,
+)
 from .splitness import (
     PROFILE_KEYS,
     Caps,
@@ -48,6 +58,7 @@ from .splitness import (
 from .subgroups import (
     Subgroup,
     all_subgroups,
+    full_subgroup,
     inclusion,
     intersect,
     is_fully_invariant,
@@ -179,11 +190,6 @@ class TheoremReport:
         }
 
 
-def _fi_subgroups(m: FgAbGroup, caps: Caps) -> list[Subgroup]:
-    analysis = analysis_for(m)
-    return analysis.fi_subgroups(caps.subgroup_cap)
-
-
 def _group_feasible(m: FgAbGroup, caps: Caps, report: TheoremReport) -> bool:
     order = m.order
     if order is None or order > caps.subgroup_cap:
@@ -251,7 +257,7 @@ def _decided_profiles(groups: Iterable[FgAbGroup], caps: Caps, rep: TheoremRepor
         if not _group_feasible(m, caps, rep):
             continue
         group_start = time.time()
-        for f in _fi_subgroups(m, caps):
+        for f in analysis_for(m).fi_subgroups(caps.subgroup_cap):
             if caps.per_group_timeout_s and time.time() - group_start > caps.per_group_timeout_s:
                 rep.skipped.append(
                     {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
@@ -294,13 +300,11 @@ def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     (contained in F, dually) fully invariant, checked by direct enumeration."""
     for m, f, brute in _decided_profiles(corpus, caps, rep):
         analysis = analysis_for(m)
-        subs = analysis.subgroups(caps.subgroup_cap)
-        sides = (("primal", lambda s: s.contains_subgroup(f)), ("dual", f.contains_subgroup))
-        for side, near in sides:
+        for side, dual in (("primal", False), ("dual", True)):
             summands_fi = all(
                 analysis.subgroup_props(s).is_fi
-                for s in subs
-                if near(s) and analysis.subgroup_props(s).is_summand
+                for s in analysis.subgroups_near(f, caps.subgroup_cap, dual)
+                if analysis.subgroup_props(s).is_summand
             )
             expected = brute[side + "_plain"].is_yes and summands_fi
             rep.instances += 1
@@ -407,7 +411,7 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
             continue
         decomps = _decompositions(n_grp, caps)
         samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
-        for f in _fi_subgroups(n_grp, caps):
+        for f in analysis_for(n_grp).fi_subgroups(caps.subgroup_cap):
             for x, y in decomps:
                 parts = [piece(part, f) for part in (x, y)]
                 if None in parts:
@@ -483,8 +487,8 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
                 pairs.append((a, b))
     pairs = pairs[:_THOMZERO_PAIRS]
     for a, b in pairs:
-        fa_list = _fi_subgroups(a, caps)
-        fb_list = _fi_subgroups(b, caps)
+        fa_list = analysis_for(a).fi_subgroups(caps.subgroup_cap)
+        fb_list = analysis_for(b).fi_subgroups(caps.subgroup_cap)
         for fa in fa_list:
             for fb in fb_list:
                 g, f = _fi_biproduct([a, b], [fa, fb])
@@ -675,13 +679,11 @@ def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Radical/socle splitting: M self-Rad(M)-split iff Rad(M) = 0 and M
     self-Rickart (strongly likewise); M dual self-Soc(M)-split iff M is
     semisimple; dual strongly iff additionally End(M) is abelian."""
-    from .preradicals import radical as rad_pr, socle as soc_pr
-
     for m in corpus:
         if not _group_feasible(m, caps, rep):
             continue
-        rad = evaluate(rad_pr(), m)
-        soc = evaluate(soc_pr(), m)
+        rad = evaluate(radical(), m)
+        soc = evaluate(socle(), m)
         prof_rad = self_split_profile(m, rad, caps.hom_budget)
         prof_rick = self_split_profile(m, trivial_subgroup(m), caps.hom_budget)
         prof_soc = self_split_profile(m, soc, caps.hom_budget)
@@ -720,13 +722,11 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
     brute-force + theorem verdicts; otherwise the table covers the
     preradical-generated fully invariant subgroups, theorem mode only.
     Returns (rows, notes)."""
-    from .preradicals import divisible, radical as rad_pr, socle as soc_pr
-
     notes: list[str] = []
     rows: list[dict] = []
     order = m.order
     if order is not None and order <= caps.subgroup_cap:
-        subs = _fi_subgroups(m, caps)
+        subs = analysis_for(m).fi_subgroups(caps.subgroup_cap)
     else:
         notes.append(
             "group outside enumeration caps: table restricted to "
@@ -736,14 +736,12 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
         named = [
             ("0", trivial_subgroup(m)),
             ("torsion", evaluate(torsion(), m)),
-            ("socle", evaluate(soc_pr(), m)),
-            ("radical", evaluate(rad_pr(), m)),
+            ("socle", evaluate(socle(), m)),
+            ("radical", evaluate(radical(), m)),
             ("divisible", evaluate(divisible(), m)),
         ]
         for p in sorted({p for d in m.torsion_factors for p in prime_factors(d)}):
             named.append((f"ppart:{p}", evaluate(ppart(p), m)))
-        from .subgroups import full_subgroup
-
         named.append(("all", full_subgroup(m)))
         for name, s in named:
             if s.canonical in cands:
@@ -762,8 +760,6 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
 
 def preradical_row(m: FgAbGroup, name: str, caps: Caps = Caps()) -> tuple[list[dict], list[str]]:
     """Single classification row for F = r(M) given a preradical name."""
-    from .preradicals import parse_preradical
-
     r = parse_preradical(name)
     row = _row(m, evaluate(r, m), caps)
     row["preradicals"] = [r.name]
@@ -794,7 +790,7 @@ def _row(m: FgAbGroup, s: Subgroup, caps: Caps) -> dict:
 
 
 def _self_table(g: FgAbGroup, caps: Caps) -> dict[int, dict]:
-    subs = _fi_subgroups(g, caps)
+    subs = analysis_for(g).fi_subgroups(caps.subgroup_cap)
     table = {}
     for s in subs:
         prof = self_split_profile(g, s, caps.hom_budget)
@@ -817,9 +813,7 @@ def cyclic_pq_classification(p: int, q: int, caps: Caps = Caps()) -> dict:
       historically circulated table ({q, p²q} with 1 in the No set) fail
       brute-force re-verification and are listed under `discrepancies`.
     """
-    from .intmat import prime_factors as pf
-
-    if p == q or pf(p) != {p: 1} or pf(q) != {q: 1}:
+    if p == q or prime_factors(p) != {p: 1} or prime_factors(q) != {q: 1}:
         raise ValueError("p and q must be distinct primes")
     g = group(p * p, q)
     subs = all_subgroups(g, caps.subgroup_cap)

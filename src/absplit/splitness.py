@@ -33,6 +33,7 @@ from .groups import (
     FgAbGroup,
     _entry_values,
     _hom_row_tables,
+    _pair_generator,
     Morphism,
     compose,
     hom_count,
@@ -46,10 +47,10 @@ from .groups import (
 )
 from .intmat import Matrix, SeededHnf, freeze, prime_factors, row_lattice_reduce
 from .subgroups import (
-    FullyInvariantError,
     Subgroup,
     all_subgroups,
     fi_violation,
+    full_subgroup,
     inclusion,
     intersect,
     is_fully_invariant,
@@ -58,6 +59,7 @@ from .subgroups import (
     map_subgroup,
     preimage_subgroup,
     quotient,
+    require_fully_invariant,
     sub_from_gens,
     sum_sub,
     summand_witness,
@@ -201,17 +203,6 @@ def _label(strongly: bool, dual: bool, self_case: bool) -> str:
     return "_".join(parts)
 
 
-def _require_fi(carrier: FgAbGroup, f_sub: Subgroup):
-    if f_sub.ambient != carrier:
-        raise ValueError("F does not live in the carrier group")
-    bad = fi_violation(f_sub)
-    if bad is not None:
-        h, x = bad
-        raise FullyInvariantError(
-            f"F is not fully invariant in {carrier}: {x} moves to {h(x)}", h, x
-        )
-
-
 # ---------------------------------------------------------------------------
 # cached per-group analysis
 
@@ -271,6 +262,13 @@ class GroupAnalysis:
             self._all_subgroups = all_subgroups(self.group, cap)
         return self._all_subgroups
 
+    def subgroups_near(self, f_sub: Subgroup, cap: int, dual: bool) -> Iterator[Subgroup]:
+        """The subgroups of M containing F (primal) or contained in F
+        (dual), the candidates of the strong predicates and of SIP/SSP."""
+        for s in self.subgroups(cap):
+            if f_sub.contains_subgroup(s) if dual else s.contains_subgroup(f_sub):
+                yield s
+
     def fi_subgroups(self, cap: int) -> list[Subgroup]:
         return [s for s in self.subgroups(cap) if self.subgroup_props(s).is_fi]
 
@@ -321,20 +319,6 @@ def _reached(g: Morphism, f_sub: Subgroup, dual: bool) -> Subgroup:
 # brute force
 
 
-def _verdict_unknown(reason, strongly, dual, m, n, f_sub, mode="brute"):
-    return SplitVerdict(
-        UNKNOWN,
-        _label(strongly, dual, m == n),
-        mode,
-        strongly,
-        dual,
-        m,
-        n,
-        f_sub,
-        reason=reason,
-    )
-
-
 def _fi_steps(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[int, ...]:
     """(a_1, ..., a_k) with F = ⊕ a_i<e_i> over the generators e_i of the
     carrier (a_i = 0 where F meets a free factor trivially).
@@ -353,20 +337,6 @@ def _fi_steps(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _coordinate_values(tables, value) -> dict:
-    """{value(v): [number of v, first v]} over the vectors v in the product
-    of the entry tables."""
-    out: dict = {}
-    for v in itertools.product(*tables):
-        key = value(v)
-        rec = out.get(key)
-        if rec is None:
-            out[key] = [1, v]
-        else:
-            rec[0] += 1
-    return out
-
-
 def _sweep(
     src: FgAbGroup, dst: FgAbGroup, f_sub: Subgroup, dual: bool
 ) -> list[tuple[SubProps, int, Morphism]]:
@@ -383,52 +353,57 @@ def _sweep(
       * dual: g(F) = Σ_i <a_i·col_i(g)>, a subgroup of the torsion part of M
         (a finite Hom set sends no torsion of N into a free factor and has
         no free factor of N unless M is finite); the state is that sum.
-    A state is a canonical lattice (SeededHnf); each level joins every state
-    with every distinct coordinate value, memoised on the pair, by a pass
-    that starts from the state's basis and inserts the value, and counts
+    A state is a canonical lattice (SeededHnf).  Entry j of row (column) i
+    runs over k·step_j, k < order_j, and its value mod md_j is k·c_j, with
+    c_j = step_j·md_j/a_i (primal) or a_i·step_j (dual).  So a level is the
+    product of the cycles k < md_j/gcd(c_j, md_j), each value first reached
+    at k·step_j and given by the same number of entries.  Each level joins
+    every state with every value, memoised on the pair, by a pass that
+    starts from the state's basis and inserts the value, and counts
     multiply."""
     m, carrier = (dst, src) if dual else (src, dst)
     steps = _fi_steps(carrier, f_sub)
     if dual:
         moduli = m.torsion_factors
-        levels = [
-            _coordinate_values(
-                [_entry_values(n_i, d) for d in m.factors],
-                lambda col, a=a, t=len(moduli): tuple(
-                    a * c % d for c, d in zip(col[:t], moduli)
-                ),
-            )
-            for n_i, a in zip(carrier.factors, steps)
-        ]
     else:
         e = lcm(*(a for a in steps if a))
         moduli = tuple(gcd(d, e) for d in m.factors)
-        levels = [
-            _coordinate_values(
-                [_entry_values(d, n_i) for d in m.factors],
-                # a = 0 only on a free factor of N, which a finite Hom set
-                # meets with zero rows alone
-                lambda row, a=a: tuple(
-                    r * d // a % d if a else 0 for r, d in zip(row, moduli)
-                ),
-            )
-            for n_i, a in zip(carrier.factors, steps)
-        ]
     acc = SeededHnf(moduli)
     states: dict[Matrix, list] = {acc.canonical(()): [1, ()]}
     joins: dict[tuple[Matrix, tuple[int, ...]], Matrix] = {}
-    for values in levels:
+    for n_i, a in zip(carrier.factors, steps):
+        gens = [
+            (_pair_generator(n_i, d) if dual else _pair_generator(d, n_i)) or (0, 1)
+            for d in m.factors
+        ]
+        # a = 0 only on a free factor of N, which a finite Hom set meets with
+        # zero rows alone
+        cs = [
+            a * step % md if dual else (step * md // a % md if a else 0)
+            for (step, _), md in zip(gens, moduli)
+        ]
+        # on the dual side a free factor of M has no modulus: its entry is 0
+        widths = [md // gcd(c, md) for c, md in zip(cs, moduli)]
+        widths += [1] * (len(gens) - len(widths))
+        fibre = prod(order for _, order in gens) // prod(widths)
+        values = [
+            (
+                tuple(k * c % md for k, c, md in zip(ks, cs, moduli)),
+                tuple(k * step for k, (step, _) in zip(ks, gens)),
+            )
+            for ks in itertools.product(*map(range, widths))
+        ]
         nxt: dict[Matrix, list] = {}
         for lat, (count, parts) in states.items():
-            for v, (vcount, part) in values.items():
+            for v, part in values:
                 out = joins.get((lat, v))
                 if out is None:
                     out = joins[(lat, v)] = acc.canonical((v,), lat)
                 rec = nxt.get(out)
                 if rec is None:
-                    nxt[out] = [count * vcount, parts + (part,)]
+                    nxt[out] = [count * fibre, parts + (part,)]
                 else:
-                    rec[0] += count * vcount
+                    rec[0] += count * fibre
         states = nxt
     analysis = analysis_for(m)
     result = []
@@ -500,7 +475,7 @@ def _brute_sweep(
     if entry is not None and f_sub.ambient.factors == n.factors:
         total = entry[0]
     else:
-        _require_fi(n, f_sub)
+        require_fully_invariant(n, f_sub)
         total = hom_count(src, dst)
         if total is not None and total <= budget:
             outcomes = _sweep(src, dst, f_sub, dual)
@@ -515,7 +490,10 @@ def _brute_sweep(
             f"Hom({name}) is infinite" if total is None
             else f"|Hom({name})| = {total} exceeds budget {budget}"
         )
-        return _verdict_unknown(reason, strongly, dual, m, n, f_sub)
+        return SplitVerdict(
+            UNKNOWN, _label(strongly, dual, m == n), "brute", strongly, dual, m, n, f_sub,
+            reason=reason,
+        )
     return entry[1 + strongly]
 
 
@@ -554,8 +532,6 @@ def is_dual_self_rickart(
     m: FgAbGroup, strongly: bool = False, budget: int = DEFAULT_HOM_BUDGET
 ) -> SplitVerdict:
     """Dual self-Rickart = dual self-M-split: images of endos are summands."""
-    from .subgroups import full_subgroup
-
     return is_dual_M_F_split(m, m, full_subgroup(m), strongly, budget)
 
 
@@ -869,10 +845,7 @@ def _summand_condition_route(
     cands = None
     if order is not None and order <= cap:
         how = "subgroup enumeration"
-        if contained_in:
-            cands = (s for s in analysis.subgroups(cap) if f_sub.contains_subgroup(s))
-        else:
-            cands = (s for s in analysis.subgroups(cap) if s.contains_subgroup(f_sub))
+        cands = analysis.subgroups_near(f_sub, cap, contained_in)
     elif contained_in:
         # summands of M inside F are subgroups of F: enumerable when F is finite
         forder = f_sub.order
@@ -945,7 +918,7 @@ def _self_F_split_theorem(
     quotient q (primal), or F, reached through the inclusion inc (dual); a
     witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
     with s a section of q and ρ a retraction onto F."""
-    _require_fi(m, f_sub)
+    require_fully_invariant(m, f_sub)
     trace: list[str] = []
 
     def verdict(answer, g=None, bad=None, kind=None):
@@ -1036,14 +1009,13 @@ def _summands_closed(
     two (fully invariant) direct summands containing F (contained in F)
     remain one?"""
     analysis = analysis_for(m)
-    near = f_sub.contains_subgroup if dual else (lambda s: s.contains_subgroup(f_sub))
     join = sum_sub if dual else intersect
 
     def kept(s: Subgroup) -> bool:
         props = analysis.subgroup_props(s)
         return props.is_summand and (not fully_invariant_only or props.is_fi)
 
-    cands = [s for s in analysis.subgroups(cap) if near(s) and kept(s)]
+    cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
     return all(kept(join(a, b)) for a, b in itertools.combinations(cands, 2))
 
 

@@ -17,28 +17,22 @@ from typing import Iterable, Optional, Sequence
 from .intmat import (
     Matrix,
     SeededHnf,
-    freeze,
     hnf_rows,
-    hstack,
     identity,
-    mat_mul,
     prime_factors,
     row_lattice_contains,
-    solution_lattice,
     solve_congruences,
 )
 from .groups import (
     FgAbGroup,
     Morphism,
     ObjectMismatchError,
-    canonical_group,
     hom_group,
     is_epi,
     is_mono,
-    morphism,
-    zero_hom,
-    _diag_columns,
     _immutable,
+    _quotient_epi,
+    _span_mono,
     _store,
 )
 
@@ -168,18 +162,14 @@ def sub_equal(s: Subgroup, t: Subgroup) -> bool:
 # subgroup <-> abstract group
 
 
+def _columns(ambient: FgAbGroup, canonical: Matrix) -> Matrix:
+    """The basis rows as columns, one row per generator of the ambient."""
+    return tuple(zip(*canonical)) if canonical else ((),) * ambient.ngens
+
+
 @lru_cache(maxsize=None)
 def _inclusion_cached(ambient: FgAbGroup, canonical: Matrix) -> Morphism:
-    n = ambient.ngens
-    ngen = len(canonical)
-    if ngen == 0:
-        from .groups import TRIVIAL
-
-        return zero_hom(TRIVIAL, ambient)
-    cols = freeze(zip(*canonical))  # n × ngen
-    rel = solution_lattice(cols, ambient.factors, ncols=ngen)
-    pres = canonical_group(rel, ngen)
-    return morphism(pres.group, ambient, mat_mul(cols, pres.from_canonical))
+    return _span_mono(ambient, _columns(ambient, canonical))
 
 
 def inclusion(s: Subgroup) -> Morphism:
@@ -193,9 +183,7 @@ def subgroup_group(s: Subgroup) -> FgAbGroup:
 
 @lru_cache(maxsize=None)
 def _quotient_cached(ambient: FgAbGroup, canonical: Matrix) -> Morphism:
-    rel = hstack(_diag_columns(ambient.factors), freeze(zip(*canonical)) if canonical else freeze([[] for _ in range(ambient.ngens)]))
-    pres = canonical_group(rel, ambient.ngens)
-    return morphism(ambient, pres.group, pres.to_canonical)
+    return _quotient_epi(ambient, _columns(ambient, canonical))
 
 
 def quotient(m: FgAbGroup, s: Subgroup) -> tuple[FgAbGroup, Morphism]:
@@ -376,6 +364,21 @@ def is_fully_invariant(s: Subgroup) -> bool:
     return fi_violation(s) is None
 
 
+def require_fully_invariant(carrier: FgAbGroup, s: Subgroup) -> None:
+    """Reject an S that does not live in the carrier group, or that is not
+    fully invariant there (with the violating endomorphism)."""
+    if s.ambient != carrier:
+        raise ObjectMismatchError(f"subgroup does not live in the carrier group {carrier}")
+    bad = fi_violation(s)
+    if bad is not None:
+        h, x = bad
+        raise FullyInvariantError(
+            f"subgroup is not fully invariant in {carrier}: endomorphism moves {x} to {h(x)}",
+            h,
+            x,
+        )
+
+
 def is_fully_coinvariant(d: Morphism) -> bool:
     """An epimorphism is fully coinvariant iff its kernel is fully invariant."""
     if not is_epi(d):
@@ -419,16 +422,7 @@ def fi_ses(m: FgAbGroup, s: Subgroup) -> ShortExactSequence:
 
     Rejected with the violating endomorphism when S is not fully invariant.
     """
-    if s.ambient != m:
-        raise ObjectMismatchError("subgroup does not live in the given group")
-    bad = fi_violation(s)
-    if bad is not None:
-        h, x = bad
-        raise FullyInvariantError(
-            f"subgroup is not fully invariant: endomorphism moves {x} to {h(x)}",
-            h,
-            x,
-        )
+    require_fully_invariant(m, s)
     inc = inclusion(s)
     cgrp, q = quotient(m, s)
     return build_ses(inc, q)

@@ -11,6 +11,7 @@ from absplit.groups import (
     hom_count,
     identity_hom,
     iter_hom,
+    iter_hom_rows,
     morphism,
 )
 from absplit.harness import enumerate_groups
@@ -42,7 +43,7 @@ from absplit.splitness import (
     structural_self_rickart,
 )
 from absplit import splitness
-from absplit.preradicals import evaluate, radical, socle, torsion
+from absplit.preradicals import evaluate, parse_preradical, radical, socle, torsion
 from absplit.subgroups import (
     FullyInvariantError,
     all_subgroups,
@@ -669,29 +670,48 @@ def test_infinite_source_finite_hom():
 
 
 def _direct_subgroups(src, dst, f, dual):
-    """The per-morphism oracle: {canonical subgroup: number of g} over every
-    g in Hom(src, dst), each through preimage_subgroup or map_subgroup."""
+    """The per-morphism oracle: {canonical subgroup: [number of g, first g's
+    rows]} over every g in Hom(src, dst), each through preimage_subgroup or
+    map_subgroup.  Hom is enumerated row by row (primal) or column by column
+    (dual), each row or column in odometer order, so the subgroups come in
+    the order the sweep first reaches them."""
+    from absplit.groups import Morphism, _entry_values
     from absplit.subgroups import map_subgroup, preimage_subgroup
 
+    if dual:
+        columns = [
+            list(itertools.product(*(_entry_values(a, b) for b in dst.factors)))
+            for a in src.factors
+        ]
+        matrices = (
+            tuple(tuple(col[r] for col in cols) for r in range(dst.ngens))
+            for cols in itertools.product(*columns)
+        )
+    else:
+        matrices = iter_hom_rows(src, dst)
     out = {}
-    for g in iter_hom(src, dst):
+    for rows in matrices:
+        g = Morphism(src, dst, rows)
         sub = map_subgroup(g, f) if dual else preimage_subgroup(g, f)
-        out[sub.canonical] = out.get(sub.canonical, 0) + 1
+        out.setdefault(sub.canonical, [0, g.rows])[0] += 1
     return out
 
 
 def _check_sweep(m, n, f):
     """For F <= N, the primal sweep over Hom(M, N) and the dual sweep over
-    Hom(N, M) list the oracle's subgroups with the same counts, each with a
-    sample morphism that lands on it, and every counterexample re-verifies."""
+    Hom(N, M) list the oracle's subgroups with the same counts, in the order
+    the oracle first reaches them, each with the oracle's first morphism as
+    its sample, and every counterexample re-verifies."""
     from absplit.subgroups import map_subgroup, preimage_subgroup
 
     for dual in (False, True):
         src, dst = (n, m) if dual else (m, n)
         outcomes = splitness._sweep(src, dst, f, dual)
-        got = {props.subgroup.canonical: count for props, count, _ in outcomes}
-        assert got == _direct_subgroups(src, dst, f, dual), (m, n, f, dual)
-        assert sum(got.values()) == hom_count(src, dst)
+        got = [(props.subgroup.canonical, count, g.rows) for props, count, g in outcomes]
+        direct = _direct_subgroups(src, dst, f, dual)
+        want = [(sub, count, rows) for sub, (count, rows) in direct.items()]
+        assert got == want, (m, n, f, dual)
+        assert sum(count for _, count, _ in got) == hom_count(src, dst)
         for props, _, g in outcomes:
             sub = map_subgroup(g, f) if dual else preimage_subgroup(g, f)
             assert sub.canonical == props.subgroup.canonical
@@ -727,6 +747,23 @@ def test_sweep_matches_per_morphism_oracle_between_groups():
         for f in all_subgroups(n):
             if is_fully_invariant(f):
                 _check_sweep(m, n, f)
+    # carriers N with a free factor, where F meets it trivially (a = 0) or
+    # not; all_subgroups refuses an infinite N, so F runs over preradicals
+    for m, n in [
+        (group(4), group(2, 0)),
+        (group(6), group(0)),
+        (group(2, 4), group(2, 0)),
+        (group(3), group(3, 0)),
+        (group(2, 2), group(0, 0)),
+        (group(4), group(4, 0)),
+    ]:
+        fs = {}
+        for f in [trivial_subgroup(n), full_subgroup(n)] + [
+            evaluate(parse_preradical(r), n) for r in ("torsion", "mul:2", "socle", "ntorsion:2")
+        ]:
+            fs.setdefault(f.canonical, f)
+        for f in fs.values():
+            _check_sweep(m, n, f)
 
 
 def test_sweep_decides_one_coordinate_at_a_time(monkeypatch):

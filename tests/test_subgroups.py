@@ -418,9 +418,10 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_finite_ambients_take_one_seeded_pass(monkeypatch):
+    import absplit.groups as groups_mod
     import absplit.subgroups as subgroups_mod
 
-    solves = _count_calls(monkeypatch, subgroups_mod, "solution_lattice")
+    solves = _count_calls(monkeypatch, groups_mod, "solution_lattice")
     hnfs = _count_calls(monkeypatch, subgroups_mod, "hnf_rows")
     m, n = group(2, 4, 4), group(2, 8)
     for f in hom_group(m, n).basis:
