@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
 
 from .groups import GroupSpecError, format_group, parse_group_spec
-from .harness import CHECKS, classify_rows, run_verification, worked_examples_report
+from .harness import CHECKS, classify_rows, preradical_row, run_verification, worked_examples_report
+from .preradicals import parse_preradical
 from .splitness import Caps
 
 
@@ -77,8 +79,6 @@ def _emit(doc: dict, out: Optional[str], as_json: bool, human: str) -> None:
     except BrokenPipeError:
         # the reader closed early: point stdout at devnull, so that the
         # flush at exit cannot fail again, and keep the command's exit code
-        import os
-
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -93,8 +93,6 @@ def _cmd_classify(args) -> int:
         return 2
     t0 = time.time()
     if args.preradical:
-        from .harness import preradical_row
-
         try:
             rows, notes = preradical_row(grp, args.preradical, caps)
         except ValueError as exc:
@@ -142,8 +140,6 @@ def _cmd_verify(args) -> int:
             return 2
     rads = None
     if args.preradicals is not None:
-        from .preradicals import parse_preradical
-
         try:
             rads = [parse_preradical(t) for t in args.preradicals.split(",") if t.strip()]
         except ValueError as exc:

@@ -21,7 +21,9 @@ from .intmat import (
     freeze,
     hstack,
     identity,
+    is_squarefree,
     mat_mul,
+    snf,
     solution_lattice,
     solve_congruences,
 )
@@ -129,8 +131,6 @@ class FgAbGroup:
         exp = self.exponent
         if exp is None:
             return False
-        from .intmat import is_squarefree
-
         return is_squarefree(exp) if exp > 1 else True
 
     def elements(self) -> Iterator[tuple[int, ...]]:
@@ -288,8 +288,6 @@ class CanonicalPresentation:
 
 
 def canonical_group(relations: Matrix, generators: int) -> CanonicalPresentation:
-    from .intmat import snf
-
     if len(relations) != generators:
         raise ObjectMismatchError("relation matrix must have one row per generator")
     g = generators
@@ -326,79 +324,51 @@ class HomGroup:
         self.basis = basis
         self.orders = orders
 
-    @property
-    def size(self) -> Optional[int]:
-        """Number of morphisms, or None when infinite."""
-        if any(o == 0 for o in self.orders):
-            return None
-        return prod(self.orders) if self.orders else 1
 
-
-def _pair_generator(a: int, b: int) -> Optional[tuple[int, int]]:
-    """(entry value, order) generating Hom(Z/a, Z/b); None when Hom = 0."""
+def _pair_generator(a: int, b: int) -> tuple[int, int]:
+    """(step, order) of Hom(Z/a, Z/b): the entries of its maps are k·step
+    for k < order, where order 0 means every integer k; (0, 1) when Hom = 0."""
     if b > 0:
-        if a > 0:
-            g = gcd(a, b)
-            return (b // g, g) if g > 1 else None
-        return (1, b)  # Hom(Z, Z/b)
-    if a > 0:
-        return None  # Hom(Z/a, Z) = 0
-    return (1, 0)  # Hom(Z, Z)
+        g = gcd(a, b)  # gcd(0, b) = b: Hom(Z, Z/b) is generated by 1
+        return (b // g, g) if g > 1 else (0, 1)
+    return (1, 0) if a == 0 else (0, 1)  # Hom(Z, Z) = Z; Hom(Z/a, Z) = 0
+
+
+def _hom_table(m: FgAbGroup, n: FgAbGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (step, order) of every entry of a hom matrix M -> N, one row per
+    generator of N: the one description of Hom(M, N) read by every consumer."""
+    return tuple(tuple(_pair_generator(a, b) for a in m.factors) for b in n.factors)
 
 
 def hom_group(m: FgAbGroup, n: FgAbGroup) -> HomGroup:
     basis = []
     orders = []
-    for i, b in enumerate(n.factors):
-        for j, a in enumerate(m.factors):
-            pg = _pair_generator(a, b)
-            if pg is None:
-                continue
-            step, order = pg
-            rows = [[0] * m.ngens for _ in range(n.ngens)]
-            rows[i][j] = step
-            basis.append(Morphism(m, n, freeze(rows)))
-            orders.append(order)
+    for i, row in enumerate(_hom_table(m, n)):
+        for j, (step, order) in enumerate(row):
+            if order != 1:
+                rows = [[0] * m.ngens for _ in range(n.ngens)]
+                rows[i][j] = step
+                basis.append(Morphism(m, n, freeze(rows)))
+                orders.append(order)
     return HomGroup(m, n, tuple(basis), tuple(orders))
 
 
 def hom_count(m: FgAbGroup, n: FgAbGroup) -> Optional[int]:
-    total = 1
-    for b in n.factors:
-        for a in m.factors:
-            pg = _pair_generator(a, b)
-            if pg is None:
-                continue
-            if pg[1] == 0:
-                return None
-            total *= pg[1]
-    return total
-
-
-def _entry_values(a: int, b: int) -> Optional[tuple[int, ...]]:
-    """All legal matrix entries for a map Z/a -> Z/b; None when infinite."""
-    pg = _pair_generator(a, b)
-    if pg is None:
-        return (0,)
-    step, order = pg
-    if order == 0:
-        return None
-    return tuple(range(0, step * order, step))
+    """|Hom(M, N)|, or None when it is infinite."""
+    orders = [order for row in _hom_table(m, n) for _, order in row]
+    return None if 0 in orders else prod(orders)
 
 
 def _hom_row_tables(m: FgAbGroup, n: FgAbGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Every legal row of a hom matrix, one table per generator of n, each
     the product of its entry values in odometer order (finite Hom only)."""
-    row_tables = []
-    for b in n.factors:
-        tables = []
-        for a in m.factors:
-            vals = _entry_values(a, b)
-            if vals is None:
-                raise ValueError("infinite Hom group cannot be enumerated")
-            tables.append(vals)
-        row_tables.append(tuple(itertools.product(*tables)))
-    return row_tables
+    table = _hom_table(m, n)
+    if any(order == 0 for row in table for _, order in row):
+        raise ValueError("infinite Hom group cannot be enumerated")
+    return [
+        tuple(itertools.product(*([k * step for k in range(order)] for step, order in row)))
+        for row in table
+    ]
 
 
 def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:

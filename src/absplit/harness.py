@@ -392,19 +392,16 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     # a summand Nk lies in many decompositions: each piece is built once
     # per (Nk, F) in this call
     @functools.cache
-    def piece(part: Subgroup, f: Subgroup):
-        """(Nk, F∩Nk seen inside Nk), or None when F∩Nk is not fully
-        invariant in Nk."""
-        inc = inclusion(part)
-        fk = preimage_subgroup(inc, intersect(f, part))
-        return (inc.dom, fk) if is_fully_invariant(fk) else None
-
-    @functools.cache
-    def quotient_piece(part: Subgroup, f: Subgroup):
-        """(N/Nk, (F+Nk)/Nk), or None when that is not fully invariant."""
-        q_grp, q = quotient(part.ambient, part)
-        fbar = map_subgroup(q, f)
-        return (q_grp, fbar) if is_fully_invariant(fbar) else None
+    def piece(part: Subgroup, f: Subgroup, dual: bool):
+        """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk); None when
+        that subgroup is not fully invariant in its group."""
+        if dual:
+            grp, q = quotient(part.ambient, part)
+            fk = map_subgroup(q, f)
+        else:
+            inc = inclusion(part)
+            grp, fk = inc.dom, preimage_subgroup(inc, intersect(f, part))
+        return (grp, fk) if is_fully_invariant(fk) else None
 
     for n_grp in corpus:
         if not _group_feasible(n_grp, caps, rep):
@@ -413,14 +410,14 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
         samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
         for f in analysis_for(n_grp).fi_subgroups(caps.subgroup_cap):
             for x, y in decomps:
-                parts = [piece(part, f) for part in (x, y)]
+                parts = [piece(part, f, False) for part in (x, y)]
                 if None in parts:
                     rep.skipped.append(
                         {"group": format_group(n_grp), "f": str(f),
                          "reason": "F∩Nk not fully invariant (hypothesis)"}
                     )
                     continue
-                quots = [quotient_piece(part, f) for part in (x, y)]
+                quots = [piece(part, f, True) for part in (x, y)]
                 if None in quots:
                     rep.skipped.append(
                         {"group": format_group(n_grp), "f": str(f),
@@ -790,16 +787,12 @@ def _row(m: FgAbGroup, s: Subgroup, caps: Caps) -> dict:
 
 
 def _self_table(g: FgAbGroup, caps: Caps) -> dict[int, dict]:
-    subs = analysis_for(g).fi_subgroups(caps.subgroup_cap)
+    """The four self verdicts per fully invariant subgroup order, decided as
+    classify decides them: brute force within the Hom budget, checked
+    against theorem mode, and theorem mode alone beyond it."""
     table = {}
-    for s in subs:
-        prof = self_split_profile(g, s, caps.hom_budget)
-        tprof = self_split_profile_theorem(g, s, caps)
-        for k in PROFILE_KEYS:
-            if not prof[k].is_unknown and prof[k].answer != tprof[k].answer:
-                raise AssertionError(
-                    f"mode disagreement on {g} F={s}: {k}"
-                )
+    for s in analysis_for(g).fi_subgroups(caps.subgroup_cap):
+        prof = decide_self_profile(g, s, caps)
         table[s.order] = {k: prof[k].answer for k in PROFILE_KEYS}
     return table
 

@@ -95,9 +95,6 @@ def divisible() -> Preradical:
     return Preradical("divisible", idempotent=True, is_radical=True)
 
 
-STANDARD_TAGS = ("torsion", "socle", "radical", "ppart", "mul", "ntorsion", "divisible")
-
-
 def parse_preradical(name: str) -> Preradical:
     """CLI names: torsion, socle, radical, ppart:<p>, mul:<n>, ntorsion:<n>, divisible."""
     base, _, arg = name.strip().partition(":")

@@ -31,9 +31,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from .groups import (
     FgAbGroup,
-    _entry_values,
     _hom_row_tables,
-    _pair_generator,
+    _hom_table,
     Morphism,
     compose,
     hom_count,
@@ -127,14 +126,13 @@ class Counterexample:
 
 class SplitVerdict:
     __slots__ = (
-        "answer", "predicate", "mode", "strongly", "dual", "source", "carrier",
+        "answer", "mode", "strongly", "dual", "source", "carrier",
         "f_sub", "counterexample", "_witnesses", "trace", "reason",
     )
 
     def __init__(
         self,
         answer: str,
-        predicate: str,
         mode: str,
         strongly: bool,
         dual: bool,
@@ -149,7 +147,6 @@ class SplitVerdict:
         reason: Optional[str] = None,
     ):
         self.answer = answer
-        self.predicate = predicate
         self.mode = mode
         self.strongly = strongly
         self.dual = dual
@@ -160,6 +157,12 @@ class SplitVerdict:
         self._witnesses = witnesses
         self.trace = trace
         self.reason = reason
+
+    @property
+    def predicate(self) -> str:
+        """The predicate's name, such as dual_strongly_self_F_split."""
+        side = ("dual_" if self.dual else "") + ("strongly_" if self.strongly else "")
+        return side + ("self_F_split" if self.source == self.carrier else "M_F_split")
 
     @property
     def witnesses(self) -> tuple:
@@ -191,16 +194,6 @@ def _profile_key(strongly: bool, dual: bool) -> str:
 
 
 PROFILE_KEYS = tuple(_profile_key(strongly, dual) for dual, strongly in _PROFILE_SIDES)
-
-
-def _label(strongly: bool, dual: bool, self_case: bool) -> str:
-    parts = []
-    if dual:
-        parts.append("dual")
-    if strongly:
-        parts.append("strongly")
-    parts.append("self_F_split" if self_case else "M_F_split")
-    return "_".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +364,10 @@ def _sweep(
     acc = SeededHnf(moduli)
     states: dict[Matrix, list] = {acc.canonical(()): [1, ()]}
     joins: dict[tuple[Matrix, tuple[int, ...]], Matrix] = {}
-    for n_i, a in zip(carrier.factors, steps):
-        gens = [
-            (_pair_generator(n_i, d) if dual else _pair_generator(d, n_i)) or (0, 1)
-            for d in m.factors
-        ]
+    table = _hom_table(src, dst)
+    for i, a in enumerate(steps):
+        # the entries of coordinate i: column i (dual) or row i of the table
+        gens = [row[i] for row in table] if dual else table[i]
         # a = 0 only on a free factor of N, which a finite Hom set meets with
         # zero rows alone
         cs = [
@@ -433,7 +425,6 @@ def _sweep_verdict(
 ) -> SplitVerdict:
     """No with the first failing subgroup's sample morphism, else Yes with
     one witness per subgroup, built when first read."""
-    label = _label(strongly, dual, m == n)
     for props, _count, g in outcomes:
         kind = None
         if not props.is_summand:
@@ -442,11 +433,11 @@ def _sweep_verdict(
             kind = "not_fully_invariant"
         if kind is not None:
             return SplitVerdict(
-                NO, label, "brute", strongly, dual, m, n, f_sub,
+                NO, "brute", strongly, dual, m, n, f_sub,
                 counterexample=Counterexample(g, props.subgroup, kind),
             )
     return SplitVerdict(
-        YES, label, "brute", strongly, dual, m, n, f_sub,
+        YES, "brute", strongly, dual, m, n, f_sub,
         witnesses=lambda: tuple(
             (props.subgroup.canonical, g, props.retraction, count)
             for props, count, g in outcomes
@@ -491,8 +482,7 @@ def _brute_sweep(
             else f"|Hom({name})| = {total} exceeds budget {budget}"
         )
         return SplitVerdict(
-            UNKNOWN, _label(strongly, dual, m == n), "brute", strongly, dual, m, n, f_sub,
-            reason=reason,
+            UNKNOWN, "brute", strongly, dual, m, n, f_sub, reason=reason,
         )
     return entry[1 + strongly]
 
@@ -604,10 +594,8 @@ def structural_strong_rickart_witness(c: FgAbGroup) -> Optional[Morphism]:
     abelian (at most one invariant factor)."""
     if len(c.factors) <= 1:
         return None
-    a, b = c.factors[0], c.factors[1]
-    step = 1 if a == 0 else a // gcd(a, b) if b else 1
     rows = [[0] * c.ngens for _ in range(c.ngens)]
-    rows[0][1] = step
+    rows[0][1] = _hom_table(c, c)[0][1][0]
     return morphism(c, c, rows)
 
 
@@ -666,9 +654,9 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
     *head, last = _hom_row_tables(m, m)
     d_last = factors[-1]
     images = []
-    for d in factors[:-1]:
+    for d, table in zip(factors, head):
         by_coeff = {}
-        for c in _entry_values(d_last, d):
+        for c in {row[-1] for row in table}:  # the entries of column n-1
             hits: dict[tuple[int, ...], list[int]] = {}
             for k, row in enumerate(last):
                 hits.setdefault(tuple(c * x % d for x in row), []).append(k)
@@ -924,8 +912,8 @@ def _self_F_split_theorem(
     def verdict(answer, g=None, bad=None, kind=None):
         ce = None if g is None else Counterexample(g, bad, kind)
         return SplitVerdict(
-            answer, _label(strongly, dual, True), "theorem", strongly, dual, m, m,
-            f_sub, counterexample=ce, trace=tuple(trace),
+            answer, "theorem", strongly, dual, m, m, f_sub,
+            counterexample=ce, trace=tuple(trace),
         )
 
     fprops = analysis_for(m).subgroup_props(f_sub)
@@ -1065,7 +1053,7 @@ def decide_self_profile(
                     f"{tv.answer} for {tv.predicate} on {m} with F = {f_sub}"
                 )
             out[k] = SplitVerdict(
-                bv.answer, bv.predicate, "brute+theorem", bv.strongly, bv.dual,
+                bv.answer, "brute+theorem", bv.strongly, bv.dual,
                 m, m, f_sub, counterexample=bv.counterexample,
                 witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
             )

@@ -34,6 +34,7 @@ from .groups import (
     _quotient_epi,
     _span_mono,
     _store,
+    section_witness,
 )
 
 
@@ -464,8 +465,6 @@ def is_pure(s: Subgroup) -> bool:
 
 def summand_witness(s: Subgroup) -> Optional[Morphism]:
     """Retraction onto s when its inclusion is a section, else None."""
-    from .groups import section_witness
-
     return section_witness(inclusion(s))
 
 

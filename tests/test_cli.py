@@ -1,5 +1,6 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -333,3 +334,24 @@ def test_cold_import_loads_no_reflection_modules():
     loaded = set(proc.stdout.split())
     assert "absplit.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
+
+def test_every_module_level_import_is_read():
+    # an import left behind by a refactor misleads the reader about what a
+    # module depends on, and can pull a module into every cold start
+    package = Path(__file__).resolve().parents[1] / "src" / "absplit"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {}
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}

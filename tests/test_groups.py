@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from absplit.groups import (
     FgAbGroup,
+    _pair_generator,
     GroupSpecError,
     Morphism,
     WellDefinednessError,
@@ -40,6 +42,7 @@ from absplit.groups import (
     sub_hom,
     zero_hom,
 )
+from absplit.harness import enumerate_groups
 from absplit.intmat import freeze
 
 Z = group(0)
@@ -190,6 +193,50 @@ def test_hom_enumeration_complete_and_valid():
         hom_list = enumerate_hom(m, n, 10**4)
         assert len(hom_list) == len(set(h.rows for h in hom_list))
         assert len(hom_list) == len(brute_hom_matrices(m, n))
+
+
+def _brute_entries(a, b):
+    """The entries x of maps Z/a -> Z/b, found by testing a·x ≡ 0 (mod b);
+    None when every integer is one (Hom(Z, Z))."""
+    if b == 0:
+        return None if a == 0 else (0,)  # a·x = 0 in Z forces x = 0
+    return tuple(x for x in range(b) if a * x % b == 0)
+
+
+def test_pair_generator_lists_exactly_the_legal_entries():
+    sizes = [0, *range(2, 13)]
+    for a, b in product(sizes, sizes):
+        step, order = _pair_generator(a, b)
+        assert (order == 0) == (a == b == 0), (a, b)
+        if order:
+            entries = tuple(k * step % b if b else k * step for k in range(order))
+            assert entries == _brute_entries(a, b), (a, b)
+
+
+def test_hom_group_and_count_match_brute_force_entries():
+    # each nonzero entry set is cyclic, generated by its least positive
+    # element (1 on Hom(Z, Z)); the basis has one generator per such entry
+    groups = list(enumerate_groups(16)) + [Z, group(2, 0), group(0, 0)]
+    for m, n in product(groups, groups):
+        cells = [
+            (i, j, _brute_entries(a, b))
+            for i, b in enumerate(n.factors)
+            for j, a in enumerate(m.factors)
+        ]
+        sizes = [None if e is None else len(e) for _, _, e in cells]
+        assert hom_count(m, n) == (None if None in sizes else prod(sizes)), (m, n)
+        want = [
+            (i, j, 1, 0) if e is None else (i, j, e[1], len(e))
+            for i, j, e in cells
+            if e is None or len(e) > 1
+        ]
+        got = []
+        h = hom_group(m, n)
+        for g, order in zip(h.basis, h.orders, strict=True):
+            nonzero = [(i, j, x) for i, row in enumerate(g.rows) for j, x in enumerate(row) if x]
+            assert len(nonzero) == 1, (m, n, g.rows)
+            got.append((*nonzero[0], order))
+        assert got == want, (m, n)
 
 
 # --- kernels / cokernels / images -------------------------------------------

@@ -301,3 +301,11 @@ def test_worked_examples_report_passes():
     rep = worked_examples_report(pq_pairs=((2, 3),))
     assert rep["passed"]
     json.dumps(rep)
+
+
+def test_worked_examples_over_the_hom_budget_fall_back_to_theorem_mode():
+    # with every brute-force verdict unknown, each cell is decided by theorem
+    # mode, as classify decides it, and none is counted as No
+    rep = worked_examples_report(Caps(hom_budget=0))
+    assert rep["passed"]
+    assert rep["tables"] == worked_examples_report()["tables"]

@@ -11,7 +11,6 @@ from absplit.groups import (
     hom_count,
     identity_hom,
     iter_hom,
-    iter_hom_rows,
     morphism,
 )
 from absplit.harness import enumerate_groups
@@ -284,10 +283,17 @@ def test_idempotents_complete():
         assert is_abelian_ring(view) == abelian, m.factors
 
 
+def _brute_entries(a, b):
+    """The entries x of maps Z/a -> Z/b (finite Hom), found by testing
+    a·x ≡ 0 (mod b); only 0 when b = 0."""
+    assert a or b, "Hom(Z, Z) is infinite"
+    return tuple(x for x in range(b) if a * x % b == 0) if b else (0,)
+
+
 def _full_product_end_ring(m):
     """An End-ring pass with no shortcut: one flat product of entry tables,
     sliced into rows, and a full e·e per element."""
-    from absplit.groups import _entry_values, hom_group
+    from absplit.groups import hom_group
 
     factors, w = m.factors, m.ngens
 
@@ -297,7 +303,7 @@ def _full_product_end_ring(m):
             for row, d in zip(left, factors)
         )
 
-    tables = [_entry_values(a, b) for b in factors for a in factors]
+    tables = [_brute_entries(a, b) for b in factors for a in factors]
     size, idem = 0, []
     for flat in itertools.product(*tables):
         rows = tuple(flat[i * w : (i + 1) * w] for i in range(w))
@@ -675,12 +681,12 @@ def _direct_subgroups(src, dst, f, dual):
     map_subgroup.  Hom is enumerated row by row (primal) or column by column
     (dual), each row or column in odometer order, so the subgroups come in
     the order the sweep first reaches them."""
-    from absplit.groups import Morphism, _entry_values
+    from absplit.groups import Morphism
     from absplit.subgroups import map_subgroup, preimage_subgroup
 
     if dual:
         columns = [
-            list(itertools.product(*(_entry_values(a, b) for b in dst.factors)))
+            list(itertools.product(*(_brute_entries(a, b) for b in dst.factors)))
             for a in src.factors
         ]
         matrices = (
@@ -688,7 +694,11 @@ def _direct_subgroups(src, dst, f, dual):
             for cols in itertools.product(*columns)
         )
     else:
-        matrices = iter_hom_rows(src, dst)
+        rows = [
+            list(itertools.product(*(_brute_entries(a, b) for a in src.factors)))
+            for b in dst.factors
+        ]
+        matrices = itertools.product(*rows)
     out = {}
     for rows in matrices:
         g = Morphism(src, dst, rows)
@@ -914,6 +924,22 @@ def test_verdict_fields_and_witness_counts():
     assert v.predicate == "strongly_self_F_split"
     d = is_dual_M_F_split(Z12, Z12, subs[3])
     assert d.predicate == "dual_self_F_split"
+
+
+def test_verdict_predicate_is_read_from_side_strength_and_carrier():
+    z2, z4 = group(2), group(4)
+    f = trivial_subgroup(z4)
+    assert is_M_F_split(z2, z4, f).predicate == "M_F_split"
+    assert is_dual_M_F_split(z4, z2, f, strongly=True).predicate == "dual_strongly_M_F_split"
+    unknown = is_M_F_split(z2, z4, f, budget=0)
+    assert unknown.is_unknown and unknown.predicate == "M_F_split"
+    for key, v in decide_self_profile(z4, f).items():
+        assert v.predicate == {
+            "primal_plain": "self_F_split",
+            "primal_strong": "strongly_self_F_split",
+            "dual_plain": "dual_self_F_split",
+            "dual_strong": "dual_strongly_self_F_split",
+        }[key]
 
 
 # --- work done by classify ------------------------------------------------------------------------
