@@ -20,6 +20,7 @@ from .groups import GroupSpecError, format_group, parse_group_spec
 from .harness import CHECKS, classify_rows, preradical_row, run_verification, worked_examples_report
 from .preradicals import parse_preradical
 from .splitness import Caps
+from .subgroups import SubgroupCapError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,11 +69,17 @@ def _add_caps_flags(p: argparse.ArgumentParser):
                         "timing-based skips make reports nondeterministic)")
 
 
-def _emit(doc: dict, out: Optional[str], as_json: bool, human: str) -> None:
+def _emit(doc: dict, out: Optional[str], as_json: bool, human: str, code: int) -> int:
+    """Write the document to out, print it, and return the exit code: code,
+    or 2 when out cannot be written."""
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+            return 2
     try:
         print(json.dumps(doc, indent=2, sort_keys=True) if as_json else human)
         sys.stdout.flush()
@@ -82,6 +89,7 @@ def _emit(doc: dict, out: Optional[str], as_json: bool, human: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return code
 
 
 def _cmd_classify(args) -> int:
@@ -118,8 +126,7 @@ def _cmd_classify(args) -> int:
         )
     for note in notes:
         lines.append(f"note: {note}")
-    _emit(doc, args.out, args.json, "\n".join(lines))
-    return 0
+    return _emit(doc, args.out, args.json, "\n".join(lines), 0)
 
 
 def _cmd_verify(args) -> int:
@@ -148,10 +155,14 @@ def _cmd_verify(args) -> int:
         if not rads:
             print("error: --preradicals needs at least one preradical", file=sys.stderr)
             return 2
-    report = run_verification(
-        args.max_order, theorems, caps, preradicals=rads,
-        with_examples=args.with_examples,
-    )
+    try:
+        report = run_verification(
+            args.max_order, theorems, caps, preradicals=rads,
+            with_examples=args.with_examples,
+        )
+    except SubgroupCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = []
     for t in report["theorems"]:
         status = "pass" if t["passed"] else "FAIL"
@@ -161,25 +172,24 @@ def _cmd_verify(args) -> int:
             f"expected_failures={len(t['expected_failures'])} [{t['elapsed_s']}s]"
         )
     lines.append("overall: " + ("pass" if report["passed"] else "FAIL"))
-    _emit(report, args.out, args.json, "\n".join(lines))
-    return 0 if report["passed"] else 1
+    return _emit(report, args.out, args.json, "\n".join(lines), 0 if report["passed"] else 1)
 
 
 def _cmd_examples(args) -> int:
     caps = _caps_from_args(args)
+    kwargs = {}
     if args.pq:
         try:
             p, q = (int(x) for x in args.pq.split(","))
         except ValueError:
             print("error: --pq expects two comma-separated integers", file=sys.stderr)
             return 2
-        try:
-            report = worked_examples_report(caps, pq_pairs=((p, q),))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        report = worked_examples_report(caps)
+        kwargs["pq_pairs"] = ((p, q),)
+    try:
+        report = worked_examples_report(caps, **kwargs)
+    except ValueError as exc:  # a bad prime pair, or a group over the subgroup cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = []
     for t in report["tables"]:
         lines.append(
@@ -193,8 +203,7 @@ def _cmd_examples(args) -> int:
             )
     lines.append(f"torsion-part samples: {'pass' if report['torsion_samples_ok'] else 'FAIL'}")
     lines.append("overall: " + ("pass" if report["passed"] else "FAIL"))
-    _emit(report, args.out, args.json, "\n".join(lines))
-    return 0 if report["passed"] else 1
+    return _emit(report, args.out, args.json, "\n".join(lines), 0 if report["passed"] else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

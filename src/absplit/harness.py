@@ -190,12 +190,14 @@ class TheoremReport:
         }
 
 
+def _cap_reason(caps: Caps) -> str:
+    return f"order exceeds subgroup cap {caps.subgroup_cap}"
+
+
 def _group_feasible(m: FgAbGroup, caps: Caps, report: TheoremReport) -> bool:
     order = m.order
     if order is None or order > caps.subgroup_cap:
-        report.skipped.append(
-            {"group": format_group(m), "reason": f"order exceeds subgroup cap {caps.subgroup_cap}"}
-        )
+        report.skipped.append({"group": format_group(m), "reason": _cap_reason(caps)})
         return False
     total = hom_count(m, m)
     if total is not None and total > caps.hom_budget:
@@ -484,6 +486,10 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
                 pairs.append((a, b))
     pairs = pairs[:_THOMZERO_PAIRS]
     for a, b in pairs:
+        # the parts' subgroups are enumerated
+        if max(a.order, b.order) > caps.subgroup_cap:
+            rep.skipped.append({"parts": [format_group(a), format_group(b)], "reason": _cap_reason(caps)})
+            continue
         fa_list = analysis_for(a).fi_subgroups(caps.subgroup_cap)
         fb_list = analysis_for(b).fi_subgroups(caps.subgroup_cap)
         for fa in fa_list:
@@ -580,7 +586,13 @@ def check_tdsprerad(
     if rads is None:
         rads = [socle(), ppart(2), ntorsion(2)]
     finite = [g for g in corpus if g.order and g.order > 1][:8]
-    m_pool = [g for g in corpus if g.order and g.order <= 12]
+    # the summands of each M are enumerated
+    m_pool = []
+    for m in [g for g in corpus if g.order and g.order <= 12][:4]:
+        if m.order > caps.subgroup_cap:
+            rep.skipped.append({"m": format_group(m), "reason": _cap_reason(caps)})
+        else:
+            m_pool.append(m)
     count = 0
     for r in rads:
         for i, n1 in enumerate(finite):
@@ -599,7 +611,7 @@ def check_tdsprerad(
                          "reason": "r(⊕Nk) != ⊕ r(Nk)"}
                     )
                     continue
-                for m in m_pool[:4]:
+                for m in m_pool:
                     rm = evaluate(r, m)
                     for strongly in (False, True):
                         if not has_sip_summands_containing(

@@ -8,7 +8,6 @@ morphism constructions in the rest of the package.
 
 from __future__ import annotations
 
-import bisect
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
@@ -30,10 +29,6 @@ def dims(a: Matrix) -> tuple[int, int]:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -96,17 +91,16 @@ class SnfDecomposition:
 
     The diagonal of s is non-negative, each entry divides the next (every
     integer divides 0, so zero entries come last), and s is unique for a
-    given input.  u_inv and v_inv are the exact integer inverses.
+    given input.  u_inv is the exact integer inverse of u.
     """
 
-    __slots__ = ("u", "s", "v", "u_inv", "v_inv")
+    __slots__ = ("u", "s", "v", "u_inv")
 
-    def __init__(self, u: Matrix, s: Matrix, v: Matrix, u_inv: Matrix, v_inv: Matrix):
+    def __init__(self, u: Matrix, s: Matrix, v: Matrix, u_inv: Matrix):
         self.u = u
         self.s = s
         self.v = v
         self.u_inv = u_inv
-        self.v_inv = v_inv
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -121,7 +115,6 @@ def snf(a: Matrix) -> SnfDecomposition:
     u = [list(row) for row in identity(m)]
     ui = [list(row) for row in identity(m)]
     v = [list(row) for row in identity(n)]
-    vi = [list(row) for row in identity(n)]
 
     def row_swap(i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
@@ -147,7 +140,6 @@ def snf(a: Matrix) -> SnfDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def col_axpy(j: int, k: int, q: int) -> None:
         # col_j += q * col_k
@@ -155,7 +147,6 @@ def snf(a: Matrix) -> SnfDecomposition:
             r[j] += q * r[k]
         for r in v:
             r[j] += q * r[k]
-        vi[k] = [x - q * y for x, y in zip(vi[k], vi[j])]
 
     t = 0
     limit = min(m, n)
@@ -211,7 +202,7 @@ def snf(a: Matrix) -> SnfDecomposition:
             continue
         t += 1
 
-    return SnfDecomposition(freeze(u), freeze(s), freeze(v), freeze(ui), freeze(vi))
+    return SnfDecomposition(freeze(u), freeze(s), freeze(v), freeze(ui))
 
 
 def _augment_with_moduli(a: Matrix, moduli: Sequence[int]) -> tuple[Matrix, int]:
@@ -284,71 +275,74 @@ def solution_lattice(
     return freeze(gens)
 
 
+def _hermite(basis: list[Optional[list[int]]], vectors: Iterable[Sequence[int]], width: int) -> Matrix:
+    """The one Hermite elimination.  basis[j] is the row whose pivot sits in
+    column j, or None; each vector is eliminated left to right and becomes
+    the row of the first column with no pivot row (a zero vector drops out).
+    Then each pivot is made positive and the entries above it reduced into
+    [0, pivot), left to right (reducing at column j only perturbs columns
+    > j, which later steps clean up).  Returns the rows by pivot column."""
+    for v0 in vectors:
+        v = list(v0)
+        for j in range(width):
+            x = v[j]
+            if x == 0:
+                continue
+            row = basis[j]
+            if row is None:
+                basis[j] = v
+                break
+            p = row[j]
+            if x % p == 0:
+                q = x // p
+                for c in range(j, width):
+                    v[c] -= q * row[c]
+            else:
+                g, s0, t0 = _xgcd(p, x)
+                pg, xg = p // g, x // g
+                for c in range(j, width):
+                    rc, vc = row[c], v[c]
+                    row[c] = s0 * rc + t0 * vc
+                    v[c] = pg * vc - xg * rc
+    done: list[list[int]] = []
+    for j, row in enumerate(basis):
+        if row is None:
+            continue
+        if row[j] < 0:
+            row = [-x for x in row]
+        p = row[j]
+        for above in done:
+            q = above[j] // p
+            if q:
+                for c in range(j, width):
+                    above[c] -= q * row[c]
+        done.append(row)
+    return tuple(map(tuple, done))
+
+
 def hnf_rows(vectors: Iterable[Sequence[int]], width: int) -> Matrix:
     """Canonical row Hermite basis of the lattice spanned by the given rows.
 
     Unique per lattice: pivots positive, strictly increasing pivot columns,
     entries above each pivot reduced into [0, pivot).  Zero rows dropped.
+    Rows already in echelon form, such as relations or a basis in hand
+    given first, are placed without elimination.
     """
-    basis: list[list[int]] = []  # kept sorted by pivot column
-    pivcol: list[int] = []
-
-    for vec0 in vectors:
-        if len(vec0) != width:
-            raise DimensionError("generator width mismatch")
-        vec = list(vec0)
-        j = 0
-        while True:
-            lead = next((c for c in range(j, width) if vec[c]), None)
-            if lead is None:
-                break
-            j = lead
-            pos = bisect.bisect_left(pivcol, j)
-            if pos == len(pivcol) or pivcol[pos] != j:
-                basis.insert(pos, vec)
-                pivcol.insert(pos, j)
-                break
-            row = basis[pos]
-            p = row[j]
-            x = vec[j]
-            if x % p == 0:
-                q = x // p
-                for c in range(j, width):
-                    vec[c] -= q * row[c]
-            else:
-                g, s0, t0 = _xgcd(p, x)
-                pg, xg = p // g, x // g
-                for c in range(j, width):
-                    rc, vc = row[c], vec[c]
-                    row[c] = s0 * rc + t0 * vc
-                    vec[c] = -xg * rc + pg * vc
-
-    # normalization pass: positive pivots, then reduce entries above each
-    # pivot left to right (reducing at column j only perturbs columns > j,
-    # which later iterations clean up)
-    for idx in range(len(basis)):
-        if basis[idx][pivcol[idx]] < 0:
-            basis[idx] = [-x for x in basis[idx]]
-    for idx in range(len(basis)):
-        j = pivcol[idx]
-        p = basis[idx][j]
-        for k in range(idx):
-            x = basis[k][j]
-            q = x // p
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[idx])]
-    return freeze(basis)
+    vectors = list(vectors)
+    if any(len(v) != width for v in vectors):
+        raise DimensionError("generator width mismatch")
+    return _hermite([None] * width, vectors, width)
 
 
 class SeededHnf:
     """Canonical HNF accumulator over a fixed full-rank diagonal lattice.
 
     For positive moduli (d_1, ..., d_n), canonical(extra) equals
-    hnf_rows(extra + diag-rows, n) but avoids the general bookkeeping: the
-    basis always stays upper triangular with positive pivots on the diagonal.
-    canonical(extra, start) begins from the given n×n upper-triangular basis
-    with positive diagonal, such as a canonical form already in hand, in place
-    of diag(d), and equals hnf_rows(extra + start, n).
+    hnf_rows(extra + diag-rows, n): the Hermite pass starts from diag(d) in
+    place, every column already holding its pivot row.  canonical(extra,
+    start) begins from the given n×n upper-triangular basis with positive
+    diagonal, such as a canonical form already in hand, in place of diag(d),
+    and equals hnf_rows(extra + start, n).
     """
 
     __slots__ = ("n", "_template")
@@ -365,37 +359,8 @@ class SeededHnf:
     def canonical(
         self, extra: Iterable[Sequence[int]], start: Optional[Iterable[Sequence[int]]] = None
     ) -> Matrix:
-        n = self.n
         basis = [list(row) for row in (self._template if start is None else start)]
-        for v0 in extra:
-            v = list(v0)
-            for j in range(n):
-                x = v[j]
-                if x == 0:
-                    continue
-                row = basis[j]
-                p = row[j]
-                if x % p == 0:
-                    q = x // p
-                    for c in range(j, n):
-                        v[c] -= q * row[c]
-                else:
-                    g, s0, t0 = _xgcd(p, x)
-                    pg, xg = p // g, x // g
-                    for c in range(j, n):
-                        rc, vc = row[c], v[c]
-                        row[c] = s0 * rc + t0 * vc
-                        v[c] = pg * vc - xg * rc
-        for j in range(1, n):
-            p = basis[j][j]
-            rowj = basis[j]
-            for k in range(j):
-                q = basis[k][j] // p
-                if q:
-                    rowk = basis[k]
-                    for c in range(j, n):
-                        rowk[c] -= q * rowj[c]
-        return tuple(tuple(r) for r in basis)
+        return _hermite(basis, extra, self.n)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 from .intmat import (
     Matrix,
-    SeededHnf,
     hnf_rows,
     identity,
     prime_factors,
@@ -102,11 +101,6 @@ class Subgroup:
         return "<" + ", ".join(str(g) for g in gens) + ">" if gens else "<0>"
 
 
-@lru_cache(maxsize=64)
-def _seeded(factors: tuple[int, ...]) -> SeededHnf:
-    return SeededHnf(factors)
-
-
 def _seeded_block(
     factors: tuple[int, ...],
     rows: Iterable[Sequence[int]],
@@ -116,14 +110,11 @@ def _seeded_block(
     """Columns k.. of the basis rows with zero in the first k coordinates, in
     the Hermite basis of the rows over the relations diag(factors), or over
     the start rows when given: the canonical basis of {x : (0, x) in the
-    lattice}.  The only place that picks the engine: SeededHnf when every
-    factor is positive (the start is then a triangular basis), else hnf_rows
-    over the same seed or start rows."""
-    if all(factors):
-        basis = _seeded(factors).canonical(rows, start)
-    else:
-        seed = _diag_after(0, factors) if start is None else list(start)
-        basis = hnf_rows(seed + list(rows), len(factors))
+    lattice}.  One hnf_rows pass on every ambient: the relations, or the
+    start rows, go first and are in echelon form, so the pass places them
+    without elimination and then inserts the rows."""
+    seed = _diag_after(0, factors) if start is None else list(start)
+    basis = hnf_rows(seed + list(rows), len(factors))
     return tuple(r[k:] for r in basis if not any(r[:k]))
 
 
@@ -227,9 +218,9 @@ def _seeded_preimage(f: Morphism, top: Sequence[Sequence[int]]) -> Subgroup:
     """f^{-1}(T), for T with the canonical basis top.  The rows
     (col_j(f), e_j) and (h, 0), h in top, span the pairs (f(x) + t, x) with t
     in T; those with first part zero are the (0, x) with x in f^{-1}(T), the
-    block after ngens(cod) columns.  On finite groups the rows (h, 0) and
-    (0, d_i e_i) are already a triangular basis, so the pass starts from them
-    and inserts the graph rows."""
+    block after ngens(cod) columns.  The rows (h, 0) and (0, d_i e_i) are
+    in echelon form, so the pass starts from them and inserts the graph
+    rows."""
     m, n = f.dom.ngens, f.cod.ngens
     graph = [
         col + tuple(int(i == j) for i in range(m))
@@ -262,8 +253,7 @@ def intersect(s: Subgroup, t: Subgroup) -> Subgroup:
     the (0, x) with x = a·S = −b·T in S ∩ T, and a Hermite basis lists a
     basis of them last.  Both lattices hold the relations, so that block is
     already the canonical form.  The pass starts from the rows (v, v) and
-    (0, d_i e_i), a triangular basis on a finite ambient, and inserts T's
-    rows."""
+    (0, d_i e_i), in echelon form, and inserts T's rows."""
     if s.ambient != t.ambient:
         raise ObjectMismatchError("ambient mismatch")
     n = s.ambient.ngens

