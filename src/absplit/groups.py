@@ -481,64 +481,44 @@ def pushout(f: Morphism, g: Morphism) -> tuple[FgAbGroup, Morphism, Morphism]:
     return q_grp, compose(q, injs[0]), compose(q, injs[1])
 
 
-def _solve_hom(
-    dom: FgAbGroup, cod: FgAbGroup, products: list[tuple[list[int], int, int]]
-) -> Optional[Morphism]:
-    """u: dom -> cod solving the product equations, or None if none exists.
+def _solve_compose(a: Morphism, c: Morphism, left: bool) -> Optional[Morphism]:
+    """u with a∘u = c (left) or u∘a = c (right), or None if none exists.
 
-    The unknowns are the entries u[r][k], numbered r·ngens(dom) + k; each
-    product equation is (coefficients, right-hand side, modulus).  The
+    The unknowns are the entries u[r][k], numbered r·ngens(dom u) + k.  The
     congruences d_k·u[r][k] ≡ 0 mod e_r, which make u well defined, come
-    first."""
-    nvars = cod.ngens * dom.ngens
-    rows_a: list[list[int]] = []
-    rhs: list[int] = []
-    moduli: list[int] = []
-    for r in range(cod.ngens):
-        for k in range(dom.ngens):
-            row = [0] * nvars
-            row[r * dom.ngens + k] = dom.factors[k]
-            rows_a.append(row)
-            rhs.append(0)
-            moduli.append(cod.factors[r])
-    for row, value, modulus in products:
-        rows_a.append(row)
-        rhs.append(value)
-        moduli.append(modulus)
-    sol = solve_congruences(freeze(rows_a), rhs, moduli, ncols=nvars)
+    first; then one equation per entry (r, j) of c, modulo the r-th factor
+    of cod(c)."""
+    dom, cod = (c.dom, a.dom) if left else (a.cod, c.cod)
+    nd = dom.ngens
+
+    def product(r: int, j: int) -> dict[int, int]:
+        # entry (r, j) of a∘u = Σ_i a[r][i]·u[i][j], or of u∘a = Σ_i u[r][i]·a[i][j]
+        if left:
+            return {i * nd + j: a.rows[r][i] for i in range(a.dom.ngens)}
+        return {r * nd + i: a.rows[i][j] for i in range(nd)}
+
+    eqs = [({r * nd + k: d}, 0, e) for r, e in enumerate(cod.factors) for k, d in enumerate(dom.factors)]
+    eqs += [(product(r, j), c.rows[r][j], e) for r, e in enumerate(c.cod.factors) for j in range(c.dom.ngens)]
+    nvars = cod.ngens * nd
+    rows = freeze([[coeffs.get(v, 0) for v in range(nvars)] for coeffs, _, _ in eqs])
+    sol = solve_congruences(rows, [eq[1] for eq in eqs], [eq[2] for eq in eqs], ncols=nvars)
     if sol is None:
         return None
-    return morphism(dom, cod, [sol[r * dom.ngens:(r + 1) * dom.ngens] for r in range(cod.ngens)])
+    return morphism(dom, cod, [sol[r * nd:(r + 1) * nd] for r in range(cod.ngens)])
 
 
 def solve_compose_left(a: Morphism, c: Morphism) -> Optional[Morphism]:
     """u with a∘u = c (u: dom(c) -> dom(a)), or None if no such morphism."""
     if a.cod != c.cod:
         raise ObjectMismatchError("solve_compose_left needs cod(a) = cod(c)")
-    b, x = a.dom, c.dom
-    products = []
-    for r in range(a.cod.ngens):
-        for j in range(x.ngens):
-            row = [0] * (b.ngens * x.ngens)
-            for i in range(b.ngens):
-                row[i * x.ngens + j] = a.rows[r][i]
-            products.append((row, c.rows[r][j], a.cod.factors[r]))
-    return _solve_hom(x, b, products)
+    return _solve_compose(a, c, left=True)
 
 
 def solve_compose_right(a: Morphism, c: Morphism) -> Optional[Morphism]:
     """u with u∘a = c (u: cod(a) -> cod(c)), or None if no such morphism."""
     if a.dom != c.dom:
         raise ObjectMismatchError("solve_compose_right needs dom(a) = dom(c)")
-    b, y = a.cod, c.cod
-    products = []
-    for r in range(y.ngens):
-        for j in range(a.dom.ngens):
-            row = [0] * (y.ngens * b.ngens)
-            for i in range(b.ngens):
-                row[r * b.ngens + i] = a.rows[i][j]
-            products.append((row, c.rows[r][j], y.factors[r]))
-    return _solve_hom(b, y, products)
+    return _solve_compose(a, c, left=False)
 
 
 def section_witness(f: Morphism) -> Optional[Morphism]:

@@ -13,7 +13,7 @@ import functools
 import itertools
 import time
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .groups import (
@@ -65,6 +65,7 @@ from .subgroups import (
     map_subgroup,
     preimage_subgroup,
     quotient,
+    require_fully_invariant,
     sub_from_gens,
     subgroup_group,
     trivial_subgroup,
@@ -250,16 +251,22 @@ def _check(name: str):
     return register
 
 
-def _decided_profiles(groups: Iterable[FgAbGroup], caps: Caps, rep: TheoremReport):
-    """(M, F, brute-force profile) for every fully invariant F of every
-    feasible M.  An F is recorded as skipped when a verdict is unknown, or
-    when it comes after M's per-group timeout has run out; the time counted
-    includes what the caller does with the profiles of M."""
+def _decided_profiles(
+    groups: Iterable[FgAbGroup],
+    caps: Caps,
+    rep: TheoremReport,
+    fs: Optional[Callable[[FgAbGroup], Iterable[Subgroup]]] = None,
+):
+    """(M, F, brute-force profile) for every F of every feasible M: every
+    fully invariant F, or the ones fs(M) names.  An F is recorded as skipped
+    when a verdict is unknown, or when it comes after M's per-group timeout
+    has run out; the time counted includes what the caller does with the
+    profiles of M."""
     for m in groups:
         if not _group_feasible(m, caps, rep):
             continue
         group_start = time.time()
-        for f in analysis_for(m).fi_subgroups(caps.subgroup_cap):
+        for f in analysis_for(m).fi_subgroups(caps.subgroup_cap) if fs is None else fs(m):
             if caps.per_group_timeout_s and time.time() - group_start > caps.per_group_timeout_s:
                 rep.skipped.append(
                     {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
@@ -389,69 +396,58 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
 def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
-    with (F+Nk)/Nk.  M runs over N itself and Z/6."""
+    with (F+Nk)/Nk.  M runs over N itself and Z/6.  Both pieces of F are
+    fully invariant, as the projections onto N1 and N2 are endomorphisms
+    of N: a piece that is not raises."""
 
     # a summand Nk lies in many decompositions: each piece is built once
     # per (Nk, F) in this call
     @functools.cache
     def piece(part: Subgroup, f: Subgroup, dual: bool):
-        """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk); None when
-        that subgroup is not fully invariant in its group."""
+        """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk)."""
         if dual:
             grp, q = quotient(part.ambient, part)
             fk = map_subgroup(q, f)
         else:
             inc = inclusion(part)
             grp, fk = inc.dom, preimage_subgroup(inc, intersect(f, part))
-        return (grp, fk) if is_fully_invariant(fk) else None
+        require_fully_invariant(grp, fk)
+        return grp, fk
 
-    for n_grp in corpus:
-        if not _group_feasible(n_grp, caps, rep):
-            continue
-        decomps = _decompositions(n_grp, caps)
-        samples = [n_grp] + ([group(6)] if n_grp != group(6) else [])
-        for f in analysis_for(n_grp).fi_subgroups(caps.subgroup_cap):
-            for x, y in decomps:
-                parts = [piece(part, f, False) for part in (x, y)]
-                if None in parts:
+    decompositions = functools.cache(_decompositions)
+    z6 = group(6)
+    for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
+        samples = [n_grp] + ([z6] if n_grp != z6 else [])
+        for x, y in decompositions(n_grp, caps):
+            # the dual side reads the quotient pieces
+            sides = (
+                (False, [piece(part, f, False) for part in (x, y)], "budget"),
+                (True, [piece(part, f, True) for part in (x, y)], "budget (dual)"),
+            )
+            for m, strongly, (dual, pieces_of, skip) in itertools.product(
+                samples, (False, True), sides
+            ):
+                whole, *pieces = [
+                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+                    for n, fn in ((n_grp, f), *pieces_of)
+                ]
+                if whole.is_unknown or any(p.is_unknown for p in pieces):
                     rep.skipped.append(
-                        {"group": format_group(n_grp), "f": str(f),
-                         "reason": "F∩Nk not fully invariant (hypothesis)"}
+                        {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
+                         "reason": skip}
                     )
                     continue
-                quots = [piece(part, f, True) for part in (x, y)]
-                if None in quots:
-                    rep.skipped.append(
-                        {"group": format_group(n_grp), "f": str(f),
-                         "reason": "(F+Nk)/Nk not fully invariant (hypothesis)"}
-                    )
-                    continue
-                # the dual side reads the quotient pieces
-                sides = ((False, parts, "budget"), (True, quots, "budget (dual)"))
-                for m, strongly, (dual, pieces_of, skip) in itertools.product(
-                    samples, (False, True), sides
-                ):
-                    whole, *pieces = [
-                        is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                        else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                        for n, fn in ((n_grp, f), *pieces_of)
-                    ]
-                    if whole.is_unknown or any(p.is_unknown for p in pieces):
-                        rep.skipped.append(
-                            {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
-                             "reason": skip}
-                        )
-                        continue
-                    rep.instances += 1
-                    if whole.is_yes != all(p.is_yes for p in pieces):
-                        failure = {"group": format_group(n_grp), "f": str(f),
-                                   "m": format_group(m), "strongly": strongly,
-                                   "decomposition": [str(x), str(y)],
-                                   "whole": whole.answer,
-                                   "parts": [p.answer for p in pieces]}
-                        if dual:
-                            failure["dual"] = True
-                        rep.failures.append(failure)
+                rep.instances += 1
+                if whole.is_yes != all(p.is_yes for p in pieces):
+                    failure = {"group": format_group(n_grp), "f": str(f),
+                               "m": format_group(m), "strongly": strongly,
+                               "decomposition": [str(x), str(y)],
+                               "whole": whole.answer,
+                               "parts": [p.answer for p in pieces]}
+                    if dual:
+                        failure["dual"] = True
+                    rep.failures.append(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -687,22 +683,18 @@ def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30)
 def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Radical/socle splitting: M self-Rad(M)-split iff Rad(M) = 0 and M
     self-Rickart (strongly likewise); M dual self-Soc(M)-split iff M is
-    semisimple; dual strongly iff additionally End(M) is abelian."""
-    for m in corpus:
-        if not _group_feasible(m, caps, rep):
+    semisimple; dual strongly iff additionally End(M) is abelian.  A group
+    is decided once all three of its F are."""
+
+    def rad_zero_soc(m: FgAbGroup) -> tuple[Subgroup, ...]:
+        return evaluate(radical(), m), trivial_subgroup(m), evaluate(socle(), m)
+
+    decided: dict[FgAbGroup, list] = {}
+    for m, f, prof in _decided_profiles(corpus, caps, rep, rad_zero_soc):
+        decided.setdefault(m, []).append((f, prof))
+        if len(decided[m]) < 3:
             continue
-        rad = evaluate(radical(), m)
-        soc = evaluate(socle(), m)
-        prof_rad = self_split_profile(m, rad, caps.hom_budget)
-        prof_rick = self_split_profile(m, trivial_subgroup(m), caps.hom_budget)
-        prof_soc = self_split_profile(m, soc, caps.hom_budget)
-        if any(
-            prof[k].is_unknown
-            for prof in (prof_rad, prof_rick, prof_soc)
-            for k in PROFILE_KEYS
-        ):
-            rep.skipped.append({"group": format_group(m), "reason": "budget"})
-            continue
+        (rad, prof_rad), (_, prof_rick), (soc, prof_soc) = decided[m]
         rad_zero = rad.order == 1
         semisimple = soc.is_full
         rep.instances += 4
@@ -718,8 +710,6 @@ def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
             rep.failures.append({"group": format_group(m), "variant": "soc dual strong"})
 
 
-
-
 # ---------------------------------------------------------------------------
 # classification tables
 
@@ -729,42 +719,32 @@ def classify_rows(m: FgAbGroup, caps: Caps = Caps()) -> tuple[list[dict], list[s
 
     Finite groups within caps get the complete fully invariant lattice with
     brute-force + theorem verdicts; otherwise the table covers the
-    preradical-generated fully invariant subgroups, theorem mode only.
-    Returns (rows, notes)."""
-    notes: list[str] = []
-    rows: list[dict] = []
+    preradical-generated fully invariant subgroups, and a note names the
+    modes that decided its rows.  Returns (rows, notes)."""
     order = m.order
     if order is not None and order <= caps.subgroup_cap:
-        subs = analysis_for(m).fi_subgroups(caps.subgroup_cap)
-    else:
-        notes.append(
-            "group outside enumeration caps: table restricted to "
-            "preradical-generated fully invariant subgroups, theorem mode"
-        )
-        cands: dict = {}
-        named = [
-            ("0", trivial_subgroup(m)),
-            ("torsion", evaluate(torsion(), m)),
-            ("socle", evaluate(socle(), m)),
-            ("radical", evaluate(radical(), m)),
-            ("divisible", evaluate(divisible(), m)),
-        ]
-        for p in sorted({p for d in m.torsion_factors for p in prime_factors(d)}):
-            named.append((f"ppart:{p}", evaluate(ppart(p), m)))
-        named.append(("all", full_subgroup(m)))
-        for name, s in named:
-            if s.canonical in cands:
-                cands[s.canonical]["names"].append(name)
-            else:
-                cands[s.canonical] = {"sub": s, "names": [name]}
-        subs = [c["sub"] for c in cands.values()]
-        name_map = {c["sub"].canonical: c["names"] for c in cands.values()}
-    for s in subs:
-        row = _row(m, s, caps)
-        if order is None or order > caps.subgroup_cap:
-            row["preradicals"] = name_map[s.canonical]
-        rows.append(row)
-    return rows, notes
+        return [_row(m, s, caps) for s in analysis_for(m).fi_subgroups(caps.subgroup_cap)], []
+    named = [
+        ("0", trivial_subgroup(m)),
+        ("torsion", evaluate(torsion(), m)),
+        ("socle", evaluate(socle(), m)),
+        ("radical", evaluate(radical(), m)),
+        ("divisible", evaluate(divisible(), m)),
+    ]
+    for p in sorted({p for d in m.torsion_factors for p in prime_factors(d)}):
+        named.append((f"ppart:{p}", evaluate(ppart(p), m)))
+    named.append(("all", full_subgroup(m)))
+    cands: dict = {}
+    for name, s in named:
+        cands.setdefault(s.canonical, (s, []))[1].append(name)
+    rows = [{**_row(m, s, caps), "preradicals": names} for s, names in cands.values()]
+    # within the Hom budget brute force decides the rows as well
+    modes = sorted({row["deciding_mode"] for row in rows})
+    note = (
+        "group outside enumeration caps: table restricted to preradical-generated "
+        f"fully invariant subgroups, {' and '.join(modes)} {'mode' if len(modes) == 1 else 'modes'}"
+    )
+    return rows, [note]
 
 
 def preradical_row(m: FgAbGroup, name: str, caps: Caps = Caps()) -> tuple[list[dict], list[str]]:

@@ -1,9 +1,12 @@
-"""Exact integer matrix algebra: Smith/Hermite normal forms and congruence solving.
+"""Exact integer matrix algebra: Hermite and Smith normal forms and congruence solving.
 
 Matrices are tuples of tuples of Python ints (arbitrary precision, immutable,
 hashable).  Everything here is pure and deterministic; no floating point
 anywhere.  These routines are the computational substrate for all group and
-morphism constructions in the rest of the package.
+morphism constructions in the rest of the package.  Every solve, kernel and
+preimage is one Hermite pass over the graph of a matrix (_graph_basis); the
+Smith form serves only groups.canonical_group, which reads the invariant
+factors and the change of generators from it.
 """
 
 from __future__ import annotations
@@ -40,13 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    r, c = dims(a)
-    if len(v) != c:
-        raise DimensionError("vector length mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -205,19 +201,29 @@ def snf(a: Matrix) -> SnfDecomposition:
     return SnfDecomposition(freeze(u), freeze(s), freeze(v), freeze(ui))
 
 
-def _augment_with_moduli(a: Matrix, moduli: Sequence[int]) -> tuple[Matrix, int]:
-    """Append one slack column per positive modulus; returns (matrix, n_vars)."""
-    m, n = dims(a)
-    if len(moduli) != m:
-        raise DimensionError("one modulus required per row")
-    extra = [i for i, md in enumerate(moduli) if md]
-    rows = []
-    for i in range(m):
-        slack = tuple(moduli[i] if i == k else 0 for k in extra)
-        rows.append(tuple(a[i]) + slack)
-    if m == 0:
-        return (), n
-    return freeze(rows), n
+def _diag_after(k: int, factors: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows (0, d_i e_i) for d_i > 0, with k leading zeros: the relations
+    of a second block, which complete a start basis for a two-block lattice."""
+    n = len(factors)
+    return [(0,) * (k + i) + (d,) + (0,) * (n - i - 1) for i, d in enumerate(factors) if d]
+
+
+def _graph_basis(
+    a: Matrix, top: Sequence[Sequence[int]], n: int, tail: Sequence[int] = ()
+) -> Matrix:
+    """Hermite basis of the pairs (A·x + t, x), for x in Z^n and t in the
+    span of the rows top, together with the relations (0, d_i e_i) for d_i
+    in tail.  The rows (h, 0) and (0, d_i e_i) are in echelon form, so the
+    pass places them first and then inserts the graph rows (col_j(A), e_j).
+    The basis rows with first block zero are the (0, x) with A·x in the span
+    of top: a solution lattice, or a preimage."""
+    r = len(a)
+    start = [tuple(h) + (0,) * n for h in top] + _diag_after(r, tail)
+    graph = [
+        tuple(col) + tuple(int(i == j) for i in range(n))
+        for j, col in enumerate(zip(*a) if a else [()] * n)
+    ]
+    return hnf_rows(start + graph, r + n)
 
 
 def solve_congruences(
@@ -226,31 +232,20 @@ def solve_congruences(
     """One solution x of A·x ≡ b (mod moduli, row-wise), or None if none exists.
 
     A modulus of 0 on a row means that equation holds exactly over the
-    integers.  Completeness comes from exact lattice solving, not search.
-    ncols disambiguates systems with zero rows.
+    integers.  Completeness comes from exact lattice solving, not search:
+    (b, 0) reduces against the graph basis over the moduli to (0, −x)
+    exactly when A·x ≡ b.  ncols disambiguates systems with zero rows.
     """
-    m, n = dims(a)
-    if ncols is not None:
-        n = ncols
+    m = len(a)
     if len(b) != m:
         raise DimensionError("right-hand side length mismatch")
-    if m == 0:
-        return (0,) * n
-    aug, nvars = _augment_with_moduli(a, moduli)
-    dec = snf(aug)
-    c = mat_vec(dec.u, b)
-    rows, cols = dims(dec.s)
-    w = [0] * cols
-    for i in range(rows):
-        d = dec.s[i][i] if i < cols else 0
-        if d:
-            if c[i] % d != 0:
-                return None
-            w[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    y = mat_vec(dec.v, w)
-    return tuple(y[:nvars])
+    if len(moduli) != m:
+        raise DimensionError("one modulus required per row")
+    n = dims(a)[1] if ncols is None else ncols
+    v = row_lattice_reduce(_graph_basis(a, _diag_after(0, moduli), n), tuple(b) + (0,) * n)
+    if any(v[:m]):
+        return None
+    return tuple(-x for x in v[m:])
 
 
 def solution_lattice(
@@ -258,21 +253,17 @@ def solution_lattice(
 ) -> Matrix:
     """Columns generating every solution of the homogeneous system A·x ≡ 0.
 
-    Returned as an n×k matrix (k generators); every integer combination of
-    the columns is a solution and conversely.  ncols disambiguates systems
-    with zero rows.
+    Returned as an n×k matrix (k generators), the canonical basis of the
+    solutions as columns: the second blocks of the graph basis rows whose
+    first block is zero.  Every integer combination of the columns is a
+    solution and conversely.  ncols disambiguates systems with zero rows.
     """
-    m, n = dims(a)
-    if ncols is not None:
-        n = ncols
-    if m == 0:
-        return identity(n)
-    aug, nvars = _augment_with_moduli(a, moduli)
-    dec = snf(aug)
-    rows, cols = dims(dec.s)
-    free = [j for j in range(cols) if j >= rows or dec.s[j][j] == 0]
-    gens = [[dec.v[i][j] for j in free] for i in range(nvars)]
-    return freeze(gens)
+    m = len(a)
+    if len(moduli) != m:
+        raise DimensionError("one modulus required per row")
+    n = dims(a)[1] if ncols is None else ncols
+    gens = [row[m:] for row in _graph_basis(a, _diag_after(0, moduli), n) if not any(row[:m])]
+    return tuple(zip(*gens)) if gens else ((),) * n
 
 
 def _hermite(basis: list[Optional[list[int]]], vectors: Iterable[Sequence[int]], width: int) -> Matrix:

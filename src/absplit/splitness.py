@@ -251,7 +251,9 @@ class GroupAnalysis:
         return props
 
     def subgroups(self, cap: int) -> list[Subgroup]:
-        if self._all_subgroups is None:
+        """Every subgroup, listed once; a cap below the order refuses on
+        every call, not only on the call that lists them."""
+        if self._all_subgroups is None or self.group.order > cap:
             self._all_subgroups = all_subgroups(self.group, cap)
         return self._all_subgroups
 

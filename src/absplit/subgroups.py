@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from .intmat import (
     Matrix,
+    _diag_after,
+    _graph_basis,
     hnf_rows,
     identity,
     prime_factors,
@@ -118,13 +120,6 @@ def _seeded_block(
     return tuple(r[k:] for r in basis if not any(r[:k]))
 
 
-def _diag_after(k: int, factors: Sequence[int]) -> list[tuple[int, ...]]:
-    """The rows (0, d_i e_i) for d_i > 0, with k leading zeros: the relations
-    of a second block, which complete a start basis for a two-block lattice."""
-    n = len(factors)
-    return [(0,) * (k + i) + (d,) + (0,) * (n - i - 1) for i, d in enumerate(factors) if d]
-
-
 def sub_from_gens(ambient: FgAbGroup, gens: Iterable[Sequence[int]]) -> Subgroup:
     """The subgroup generated by the given vectors: one Hermite pass over the
     generators and the relations."""
@@ -215,19 +210,12 @@ def image_subgroup(f: Morphism) -> Subgroup:
 
 
 def _seeded_preimage(f: Morphism, top: Sequence[Sequence[int]]) -> Subgroup:
-    """f^{-1}(T), for T with the canonical basis top.  The rows
-    (col_j(f), e_j) and (h, 0), h in top, span the pairs (f(x) + t, x) with t
-    in T; those with first part zero are the (0, x) with x in f^{-1}(T), the
-    block after ngens(cod) columns.  The rows (h, 0) and (0, d_i e_i) are
-    in echelon form, so the pass starts from them and inserts the graph
-    rows."""
-    m, n = f.dom.ngens, f.cod.ngens
-    graph = [
-        col + tuple(int(i == j) for i in range(m))
-        for j, col in enumerate(zip(*f.rows) if f.rows else [()] * m)
-    ]
-    start = [h + (0,) * m for h in top] + _diag_after(n, f.dom.factors)
-    return Subgroup(f.dom, _seeded_block(f.cod.factors + f.dom.factors, graph, n, start))
+    """f^{-1}(T), for T with the canonical basis top: the pairs (f(x) + t, x)
+    with t in T and first part zero are the (0, x) with x in f^{-1}(T), the
+    block after ngens(cod) columns of the graph basis."""
+    n = f.cod.ngens
+    basis = _graph_basis(f.rows, top, f.dom.ngens, f.dom.factors)
+    return Subgroup(f.dom, tuple(r[n:] for r in basis if not any(r[:n])))
 
 
 def preimage_subgroup(f: Morphism, t: Subgroup) -> Subgroup:

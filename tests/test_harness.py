@@ -187,7 +187,7 @@ class _TickingClock:
         return self.now
 
 
-@pytest.mark.parametrize("name", ["tkey", "trel", "tendab", "csip", "semis"])
+@pytest.mark.parametrize("name", ["tkey", "trel", "tendab", "csip", "tds", "semis"])
 def test_per_group_timeout_guards_every_profile_check(monkeypatch, name):
     # each check that walks (M, F) through the shared loop honours --timeout:
     # with reads one second apart and a 1.5 s guard, the first F of a group
@@ -202,6 +202,23 @@ def test_per_group_timeout_guards_every_profile_check(monkeypatch, name):
     assert rep.passed and rep.instances > 0
     rep = CHECKS[name](corpus, Caps())  # 0, the default, turns the guard off
     assert not any(s["reason"] == "per-group timeout" for s in rep.skipped)
+
+
+def test_per_group_timeout_guards_socrad(monkeypatch):
+    # socrad decides a group from the profiles of its three F (Rad M, 0 and
+    # Soc M); under the ticking clock only the first is reached, so every
+    # group skips the other two and none is decided
+    from absplit import harness
+
+    corpus = enumerate_groups(8)
+    monkeypatch.setattr(harness, "time", _TickingClock())
+    rep = check_socrad(corpus, Caps(per_group_timeout_s=1.5))
+    assert rep.instances == 0 and rep.passed
+    assert [(s["group"], s["reason"]) for s in rep.skipped] == [
+        (str(m), "per-group timeout") for m in corpus for _ in range(2)
+    ]
+    rep = check_socrad(corpus, Caps())
+    assert rep.instances == 4 * len(list(corpus)) and not rep.skipped
 
 
 def test_run_verification_unknown_id():
@@ -266,6 +283,21 @@ def test_classify_rows_cap_exceeded_is_marked():
     rows, notes = classify_rows(group(2, 2), Caps(subgroup_cap=2))
     assert notes and "caps" in notes[0]
     assert rows
+
+
+def test_classify_note_names_the_modes_of_its_rows():
+    # past the subgroup cap the table is restricted, but brute force still
+    # decides every row within the Hom budget, and the note says so
+    note = (
+        "group outside enumeration caps: table restricted to "
+        "preradical-generated fully invariant subgroups, {} mode"
+    )
+    rows, notes = classify_rows(group(2, 4), Caps(subgroup_cap=0))
+    assert {r["deciding_mode"] for r in rows} == {"brute+theorem"}
+    assert notes == [note.format("brute+theorem")]
+    rows, notes = classify_rows(group(2, 4, 0))
+    assert {r["deciding_mode"] for r in rows} == {"theorem"}
+    assert notes == [note.format("theorem")]
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,82 @@ def test_solution_lattice_complete_and_sound():
                 assert row_lattice_contains(h, list(sol))
 
 
+def _smith_system(a, moduli):
+    """The Smith form of A with one slack column per positive modulus, the
+    formulation the graph Hermite pass replaced, kept as a reference."""
+    extra = [i for i, md in enumerate(moduli) if md]
+    aug = freeze(
+        tuple(row) + tuple(moduli[i] if i == k else 0 for k in extra) for i, row in enumerate(a)
+    )
+    return snf(aug)
+
+
+def _smith_solve_congruences(a, b, moduli, n):
+    if not a:
+        return (0,) * n
+    dec = _smith_system(a, moduli)
+    c = [sum(x * y for x, y in zip(row, b)) for row in dec.u]
+    rows, cols = len(dec.s), len(dec.s[0])
+    w = [0] * cols
+    for i in range(rows):
+        d = dec.s[i][i] if i < cols else 0
+        if d:
+            if c[i] % d:
+                return None
+            w[i] = c[i] // d
+        elif c[i]:
+            return None
+    return tuple(sum(x * y for x, y in zip(row, w)) for row in dec.v[:n])
+
+
+def _smith_solution_lattice(a, moduli, n):
+    if not a:
+        return identity(n)
+    dec = _smith_system(a, moduli)
+    rows, cols = len(dec.s), len(dec.s[0])
+    free = [j for j in range(cols) if j >= rows or dec.s[j][j] == 0]
+    return freeze([[dec.v[i][j] for j in free] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_graph_solver_matches_the_smith_reference(data):
+    # 0-4 rows (none: only ncols gives the width), 1-4 unknowns, negative
+    # entries, exact rows (modulus 0) and trivial ones (modulus 1)
+    k = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 4))
+    a = freeze(
+        [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(k)]
+    )
+    moduli = [data.draw(st.sampled_from([0, 0, 1, 2, 3, 4, 6, 9])) for _ in range(k)]
+    if data.draw(st.booleans()):
+        # b in the image: A·x0 plus multiples of the moduli
+        x0 = [data.draw(st.integers(-5, 5)) for _ in range(n)]
+        b = [sum(r * x for r, x in zip(row, x0)) + md * data.draw(st.integers(-2, 2))
+             for row, md in zip(a, moduli)]
+    else:
+        b = [data.draw(st.integers(-9, 9)) for _ in range(k)]
+
+    def solves(x, rhs):
+        return len(x) == n and all(
+            (sum(r * xi for r, xi in zip(row, x)) - v) % md == 0 if md
+            else sum(r * xi for r, xi in zip(row, x)) == v
+            for row, v, md in zip(a, rhs, moduli)
+        )
+
+    got = solve_congruences(a, b, moduli, ncols=n)
+    ref = _smith_solve_congruences(a, b, moduli, n)
+    assert (got is None) == (ref is None)
+    assert ref is None or solves(ref, b)
+    assert got is None or solves(got, b)
+    lat = solution_lattice(a, moduli, ncols=n)
+    assert len(lat) == n
+    gens = list(zip(*lat))
+    assert all(solves(g, [0] * k) for g in gens)
+    ref_gens = list(zip(*_smith_solution_lattice(a, moduli, n)))
+    assert hnf_rows(gens, n) == hnf_rows(ref_gens, n)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_hnf_rows_canonical(data):

@@ -45,6 +45,7 @@ from absplit import splitness
 from absplit.preradicals import evaluate, parse_preradical, radical, socle, torsion
 from absplit.subgroups import (
     FullyInvariantError,
+    SubgroupCapError,
     all_subgroups,
     full_subgroup,
     is_fully_invariant,
@@ -406,6 +407,19 @@ def test_sip_examples():
     assert has_sip_summands_containing(v4, trivial_subgroup(v4))
     assert has_ssp_summands_contained_in(v4, trivial_subgroup(v4))
     assert has_ssp_summands_contained_in(v4, full_subgroup(v4))
+
+
+def test_subgroup_cap_refuses_in_a_warm_process_too(monkeypatch):
+    # the subgroup list is cached per group, but every call checks its cap:
+    # a cap below the order refuses before and after a listing under a larger one
+    m = group(2, 4)
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    with pytest.raises(SubgroupCapError):
+        has_sip_summands_containing(m, trivial_subgroup(m), cap=4)
+    assert has_sip_summands_containing(m, trivial_subgroup(m), cap=512) is False
+    with pytest.raises(SubgroupCapError):
+        has_sip_summands_containing(m, trivial_subgroup(m), cap=4)
+    assert splitness.analysis_for(m).subgroups(8) == all_subgroups(m)
 
 
 def test_sip_for_split_instances():

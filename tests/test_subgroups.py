@@ -425,24 +425,29 @@ def test_sweep_joins_match_passes_from_the_seed(monkeypatch):
         assert len(joins) >= 2 * 16
 
 
-def _count_calls(monkeypatch, module, name):
+def _count_calls(monkeypatch, modules, name):
+    """Count the calls of the function bound to name in the first module,
+    through every module given that binds it."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_finite_ambients_take_one_seeded_pass(monkeypatch):
     import absplit.groups as groups_mod
+    import absplit.intmat as intmat_mod
     import absplit.subgroups as subgroups_mod
 
-    solves = _count_calls(monkeypatch, groups_mod, "solution_lattice")
-    hnfs = _count_calls(monkeypatch, subgroups_mod, "hnf_rows")
+    solves = _count_calls(monkeypatch, [groups_mod], "solution_lattice")
+    # preimages and kernels reach the pass through intmat._graph_basis
+    hnfs = _count_calls(monkeypatch, [intmat_mod, subgroups_mod], "hnf_rows")
 
     def one_pass(op):
         before = len(hnfs)
