@@ -382,16 +382,6 @@ def iter_hom(m: FgAbGroup, n: FgAbGroup) -> Iterator[Morphism]:
         yield Morphism(m, n, rows)
 
 
-def enumerate_hom(
-    m: FgAbGroup, n: FgAbGroup, budget: int = 10**6
-) -> Optional[list[Morphism]]:
-    """Complete list of morphisms, or None (unknown) if infinite/over budget."""
-    total = hom_count(m, n)
-    if total is None or total > budget:
-        return None
-    return list(iter_hom(m, n))
-
-
 # ---------------------------------------------------------------------------
 # kernels, cokernels, biproducts, pullbacks, pushouts
 
@@ -529,10 +519,6 @@ def section_witness(f: Morphism) -> Optional[Morphism]:
 def retraction_witness(f: Morphism) -> Optional[Morphism]:
     """Section s with f·s = 1 when f is a retraction, else None."""
     return solve_compose_left(f, identity_hom(f.cod))
-
-
-def is_section(f: Morphism) -> bool:
-    return section_witness(f) is not None
 
 
 # ---------------------------------------------------------------------------

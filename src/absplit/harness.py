@@ -251,6 +251,19 @@ def _check(name: str):
     return register
 
 
+def _timed(items: Iterable, caps: Caps, rep: TheoremReport, named: Callable[..., dict]):
+    """The items in turn, until the per-group timeout, counted from the
+    first item, has run out; each item after that is recorded as skipped
+    under the entry named(item).  The time counted includes what the caller
+    does with the items it is given."""
+    start = time.time()
+    for item in items:
+        if caps.per_group_timeout_s and time.time() - start > caps.per_group_timeout_s:
+            rep.skipped.append({**named(item), "reason": "per-group timeout"})
+            continue
+        yield item
+
+
 def _decided_profiles(
     groups: Iterable[FgAbGroup],
     caps: Caps,
@@ -260,18 +273,12 @@ def _decided_profiles(
     """(M, F, brute-force profile) for every F of every feasible M: every
     fully invariant F, or the ones fs(M) names.  An F is recorded as skipped
     when a verdict is unknown, or when it comes after M's per-group timeout
-    has run out; the time counted includes what the caller does with the
-    profiles of M."""
+    has run out."""
     for m in groups:
         if not _group_feasible(m, caps, rep):
             continue
-        group_start = time.time()
-        for f in analysis_for(m).fi_subgroups(caps.subgroup_cap) if fs is None else fs(m):
-            if caps.per_group_timeout_s and time.time() - group_start > caps.per_group_timeout_s:
-                rep.skipped.append(
-                    {"group": format_group(m), "f": str(f), "reason": "per-group timeout"}
-                )
-                continue
+        f_list = analysis_for(m).fi_subgroups(caps.subgroup_cap) if fs is None else fs(m)
+        for f in _timed(f_list, caps, rep, lambda f: {"group": format_group(m), "f": str(f)}):
             prof = self_split_profile(m, f, caps.hom_budget)
             if any(prof[k].is_unknown for k in PROFILE_KEYS):
                 rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
@@ -360,6 +367,11 @@ def check_tendab(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
 def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Self-F-split groups have SIP for summands containing F (fully
     invariant summands in the strong case); dually SSP below F."""
+    rep.notes.append(
+        "SIP and SSP take the first summand of each pair from one "
+        "representative per isomorphism type (one Aut(M)-orbit, as Aut(M) "
+        "fixes F), and every pair in the fully invariant variants"
+    )
     for m, f, brute in _decided_profiles(corpus, caps, rep):
         for k, prop in zip(PROFILE_KEYS, ("SIP", "SIP-fi", "SSP", "SSP-fi")):
             if brute[k].is_yes:
@@ -392,50 +404,73 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
     return out
 
 
+def _tds_piece(part: Subgroup, f: Subgroup, dual: bool) -> tuple[FgAbGroup, Subgroup]:
+    """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk).  Both pieces
+    of F are fully invariant, as the projections onto N1 and N2 are
+    endomorphisms of N: a piece that is not raises."""
+    if dual:
+        grp, q = quotient(part.ambient, part)
+        fk = map_subgroup(q, f)
+    else:
+        inc = inclusion(part)
+        grp, fk = inc.dom, preimage_subgroup(inc, intersect(f, part))
+    require_fully_invariant(grp, fk)
+    return grp, fk
+
+
+def _tds_verdicts(
+    n_grp: FgAbGroup,
+    f: Subgroup,
+    decompositions: Iterable[tuple[Subgroup, Subgroup]],
+    samples: Sequence[FgAbGroup],
+    caps: Caps,
+):
+    """(X, Y, verdicts) for every decomposition N = X ⊕ Y, with verdicts
+    the (M, strongly, dual, whole, parts) for each M of samples, primal side
+    first.  The verdicts are read once per ordered pair of summand types:
+    two decompositions of one such type differ by an α ∈ Aut(N), which fixes
+    F and carries each piece and its F onto the other's, and a fully
+    invariant piece of F is fixed by every automorphism of its canonical
+    group, so both look up the same (factors, F-piece) verdicts."""
+    analysis = analysis_for(n_grp)
+    by_type: dict = {}
+    for x, y in decompositions:
+        key = (analysis.subgroup_props(x).iso_type, analysis.subgroup_props(y).iso_type)
+        verdicts = by_type.get(key)
+        if verdicts is None:
+            pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
+            verdicts = by_type[key] = [
+                (m, strongly, dual, *(
+                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+                    for n, fn in ((n_grp, f), *pieces[dual])
+                ))
+                for m, strongly, dual in itertools.product(samples, (False, True), (False, True))
+            ]
+        yield x, y, verdicts
+
+
 @_check("tds")
 def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
-    with (F+Nk)/Nk.  M runs over N itself and Z/6.  Both pieces of F are
-    fully invariant, as the projections onto N1 and N2 are endomorphisms
-    of N: a piece that is not raises."""
-
-    # a summand Nk lies in many decompositions: each piece is built once
-    # per (Nk, F) in this call
-    @functools.cache
-    def piece(part: Subgroup, f: Subgroup, dual: bool):
-        """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk)."""
-        if dual:
-            grp, q = quotient(part.ambient, part)
-            fk = map_subgroup(q, f)
-        else:
-            inc = inclusion(part)
-            grp, fk = inc.dom, preimage_subgroup(inc, intersect(f, part))
-        require_fully_invariant(grp, fk)
-        return grp, fk
-
+    with (F+Nk)/Nk.  M runs over N itself and Z/6.  Every decomposition is
+    an instance, decided by the verdicts of its Aut(N)-orbit."""
+    rep.notes.append(
+        "each decomposition N = X ⊕ Y reads the verdicts of the first "
+        "decomposition of its ordered pair of summand types (one Aut(N)-orbit, "
+        "as Aut(N) fixes F) and counts as its own instances"
+    )
     decompositions = functools.cache(_decompositions)
     z6 = group(6)
     for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
         samples = [n_grp] + ([z6] if n_grp != z6 else [])
-        for x, y in decompositions(n_grp, caps):
-            # the dual side reads the quotient pieces
-            sides = (
-                (False, [piece(part, f, False) for part in (x, y)], "budget"),
-                (True, [piece(part, f, True) for part in (x, y)], "budget (dual)"),
-            )
-            for m, strongly, (dual, pieces_of, skip) in itertools.product(
-                samples, (False, True), sides
-            ):
-                whole, *pieces = [
-                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                    for n, fn in ((n_grp, f), *pieces_of)
-                ]
+        for x, y, verdicts in _tds_verdicts(n_grp, f, decompositions(n_grp, caps), samples, caps):
+            for m, strongly, dual, whole, *pieces in verdicts:
                 if whole.is_unknown or any(p.is_unknown for p in pieces):
                     rep.skipped.append(
                         {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
-                         "reason": skip}
+                         "reason": "budget (dual)" if dual else "budget"}
                     )
                     continue
                 rep.instances += 1
@@ -473,7 +508,8 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Families with pairwise-zero Homs: the biproduct is self-(⊕Fk)-split
     iff every part is self-Fk-split; the strong version holds iff every part
     is strongly split and Hom(Ck, Cl) = 0 for k != l.  Counterexample
-    patterns with nonzero Homs are asserted to genuinely fail."""
+    patterns with nonzero Homs are asserted to genuinely fail.  The
+    per-group timeout runs per pair (A, B), over its pairs (FA, FB)."""
     finite = [g for g in corpus if g.order and g.order > 1]
     pairs = []
     for i, a in enumerate(finite):
@@ -482,50 +518,45 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
                 pairs.append((a, b))
     pairs = pairs[:_THOMZERO_PAIRS]
     for a, b in pairs:
+        parts = [format_group(a), format_group(b)]
         # the parts' subgroups are enumerated
         if max(a.order, b.order) > caps.subgroup_cap:
-            rep.skipped.append({"parts": [format_group(a), format_group(b)], "reason": _cap_reason(caps)})
+            rep.skipped.append({"parts": parts, "reason": _cap_reason(caps)})
             continue
-        fa_list = analysis_for(a).fi_subgroups(caps.subgroup_cap)
-        fb_list = analysis_for(b).fi_subgroups(caps.subgroup_cap)
-        for fa in fa_list:
-            for fb in fb_list:
-                g, f = _fi_biproduct([a, b], [fa, fb])
-                if not is_fully_invariant(f):
-                    rep.failures.append(
-                        {"parts": [format_group(a), format_group(b)],
-                         "reason": "⊕Fk not fully invariant despite zero Homs"}
-                    )
-                    continue
-                whole = self_split_profile(g, f, caps.hom_budget)
-                pa = self_split_profile(a, fa, caps.hom_budget)
-                pb = self_split_profile(b, fb, caps.hom_budget)
-                if any(v.is_unknown for v in (whole["primal_plain"], pa["primal_plain"], pb["primal_plain"])):
-                    rep.skipped.append({"parts": [format_group(a), format_group(b)], "reason": "budget"})
-                    continue
-                rep.instances += 1
-                if whole["primal_plain"].is_yes != (
-                    pa["primal_plain"].is_yes and pb["primal_plain"].is_yes
-                ):
-                    rep.failures.append(
-                        {"parts": [format_group(a), format_group(b)], "f": [str(fa), str(fb)],
-                         "variant": "plain"}
-                    )
-                # strong variant: include the Hom(Ck, Cl) = 0 condition
-                ca, _ = quotient(a, fa)
-                cb, _ = quotient(b, fb)
-                homzero_c = hom_count(ca, cb) == 1 and hom_count(cb, ca) == 1
-                rep.instances += 1
-                expected = (
-                    pa["primal_strong"].is_yes
-                    and pb["primal_strong"].is_yes
-                    and homzero_c
+        f_pairs = itertools.product(
+            analysis_for(a).fi_subgroups(caps.subgroup_cap),
+            analysis_for(b).fi_subgroups(caps.subgroup_cap),
+        )
+        for fa, fb in _timed(f_pairs, caps, rep, lambda fs: {"parts": parts, "f": list(map(str, fs))}):
+            g, f = _fi_biproduct([a, b], [fa, fb])
+            if not is_fully_invariant(f):
+                rep.failures.append(
+                    {"parts": parts, "reason": "⊕Fk not fully invariant despite zero Homs"}
                 )
-                if whole["primal_strong"].is_yes != expected:
-                    rep.failures.append(
-                        {"parts": [format_group(a), format_group(b)], "f": [str(fa), str(fb)],
-                         "variant": "strong"}
-                    )
+                continue
+            whole = self_split_profile(g, f, caps.hom_budget)
+            pa = self_split_profile(a, fa, caps.hom_budget)
+            pb = self_split_profile(b, fb, caps.hom_budget)
+            if any(v.is_unknown for v in (whole["primal_plain"], pa["primal_plain"], pb["primal_plain"])):
+                rep.skipped.append({"parts": parts, "reason": "budget"})
+                continue
+            rep.instances += 1
+            if whole["primal_plain"].is_yes != (
+                pa["primal_plain"].is_yes and pb["primal_plain"].is_yes
+            ):
+                rep.failures.append({"parts": parts, "f": [str(fa), str(fb)], "variant": "plain"})
+            # strong variant: include the Hom(Ck, Cl) = 0 condition
+            ca, _ = quotient(a, fa)
+            cb, _ = quotient(b, fb)
+            homzero_c = hom_count(ca, cb) == 1 and hom_count(cb, ca) == 1
+            rep.instances += 1
+            expected = (
+                pa["primal_strong"].is_yes
+                and pb["primal_strong"].is_yes
+                and homzero_c
+            )
+            if whole["primal_strong"].is_yes != expected:
+                rep.failures.append({"parts": parts, "f": [str(fa), str(fb)], "variant": "strong"})
     # expected failure 1: strong equivalence without the Hom(C) condition
     z2 = group(2)
     g, f = _fi_biproduct([z2, z2], [trivial_subgroup(z2), trivial_subgroup(z2)])
@@ -578,7 +609,8 @@ def check_tdsprerad(
 ) -> None:
     """For preradicals r and M with SIP for (fully invariant) summands over
     r(M): N1 ⊕ N2 is (strongly) M-r(N1⊕N2)-split iff each Nk is (strongly)
-    M-r(Nk)-split.  Also checks r(⊕Nk) = ⊕ r(Nk) coordinatewise."""
+    M-r(Nk)-split.  Also checks r(⊕Nk) = ⊕ r(Nk) coordinatewise.  The
+    per-group timeout runs per pair (N1, N2) of each r, over the pool of M."""
     if rads is None:
         rads = [socle(), ppart(2), ntorsion(2)]
     finite = [g for g in corpus if g.order and g.order > 1][:8]
@@ -598,16 +630,18 @@ def check_tdsprerad(
                 if n1.order * n2.order > corpus.max_order:
                     continue
                 count += 1
+                parts = [format_group(n1), format_group(n2)]
                 parts_f = [evaluate(r, n1), evaluate(r, n2)]
                 n, sum_f = _fi_biproduct([n1, n2], parts_f)
                 rn = evaluate(r, n)
                 if sum_f.canonical != rn.canonical:
                     rep.failures.append(
-                        {"r": r.name, "parts": [format_group(n1), format_group(n2)],
-                         "reason": "r(⊕Nk) != ⊕ r(Nk)"}
+                        {"r": r.name, "parts": parts, "reason": "r(⊕Nk) != ⊕ r(Nk)"}
                     )
                     continue
-                for m in m_pool:
+                for m in _timed(
+                    m_pool, caps, rep, lambda m: {"r": r.name, "m": format_group(m), "parts": parts}
+                ):
                     rm = evaluate(r, m)
                     for strongly in (False, True):
                         if not has_sip_summands_containing(
@@ -629,8 +663,7 @@ def check_tdsprerad(
                         rep.instances += 1
                         if whole.is_yes != (p1.is_yes and p2.is_yes):
                             rep.failures.append(
-                                {"r": r.name, "m": format_group(m),
-                                 "parts": [format_group(n1), format_group(n2)],
+                                {"r": r.name, "m": format_group(m), "parts": parts,
                                  "strongly": strongly,
                                  "whole": whole.answer,
                                  "part_answers": [p1.answer, p2.answer]}

@@ -55,33 +55,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
-def det(a: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n, m = dims(a)
-    if n != m:
-        raise DimensionError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    w = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
-
-
 class SnfDecomposition:
     """u @ a @ v == s with u, v unimodular and s in Smith normal form.
 

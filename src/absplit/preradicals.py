@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .groups import FgAbGroup, Morphism, _immutable, _store
+from .groups import FgAbGroup, _immutable, _store
 from .intmat import prime_factors, squarefree_radical
 from .subgroups import Subgroup, sub_from_gens
 
@@ -161,10 +161,3 @@ def evaluate(r: Preradical, m: FgAbGroup) -> Subgroup:
         else:
             raise ValueError(f"unknown preradical tag {r.tag!r}")
     return sub_from_gens(m, gens)
-
-
-def naturality_check(r: Preradical, f: Morphism) -> bool:
-    """True iff f maps the generators of r(dom) into r(cod)."""
-    src = evaluate(r, f.dom)
-    dst = evaluate(r, f.cod)
-    return all(dst.contains(f(row)) for row in src.canonical)

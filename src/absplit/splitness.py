@@ -60,6 +60,7 @@ from .subgroups import (
     quotient,
     require_fully_invariant,
     sub_from_gens,
+    subgroup_group,
     sum_sub,
     summand_witness,
     trivial_subgroup,
@@ -218,6 +219,11 @@ class SubProps:
         if self.subgroup.ambient.is_finite:
             return is_pure(self.subgroup)
         return self.retraction is not None
+
+    @cached_property
+    def iso_type(self) -> tuple[int, ...]:
+        """The invariant factors of the subgroup: its isomorphism type."""
+        return subgroup_group(self.subgroup).factors
 
     @property
     def is_fi(self) -> bool:
@@ -707,15 +713,6 @@ def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingVi
     return analysis_for(m).end_ring()
 
 
-def noncentral_idempotent(view: EndRingView) -> Optional[tuple[Morphism, Morphism]]:
-    """(e, h) with idempotent e and basis element h that do not commute."""
-    if view.noncentral is None:
-        return None
-    m = view.object
-    e, h = view.noncentral
-    return Morphism(m, m, e), Morphism(m, m, h)
-
-
 def is_abelian_ring(view: EndRingView) -> bool:
     return view.noncentral is None
 
@@ -997,7 +994,15 @@ def _summands_closed(
 ) -> bool:
     """SIP over F, or SSP under F dually: does the intersection (sum) of any
     two (fully invariant) direct summands containing F (contained in F)
-    remain one?"""
+    remain one?
+
+    A pair's first summand runs over one candidate per Aut(M)-orbit.  When F
+    is fully invariant, every α ∈ Aut(M) fixes F, so α permutes the
+    candidates and carries a pair and its join to a pair and its join.  Two
+    summands of one isomorphism type lie in one orbit (Krull–Schmidt and
+    cancellation give isomorphic complements), so the type names the orbit.
+    Aut(M) fixes each fully invariant summand, so the fully invariant
+    variants, and any F that is not fully invariant, take every pair."""
     analysis = analysis_for(m)
     join = sum_sub if dual else intersect
 
@@ -1006,7 +1011,14 @@ def _summands_closed(
         return props.is_summand and (not fully_invariant_only or props.is_fi)
 
     cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
-    return all(kept(join(a, b)) for a, b in itertools.combinations(cands, 2))
+    if fully_invariant_only or not analysis.subgroup_props(f_sub).is_fi:
+        pairs = itertools.combinations(cands, 2)
+    else:
+        firsts: dict = {}
+        for s in cands:
+            firsts.setdefault(analysis.subgroup_props(s).iso_type, s)
+        pairs = ((a, b) for a in firsts.values() for b in cands if b != a)
+    return all(kept(join(a, b)) for a, b in pairs)
 
 
 def has_sip_summands_containing(

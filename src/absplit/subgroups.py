@@ -22,7 +22,6 @@ from .intmat import (
     identity,
     prime_factors,
     row_lattice_contains,
-    solve_congruences,
 )
 from .groups import (
     FgAbGroup,
@@ -139,12 +138,6 @@ def full_subgroup(ambient: FgAbGroup) -> Subgroup:
     return sub_from_gens(ambient, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
 
 
-def sub_equal(s: Subgroup, t: Subgroup) -> bool:
-    if s.ambient != t.ambient:
-        raise ObjectMismatchError("ambient mismatch")
-    return s.canonical == t.canonical
-
-
 # ---------------------------------------------------------------------------
 # subgroup <-> abstract group
 
@@ -179,17 +172,6 @@ def quotient(m: FgAbGroup, s: Subgroup) -> tuple[FgAbGroup, Morphism]:
         raise ObjectMismatchError("subgroup does not live in the given group")
     q = _quotient_cached(m, s.canonical)
     return q.cod, q
-
-
-def express_in_subgroup(s: Subgroup, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Coordinates of vec in the abstract group of s, or None if not a member."""
-    inc = inclusion(s)
-    sol = solve_congruences(
-        inc.rows, list(vec), s.ambient.factors, ncols=inc.dom.ngens
-    )
-    if sol is None:
-        return None
-    return inc.dom.reduce(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +338,6 @@ def require_fully_invariant(carrier: FgAbGroup, s: Subgroup) -> None:
             h,
             x,
         )
-
-
-def is_fully_coinvariant(d: Morphism) -> bool:
-    """An epimorphism is fully coinvariant iff its kernel is fully invariant."""
-    if not is_epi(d):
-        raise ObjectMismatchError("fully coinvariant test requires an epimorphism")
-    return is_fully_invariant(kernel_subgroup(d))
 
 
 # ---------------------------------------------------------------------------

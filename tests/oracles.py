@@ -1,0 +1,116 @@
+"""Reference routines the tests check the engine against.
+
+No code of the package calls these; each is small, written straight from
+its definition, and imported by the tests that use it.
+"""
+
+from absplit.groups import (
+    Morphism,
+    ObjectMismatchError,
+    hom_count,
+    is_epi,
+    iter_hom,
+    section_witness,
+)
+from absplit.intmat import DimensionError, dims, freeze, identity, snf, solve_congruences
+from absplit.preradicals import evaluate
+from absplit.subgroups import inclusion, is_fully_invariant, kernel_subgroup
+
+
+def det(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n, m = dims(a)
+    if n != m:
+        raise DimensionError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    w = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if w[k][k] == 0:
+            for i in range(k + 1, n):
+                if w[i][k] != 0:
+                    w[k], w[i] = w[i], w[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
+            w[i][k] = 0
+        prev = w[k][k]
+    return sign * w[n - 1][n - 1]
+
+
+def smith_system(a, moduli):
+    """The Smith form of A with one slack column per positive modulus: the
+    solutions of A·x ≡ 0 (mod moduli, row-wise) are the first n entries of
+    the integer kernel of the augmented matrix."""
+    extra = [i for i, md in enumerate(moduli) if md]
+    aug = freeze(
+        tuple(row) + tuple(moduli[i] if i == k else 0 for k in extra) for i, row in enumerate(a)
+    )
+    return snf(aug)
+
+
+def smith_solution_lattice(a, moduli, n):
+    """Columns generating the solutions of A·x ≡ 0 in n unknowns, read from
+    the Smith form: the columns of V over the zero diagonal entries."""
+    if not a:
+        return identity(n)
+    dec = smith_system(a, moduli)
+    rows, cols = len(dec.s), len(dec.s[0])
+    free = [j for j in range(cols) if j >= rows or dec.s[j][j] == 0]
+    return freeze([[dec.v[i][j] for j in free] for i in range(n)])
+
+
+def enumerate_hom(m, n, budget=10**6):
+    """Complete list of morphisms, or None (unknown) if infinite/over budget."""
+    total = hom_count(m, n)
+    if total is None or total > budget:
+        return None
+    return list(iter_hom(m, n))
+
+
+def is_section(f):
+    return section_witness(f) is not None
+
+
+def sub_equal(s, t):
+    if s.ambient != t.ambient:
+        raise ObjectMismatchError("ambient mismatch")
+    return s.canonical == t.canonical
+
+
+def express_in_subgroup(s, vec):
+    """Coordinates of vec in the abstract group of s, or None if not a member."""
+    inc = inclusion(s)
+    sol = solve_congruences(inc.rows, list(vec), s.ambient.factors, ncols=inc.dom.ngens)
+    if sol is None:
+        return None
+    return inc.dom.reduce(sol)
+
+
+def is_fully_coinvariant(d):
+    """An epimorphism is fully coinvariant iff its kernel is fully invariant."""
+    if not is_epi(d):
+        raise ObjectMismatchError("fully coinvariant test requires an epimorphism")
+    return is_fully_invariant(kernel_subgroup(d))
+
+
+def naturality_check(r, f):
+    """True iff f maps the generators of r(dom) into r(cod)."""
+    src = evaluate(r, f.dom)
+    dst = evaluate(r, f.cod)
+    return all(dst.contains(f(row)) for row in src.canonical)
+
+
+def noncentral_idempotent(view):
+    """(e, h) with idempotent e and basis element h that do not commute."""
+    if view.noncentral is None:
+        return None
+    m = view.object
+    e, h = view.noncentral
+    return Morphism(m, m, e), Morphism(m, m, h)

@@ -221,6 +221,44 @@ def test_per_group_timeout_guards_socrad(monkeypatch):
     assert rep.instances == 4 * len(list(corpus)) and not rep.skipped
 
 
+@pytest.mark.parametrize(
+    "name, keys, items",
+    [
+        # per pair (A, B), its pairs (FA, FB) of fully invariant subgroups
+        ("thomzero", {"parts", "f", "reason"}, {
+            ("Z/2", "Z/3"): 4, ("Z/2", "Z/5"): 4, ("Z/3", "Z/2 x Z/2"): 4, ("Z/3", "Z/4"): 6,
+        }),
+        # per pair (N1, N2) of each r, the pool of M: 0, Z/2, Z/3 and Z/4
+        ("tdsprerad", {"r", "parts", "m", "reason"}, None),
+    ],
+)
+def test_per_group_timeout_guards_thomzero_and_tdsprerad(monkeypatch, name, keys, items):
+    # both checks walk loops of their own: under the ticking clock and a
+    # 1.5 s guard, each pair of parts decides its first item and skips
+    # the rest
+    from collections import Counter
+
+    from absplit import harness
+
+    corpus = enumerate_groups(12)
+    base = CHECKS[name](corpus, Caps()).to_dict()
+    assert not any(s["reason"] == "per-group timeout" for s in base["skipped"])
+    unhit = CHECKS[name](corpus, Caps(per_group_timeout_s=1e9)).to_dict()
+    assert {**unhit, "elapsed_s": 0} == {**base, "elapsed_s": 0}
+    monkeypatch.setattr(harness, "time", _TickingClock())
+    rep = CHECKS[name](corpus, Caps(per_group_timeout_s=1.5))
+    timed_out = [s for s in rep.skipped if s["reason"] == "per-group timeout"]
+    assert timed_out and all(set(s) == keys for s in timed_out)
+    assert rep.passed and 0 < rep.instances < base["instances"]
+    per_pair = Counter(tuple(s["parts"]) + ((s["r"],) if "r" in s else ()) for s in timed_out)
+    if items is None:
+        assert set(per_pair.values()) == {3}
+    else:
+        assert per_pair == {parts: n - 1 for parts, n in items.items()}
+        assert rep.instances == 2 * len(items)
+        assert len(rep.expected_failures) == 3
+
+
 def test_run_verification_unknown_id():
     with pytest.raises(KeyError):
         run_verification(6, ["nope"])

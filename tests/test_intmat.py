@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from absplit.intmat import (
     SeededHnf,
     _xgcd,
-    det,
     freeze,
     hnf_rows,
     identity,
@@ -24,6 +23,8 @@ from absplit.intmat import (
     solution_lattice,
     solve_congruences,
 )
+
+from oracles import det, smith_solution_lattice, smith_system
 
 
 def det_by_permutation_expansion(a):
@@ -225,20 +226,10 @@ def test_solution_lattice_complete_and_sound():
                 assert row_lattice_contains(h, list(sol))
 
 
-def _smith_system(a, moduli):
-    """The Smith form of A with one slack column per positive modulus, the
-    formulation the graph Hermite pass replaced, kept as a reference."""
-    extra = [i for i, md in enumerate(moduli) if md]
-    aug = freeze(
-        tuple(row) + tuple(moduli[i] if i == k else 0 for k in extra) for i, row in enumerate(a)
-    )
-    return snf(aug)
-
-
 def _smith_solve_congruences(a, b, moduli, n):
     if not a:
         return (0,) * n
-    dec = _smith_system(a, moduli)
+    dec = smith_system(a, moduli)
     c = [sum(x * y for x, y in zip(row, b)) for row in dec.u]
     rows, cols = len(dec.s), len(dec.s[0])
     w = [0] * cols
@@ -251,15 +242,6 @@ def _smith_solve_congruences(a, b, moduli, n):
         elif c[i]:
             return None
     return tuple(sum(x * y for x, y in zip(row, w)) for row in dec.v[:n])
-
-
-def _smith_solution_lattice(a, moduli, n):
-    if not a:
-        return identity(n)
-    dec = _smith_system(a, moduli)
-    rows, cols = len(dec.s), len(dec.s[0])
-    free = [j for j in range(cols) if j >= rows or dec.s[j][j] == 0]
-    return freeze([[dec.v[i][j] for j in free] for i in range(n)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -297,7 +279,7 @@ def test_graph_solver_matches_the_smith_reference(data):
     assert len(lat) == n
     gens = list(zip(*lat))
     assert all(solves(g, [0] * k) for g in gens)
-    ref_gens = list(zip(*_smith_solution_lattice(a, moduli, n)))
+    ref_gens = list(zip(*smith_solution_lattice(a, moduli, n)))
     assert hnf_rows(gens, n) == hnf_rows(ref_gens, n)
 
 

@@ -11,7 +11,6 @@ from absplit.preradicals import (
     divisible,
     evaluate,
     mul_image,
-    naturality_check,
     ntorsion,
     parse_preradical,
     ppart,
@@ -27,9 +26,9 @@ from absplit.subgroups import (
     map_subgroup,
     preimage_subgroup,
     quotient,
-    sub_equal,
     sum_sub,
 )
+from oracles import naturality_check, sub_equal
 
 ALL = [torsion(), socle(), radical(), ppart(2), ppart(3), mul_image(2), ntorsion(2), divisible()]
 

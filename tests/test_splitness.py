@@ -34,7 +34,6 @@ from absplit.splitness import (
     is_M_F_split,
     is_self_F_split_theorem,
     is_self_rickart,
-    noncentral_idempotent,
     reverify,
     self_split_profile,
     self_split_profile_theorem,
@@ -52,6 +51,7 @@ from absplit.subgroups import (
     sub_from_gens,
     trivial_subgroup,
 )
+from oracles import noncentral_idempotent
 
 Z12 = group(4, 3)
 
@@ -973,18 +973,17 @@ def _counting(monkeypatch, module, name):
 
 def test_yes_witnesses_are_built_only_when_read(monkeypatch):
     import absplit.groups
-    import absplit.subgroups
 
     m = group(2, 2, 2, 2)
     monkeypatch.setattr(splitness, "_ANALYSES", {})  # no retraction cached yet
     witnesses = _counting(monkeypatch, splitness, "summand_witness")
+    # groups is the only module that solves congruences
     solves = _counting(monkeypatch, absplit.groups, "solve_congruences")
-    member_solves = _counting(monkeypatch, absplit.subgroups, "solve_congruences")
     prof = self_split_profile(m, trivial_subgroup(m))
     assert [prof[k].answer for k in ("primal_plain", "primal_strong", "dual_plain", "dual_strong")] == [
         "yes", "no", "yes", "yes"
     ]
-    assert witnesses == [] and solves == [] and member_solves == []
+    assert witnesses == [] and solves == []
     # theorem mode solves for its own counterexamples, not for these witnesses
     decided = decide_self_profile(m, trivial_subgroup(m))
     assert witnesses == []
