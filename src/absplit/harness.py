@@ -68,6 +68,7 @@ from .subgroups import (
     require_fully_invariant,
     sub_from_gens,
     subgroup_group,
+    sum_sub,
     trivial_subgroup,
 )
 
@@ -396,10 +397,10 @@ def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]
     orders = [s.order for s in summands]
     order = m.order
     out = []
-    # with |X||Y| = |M|, X + Y = M exactly when X ∩ Y = 0
+    # with |X||Y| = |M|, X ∩ Y = 0 exactly when X + Y = M, the cheaper test
     for i, x in enumerate(summands):
         for j in range(i, len(summands)):
-            if orders[i] * orders[j] == order and intersect(x, summands[j]).order == 1:
+            if orders[i] * orders[j] == order and sum_sub(x, summands[j]).is_full:
                 out.append((x, summands[j]))
     return out
 

@@ -248,6 +248,8 @@ class GroupAnalysis:
         # quantified over, by (the other group's factors, F, side); the budget
         # only gates the sweep, so a refusal is never kept
         self._sweeps: dict[tuple, tuple[int, SplitVerdict, SplitVerdict]] = {}
+        # the lattices every such sweep joins, by the moduli of their states
+        self._sweep_lattices: dict[tuple[int, ...], SweepLattices] = {}
 
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
@@ -280,6 +282,34 @@ class GroupAnalysis:
         if self._end_ring is None:
             self._end_ring = _enumerate_end_ring(self.group)
         return self._end_ring
+
+
+class SweepLattices:
+    """The sweep's states over one moduli tuple of M, shared by every sweep
+    that quantifies over M: each canonical lattice reached, numbered in the
+    order first reached, the number each (state, value) join reaches, and
+    the properties of the subgroup of M each final state gives, by side."""
+
+    __slots__ = ("acc", "lattices", "numbers", "joins", "reached")
+
+    def __init__(self, moduli: tuple[int, ...]):
+        self.acc = SeededHnf(moduli)
+        self.lattices: list[Matrix] = []
+        self.numbers: dict[Matrix, int] = {}
+        self.joins: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.reached: dict[tuple[bool, int], SubProps] = {}
+        self.number(self.acc.canonical(()))  # state 0: diag(moduli), nothing spanned
+
+    def number(self, lat: Matrix) -> int:
+        k = self.numbers.get(lat)
+        if k is None:
+            k = self.numbers[lat] = len(self.lattices)
+            self.lattices.append(lat)
+        return k
+
+    def join(self, state: int, v: tuple[int, ...]) -> int:
+        out = self.joins[(state, v)] = self.number(self.acc.canonical((v,), self.lattices[state]))
+        return out
 
 
 _ANALYSES: dict[tuple[int, ...], GroupAnalysis] = {}
@@ -359,9 +389,11 @@ def _sweep(
     c_j = step_j·md_j/a_i (primal) or a_i·step_j (dual).  So a level is the
     product of the cycles k < md_j/gcd(c_j, md_j), each value first reached
     at k·step_j and given by the same number of entries.  Each level joins
-    every state with every value, memoised on the pair, by a pass that
-    starts from the state's basis and inserts the value, and counts
-    multiply."""
+    every state with every value, by a pass that starts from the state's
+    basis and inserts the value, and counts multiply.  The joins, and the
+    subgroup each final state gives, are kept on M's analysis (one
+    SweepLattices per moduli tuple), so every later sweep over M with the
+    same moduli reads them; states are numbered lattices."""
     m, carrier = (dst, src) if dual else (src, dst)
     steps = _fi_steps(carrier, f_sub)
     if dual:
@@ -369,9 +401,12 @@ def _sweep(
     else:
         e = lcm(*(a for a in steps if a))
         moduli = tuple(gcd(d, e) for d in m.factors)
-    acc = SeededHnf(moduli)
-    states: dict[Matrix, list] = {acc.canonical(()): [1, ()]}
-    joins: dict[tuple[Matrix, tuple[int, ...]], Matrix] = {}
+    analysis = analysis_for(m)
+    lattices = analysis._sweep_lattices.get(moduli)
+    if lattices is None:
+        lattices = analysis._sweep_lattices[moduli] = SweepLattices(moduli)
+    joins = lattices.joins
+    states: dict[int, list] = {0: [1, ()]}
     table = _hom_table(src, dst)
     for i, a in enumerate(steps):
         # the entries of coordinate i: column i (dual) or row i of the table
@@ -393,33 +428,36 @@ def _sweep(
             )
             for ks in itertools.product(*map(range, widths))
         ]
-        nxt: dict[Matrix, list] = {}
-        for lat, (count, parts) in states.items():
+        nxt: dict[int, list] = {}
+        for state, (count, parts) in states.items():
             for v, part in values:
-                out = joins.get((lat, v))
+                out = joins.get((state, v))
                 if out is None:
-                    out = joins[(lat, v)] = acc.canonical((v,), lat)
+                    out = lattices.join(state, v)
                 rec = nxt.get(out)
                 if rec is None:
                     nxt[out] = [count * fibre, parts + (part,)]
                 else:
                     rec[0] += count * fibre
         states = nxt
-    analysis = analysis_for(m)
     result = []
-    for lat, (count, parts) in states.items():
-        if dual:
-            canonical = tuple(row + (0,) * m.rank for row in lat)
-            sub = Subgroup(m, canonical)
-            rows = tuple(tuple(col[r] for col in parts) for r in range(m.ngens))
-        else:
-            chars = [
-                [c * (e // d) % e for c, d in zip(row, moduli)] for row in lat
-            ]
-            chars = [row for row in chars if any(row)]
-            sub = kernel_subgroup(Morphism(m, FgAbGroup((e,) * len(chars)), freeze(chars)))
-            rows = parts
-        result.append((analysis.subgroup_props(sub), count, Morphism(src, dst, rows)))
+    for state, (count, parts) in states.items():
+        props = lattices.reached.get((dual, state))
+        if props is None:
+            lat = lattices.lattices[state]
+            if dual:
+                sub = Subgroup(m, tuple(row + (0,) * m.rank for row in lat))
+            else:
+                # the kernel of characters with values c_j/md_j depends on
+                # the moduli alone, not on e
+                chars = [
+                    [c * (e // d) % e for c, d in zip(row, moduli)] for row in lat
+                ]
+                chars = [row for row in chars if any(row)]
+                sub = kernel_subgroup(Morphism(m, FgAbGroup((e,) * len(chars)), freeze(chars)))
+            props = lattices.reached[(dual, state)] = analysis.subgroup_props(sub)
+        rows = tuple(tuple(col[r] for col in parts) for r in range(m.ngens)) if dual else parts
+        result.append((props, count, Morphism(src, dst, rows)))
     return result
 
 
@@ -654,11 +692,14 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
     last rows giving it.  The masks are ANDed, and the last row's own
     equation is tested on the survivors in table order, so the idempotents
     come out in the order of iter_hom_rows.  Centrality against the additive
-    basis suffices: commutation with e is additive in the other argument."""
+    basis suffices: commutation with e is additive in the other argument.
+    A finite cyclic M is read off by CRT instead (_cyclic_end_ring)."""
     factors = m.factors
     n = len(factors)
     if n == 0:
         return EndRingView(m, 1, ((),), None)
+    if n == 1 and factors[0]:
+        return _cyclic_end_ring(m)
     *head, last = _hom_row_tables(m, m)
     d_last = factors[-1]
     images = []
@@ -702,6 +743,21 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
         None,
     )
     return EndRingView(m, prod(map(len, head)) * len(last), tuple(idem), noncentral)
+
+
+def _cyclic_end_ring(m: FgAbGroup) -> EndRingView:
+    """End(Z/d) = Z/d, commutative, whose idempotents are the solutions of
+    x² ≡ x (mod d): by the Chinese remainder theorem, x ≡ 0 or 1 modulo each
+    prime power p^k of d, 2^ω(d) of them, listed in increasing order (the
+    order of iter_hom_rows)."""
+    (d,) = m.factors
+    idem = [0]
+    for p, k in prime_factors(d).items():
+        q = p**k
+        # the idempotent that is 1 mod q and 0 mod d/q
+        unit = d // q * pow(d // q, -1, q) % d
+        idem += [(x + unit) % d for x in idem]
+    return EndRingView(m, d, tuple(((x,),) for x in sorted(idem)), None)
 
 
 def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:

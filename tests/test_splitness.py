@@ -333,6 +333,20 @@ def test_end_ring_row_test_matches_the_full_product_loop(monkeypatch):
     assert view.noncentral is not None
 
 
+def test_cyclic_end_ring_by_crt_matches_the_full_scan():
+    # End(Z/d) = Z/d: the idempotents come from the prime powers of d by
+    # CRT, and must be every x with x·x ≡ x (mod d), in increasing order
+    from absplit.groups import iter_hom_rows
+
+    for d in list(range(2, 3001)) + [999_983, 250_000]:
+        view = splitness._enumerate_end_ring(group(d))
+        scan = tuple(((x,),) for x in range(d) if x * x % d == x)
+        assert (view.size, view.idempotent_rows, view.noncentral) == (d, scan, None), d
+    # increasing order is the order in which iter_hom_rows lists End(Z/d)
+    for d in (2, 12, 30, 64):
+        assert list(iter_hom_rows(group(d), group(d))) == [((x,),) for x in range(d)]
+
+
 def test_end_ring_closed_under_add_and_compose():
     from absplit.groups import add_hom
 
@@ -852,6 +866,59 @@ def test_verify_sweeps_each_argument_once(monkeypatch):
     keys = [(src.factors, dst.factors, f.canonical, dual) for src, dst, f, dual in sweeps]
     assert len(keys) == len(set(keys)) == 991
     assert any(src != dst for src, dst, _, _ in keys)
+
+
+def _outcomes(args):
+    return [
+        (props.subgroup.ambient.factors, props.subgroup.canonical, count, g.rows)
+        for props, count, g in splitness._sweep(*args)
+    ]
+
+
+def test_shared_sweep_tables_give_the_cold_outcomes(monkeypatch):
+    # the joins and reached subgroups are kept on M's analysis across
+    # sweeps: every sweep of verify-24, run after the others in either
+    # order, must list what it lists on a cold analysis
+    from absplit import harness
+
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    sweeps = _counting(monkeypatch, splitness, "_sweep")
+    assert harness.run_verification(24)["passed"]
+    monkeypatch.undo()
+    assert len(sweeps) == 991
+    cold = []
+    for args in sweeps:
+        monkeypatch.setattr(splitness, "_ANALYSES", {})
+        cold.append(_outcomes(args))
+    for order in (1, -1):
+        monkeypatch.setattr(splitness, "_ANALYSES", {})
+        warm = [_outcomes(args) for args in sweeps[::order]]
+        assert warm == cold[::order]
+
+
+def test_a_sweep_sharing_m_and_moduli_makes_no_new_join(monkeypatch):
+    # M = (Z/2)^4: the primal sweep of F = 0 and the dual sweep of F = M
+    # both run over the moduli (2, 2, 2, 2) with every value of (Z/2)^4 per
+    # level; so do the primal sweeps of F = 0 into Z/2 and into Z/4, which
+    # share M and moduli but neither N nor F
+    from absplit.intmat import SeededHnf
+
+    m, z2, z4 = group(2, 2, 2, 2), group(2), group(4)
+    pairs = [
+        ((m, m, trivial_subgroup(m), False), (m, m, full_subgroup(m), True)),
+        ((m, z2, trivial_subgroup(z2), False), (m, z4, trivial_subgroup(z4), False)),
+    ]
+    for first, second in pairs:
+        monkeypatch.setattr(splitness, "_ANALYSES", {})
+        cold = _outcomes(second)
+        monkeypatch.setattr(splitness, "_ANALYSES", {})
+        calls = _counting(monkeypatch, SeededHnf, "canonical")
+        _outcomes(first)
+        assert calls
+        before = len(calls)
+        assert _outcomes(second) == cold
+        assert len(calls) == before, (first, second)
+        monkeypatch.undo()
 
 
 def test_sweep_evaluators_match_direct_computation():

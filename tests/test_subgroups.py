@@ -415,11 +415,12 @@ def test_sweep_joins_match_passes_from_the_seed(monkeypatch):
     from absplit import splitness
     from absplit.splitness import self_split_profile
 
-    # sweep outcomes are kept on the group's analysis; start from none
-    monkeypatch.setattr(splitness, "_ANALYSES", {})
     checked = _checked_start_bases(monkeypatch)
     m = group(2, 2, 2, 2)
     for f in (trivial_subgroup(m), full_subgroup(m)):
+        # sweep outcomes and joins are kept on the group's analysis, and the
+        # two profiles share moduli (2, 2, 2, 2); each starts from none
+        monkeypatch.setattr(splitness, "_ANALYSES", {})
         before = len(checked)
         self_split_profile(m, f)
         # each sweep joins its states with 16 coordinate values per level
