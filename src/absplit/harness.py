@@ -390,18 +390,34 @@ def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
 # direct sum decompositions
 
 
-def _decompositions(m: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup]]:
-    """Unordered complementary summand pairs (X, Y): X + Y = M, X ∩ Y = 0."""
-    analysis = analysis_for(m)
+def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup, int]]:
+    """One (X, Y, count) per unordered pair {A, B} of summand types with
+    N = A ⊕ B: X the first summand of type A, Y the first summand
+    complementary to it, and count the number of decompositions N = X' ⊕ Y'
+    with X' of type A and Y' of type B, each unordered pair once.
+
+    The complements of a summand X with complement Y are exactly the graphs
+    {y + φ(y)} of φ ∈ Hom(Y, X), all of type B, so the ordered pairs number
+    (summands of type A)·|Hom(B, A)|, and each unordered one is met twice
+    when A = B, apart from the trivial group's one pair (0, 0)."""
+    analysis = analysis_for(n_grp)
     summands = analysis.summands(caps.subgroup_cap)
+    types = [analysis.subgroup_props(s).iso_type for s in summands]
     orders = [s.order for s in summands]
-    order = m.order
+    order = n_grp.order
     out = []
-    # with |X||Y| = |M|, X ∩ Y = 0 exactly when X + Y = M, the cheaper test
-    for i, x in enumerate(summands):
-        for j in range(i, len(summands)):
-            if orders[i] * orders[j] == order and sum_sub(x, summands[j]).is_full:
-                out.append((x, summands[j]))
+    seen = set()
+    for x, a, x_order in zip(summands, types, orders):
+        if a in seen:
+            continue
+        # with |X||Y| = |N|, X ∩ Y = 0 exactly when X + Y = N, the cheaper test
+        y, b = next(
+            (y, b) for y, b, y_order in zip(summands, types, orders)
+            if x_order * y_order == order and sum_sub(x, y).is_full
+        )
+        seen.update((a, b))
+        count = types.count(a) * hom_count(FgAbGroup(b), FgAbGroup(a))
+        out.append((x, y, count // 2 if a == b and order > 1 else count))
     return out
 
 
@@ -419,68 +435,52 @@ def _tds_piece(part: Subgroup, f: Subgroup, dual: bool) -> tuple[FgAbGroup, Subg
     return grp, fk
 
 
-def _tds_verdicts(
-    n_grp: FgAbGroup,
-    f: Subgroup,
-    decompositions: Iterable[tuple[Subgroup, Subgroup]],
-    samples: Sequence[FgAbGroup],
-    caps: Caps,
-):
-    """(X, Y, verdicts) for every decomposition N = X ⊕ Y, with verdicts
-    the (M, strongly, dual, whole, parts) for each M of samples, primal side
-    first.  The verdicts are read once per ordered pair of summand types:
-    two decompositions of one such type differ by an α ∈ Aut(N), which fixes
-    F and carries each piece and its F onto the other's, and a fully
-    invariant piece of F is fixed by every automorphism of its canonical
-    group, so both look up the same (factors, F-piece) verdicts."""
-    analysis = analysis_for(n_grp)
-    by_type: dict = {}
-    for x, y in decompositions:
-        key = (analysis.subgroup_props(x).iso_type, analysis.subgroup_props(y).iso_type)
-        verdicts = by_type.get(key)
-        if verdicts is None:
-            pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
-            verdicts = by_type[key] = [
-                (m, strongly, dual, *(
-                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                    for n, fn in ((n_grp, f), *pieces[dual])
-                ))
-                for m, strongly, dual in itertools.product(samples, (False, True), (False, True))
-            ]
-        yield x, y, verdicts
-
-
 @_check("tds")
 def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
     with (F+Nk)/Nk.  M runs over N itself and Z/6.  Every decomposition is
-    an instance, decided by the verdicts of its Aut(N)-orbit."""
+    an instance, decided by one representative per unordered pair of
+    summand types (_decomposition_types): two decompositions of one such
+    type differ by an α ∈ Aut(N), which fixes F and carries each piece and
+    its F onto the other's, and a fully invariant piece of F is fixed by
+    every automorphism of its canonical group, so both read the same
+    (factors, F-piece) verdicts.  A representative adds its count of
+    instances per known verdict, or that many skips; a failure names the
+    representative and carries the count under "decompositions"."""
     rep.notes.append(
-        "each decomposition N = X ⊕ Y reads the verdicts of the first "
-        "decomposition of its ordered pair of summand types (one Aut(N)-orbit, "
-        "as Aut(N) fixes F) and counts as its own instances"
+        "decompositions N = X ⊕ Y are counted per unordered pair of summand "
+        "types {A, B}, as (summands of type A)·|Hom(B, A)|, halved when A = B; "
+        "each pair's verdicts are read once, on its first decomposition (one "
+        "Aut(N)-orbit, as Aut(N) fixes F), and count as that many instances"
     )
-    decompositions = functools.cache(_decompositions)
+    decomposition_types = functools.cache(_decomposition_types)
     z6 = group(6)
     for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
         samples = [n_grp] + ([z6] if n_grp != z6 else [])
-        for x, y, verdicts in _tds_verdicts(n_grp, f, decompositions(n_grp, caps), samples, caps):
-            for m, strongly, dual, whole, *pieces in verdicts:
-                if whole.is_unknown or any(p.is_unknown for p in pieces):
-                    rep.skipped.append(
+        for x, y, count in decomposition_types(n_grp, caps):
+            pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
+            for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
+                whole, *parts = (
+                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+                    for n, fn in ((n_grp, f), *pieces[dual])
+                )
+                if whole.is_unknown or any(p.is_unknown for p in parts):
+                    rep.skipped.extend(
                         {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
                          "reason": "budget (dual)" if dual else "budget"}
+                        for _ in range(count)
                     )
                     continue
-                rep.instances += 1
-                if whole.is_yes != all(p.is_yes for p in pieces):
+                rep.instances += count
+                if whole.is_yes != all(p.is_yes for p in parts):
                     failure = {"group": format_group(n_grp), "f": str(f),
                                "m": format_group(m), "strongly": strongly,
                                "decomposition": [str(x), str(y)],
+                               "decompositions": count,
                                "whole": whole.answer,
-                               "parts": [p.answer for p in pieces]}
+                               "parts": [p.answer for p in parts]}
                     if dual:
                         failure["dual"] = True
                     rep.failures.append(failure)

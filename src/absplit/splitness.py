@@ -287,17 +287,20 @@ class GroupAnalysis:
 class SweepLattices:
     """The sweep's states over one moduli tuple of M, shared by every sweep
     that quantifies over M: each canonical lattice reached, numbered in the
-    order first reached, the number each (state, value) join reaches, and
-    the properties of the subgroup of M each final state gives, by side."""
+    order first reached, the number each (state, value) join reaches, in
+    one dict per state, the properties of the subgroup of M each final
+    state gives, by side, and each level's (value, entries) list, by
+    (c_j, widths, entry steps)."""
 
-    __slots__ = ("acc", "lattices", "numbers", "joins", "reached")
+    __slots__ = ("acc", "lattices", "numbers", "joins", "reached", "values")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.acc = SeededHnf(moduli)
         self.lattices: list[Matrix] = []
         self.numbers: dict[Matrix, int] = {}
-        self.joins: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.joins: list[dict[tuple[int, ...], int]] = []
         self.reached: dict[tuple[bool, int], SubProps] = {}
+        self.values: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         self.number(self.acc.canonical(()))  # state 0: diag(moduli), nothing spanned
 
     def number(self, lat: Matrix) -> int:
@@ -305,10 +308,11 @@ class SweepLattices:
         if k is None:
             k = self.numbers[lat] = len(self.lattices)
             self.lattices.append(lat)
+            self.joins.append({})
         return k
 
     def join(self, state: int, v: tuple[int, ...]) -> int:
-        out = self.joins[(state, v)] = self.number(self.acc.canonical((v,), self.lattices[state]))
+        out = self.joins[state][v] = self.number(self.acc.canonical((v,), self.lattices[state]))
         return out
 
 
@@ -390,10 +394,10 @@ def _sweep(
     product of the cycles k < md_j/gcd(c_j, md_j), each value first reached
     at k·step_j and given by the same number of entries.  Each level joins
     every state with every value, by a pass that starts from the state's
-    basis and inserts the value, and counts multiply.  The joins, and the
-    subgroup each final state gives, are kept on M's analysis (one
-    SweepLattices per moduli tuple), so every later sweep over M with the
-    same moduli reads them; states are numbered lattices."""
+    basis and inserts the value, and counts multiply.  The joins, the value
+    lists and the subgroup each final state gives are kept on M's analysis
+    (one SweepLattices per moduli tuple), so every later sweep over M with
+    the same moduli reads them; states are numbered lattices."""
     m, carrier = (dst, src) if dual else (src, dst)
     steps = _fi_steps(carrier, f_sub)
     if dual:
@@ -421,17 +425,22 @@ def _sweep(
         widths = [md // gcd(c, md) for c, md in zip(cs, moduli)]
         widths += [1] * (len(gens) - len(widths))
         fibre = prod(order for _, order in gens) // prod(widths)
-        values = [
-            (
-                tuple(k * c % md for k, c, md in zip(ks, cs, moduli)),
-                tuple(k * step for k, (step, _) in zip(ks, gens)),
-            )
-            for ks in itertools.product(*map(range, widths))
-        ]
+        entry_steps = tuple(step for step, _ in gens)
+        key = (tuple(cs), tuple(widths), entry_steps)
+        values = lattices.values.get(key)
+        if values is None:
+            values = lattices.values[key] = [
+                (
+                    tuple(k * c % md for k, c, md in zip(ks, cs, moduli)),
+                    tuple(k * step for k, step in zip(ks, entry_steps)),
+                )
+                for ks in itertools.product(*map(range, widths))
+            ]
         nxt: dict[int, list] = {}
         for state, (count, parts) in states.items():
+            row = joins[state]
             for v, part in values:
-                out = joins.get((state, v))
+                out = row.get(v)
                 if out is None:
                     out = lattices.join(state, v)
                 rec = nxt.get(out)
@@ -655,22 +664,15 @@ def end_ring_abelian_closed_form(m: FgAbGroup) -> bool:
 
 
 class EndRingView:
-    """What the End-ring route keeps of a full enumeration of End(M): its
-    size, its idempotents, and the first idempotent that fails to commute
-    with an additive basis element (None when every idempotent is central)."""
+    """What the End-ring route keeps of End(M): its size, and the first
+    idempotent that fails to commute with an additive basis element (None
+    when every idempotent is central)."""
 
-    __slots__ = ("object", "size", "idempotent_rows", "noncentral")
+    __slots__ = ("object", "size", "noncentral")
 
-    def __init__(
-        self,
-        object: FgAbGroup,
-        size: int,
-        idempotent_rows: tuple[Matrix, ...],
-        noncentral: Optional[tuple[Matrix, Matrix]],
-    ):
+    def __init__(self, object: FgAbGroup, size: int, noncentral: Optional[tuple[Matrix, Matrix]]):
         self.object = object
         self.size = size
-        self.idempotent_rows = idempotent_rows
         self.noncentral = noncentral
 
 
@@ -683,23 +685,24 @@ def _bitmask(bits: list[int], width: int) -> int:
     return int(digits, 2)
 
 
-def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
-    """All of End(M) on raw matrices: e is idempotent iff e·e = e.
+def _idempotents(m: FgAbGroup) -> Iterator[Matrix]:
+    """The idempotents of End(M) (M finite) on raw matrices, in the order of
+    iter_hom_rows: e is idempotent iff e·e = e.
 
     Row i of e·e = e reads Σ_t r_i[t]·r_t ≡ r_i (mod d_i).  The first n-1
     rows run in odometer order; each of them fixes r_i[n-1]·r_{n-1}, looked
     up in a table from (i, r_i[n-1]) and that image to the bitmask of the
     last rows giving it.  The masks are ANDed, and the last row's own
-    equation is tested on the survivors in table order, so the idempotents
-    come out in the order of iter_hom_rows.  Centrality against the additive
-    basis suffices: commutation with e is additive in the other argument.
-    A finite cyclic M is read off by CRT instead (_cyclic_end_ring)."""
+    equation is tested on the survivors in table order.  A cyclic M is read
+    off by CRT instead (_cyclic_idempotents)."""
     factors = m.factors
     n = len(factors)
     if n == 0:
-        return EndRingView(m, 1, ((),), None)
-    if n == 1 and factors[0]:
-        return _cyclic_end_ring(m)
+        yield ()
+        return
+    if n == 1:
+        yield from _cyclic_idempotents(factors[0])
+        return
     *head, last = _hom_row_tables(m, m)
     d_last = factors[-1]
     images = []
@@ -712,10 +715,9 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
             by_coeff[c] = {key: _bitmask(ks, len(last)) for key, ks in hits.items()}
         images.append(by_coeff)
     everything = (1 << len(last)) - 1
-    idem = []
     for prefix in itertools.product(*head):
         alive = everything
-        cols = tuple(zip(*prefix)) or ((),) * n  # column j of the first n-1 rows
+        cols = tuple(zip(*prefix))  # column j of the first n-1 rows
         for r, d, by_coeff in zip(prefix, factors, images):
             target = tuple((x - sum(map(mul, r, col))) % d for x, col in zip(r, cols))
             alive &= by_coeff[r[-1]].get(target, 0)
@@ -730,39 +732,48 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
                 if (sum(map(mul, row, col)) + c * x) % d_last:
                     break
             else:
-                idem.append(prefix + (row,))
+                yield prefix + (row,)
             k = bits.find("1", k + 1)
-    basis = [h.rows for h in hom_group(m, m).basis]
-    noncentral = next(
-        (
-            (e, h)
-            for e in idem
-            for h in basis
-            if _compose_rows(e, h, factors) != _compose_rows(h, e, factors)
-        ),
-        None,
-    )
-    return EndRingView(m, prod(map(len, head)) * len(last), tuple(idem), noncentral)
 
 
-def _cyclic_end_ring(m: FgAbGroup) -> EndRingView:
-    """End(Z/d) = Z/d, commutative, whose idempotents are the solutions of
-    x² ≡ x (mod d): by the Chinese remainder theorem, x ≡ 0 or 1 modulo each
-    prime power p^k of d, 2^ω(d) of them, listed in increasing order (the
-    order of iter_hom_rows)."""
-    (d,) = m.factors
+def _cyclic_idempotents(d: int) -> Iterator[Matrix]:
+    """The idempotents of End(Z/d) = Z/d, the solutions of x² ≡ x (mod d):
+    by the Chinese remainder theorem, x ≡ 0 or 1 modulo each prime power p^k
+    of d, 2^ω(d) of them, in increasing order (the order of iter_hom_rows)."""
     idem = [0]
     for p, k in prime_factors(d).items():
         q = p**k
         # the idempotent that is 1 mod q and 0 mod d/q
         unit = d // q * pow(d // q, -1, q) % d
         idem += [(x + unit) % d for x in idem]
-    return EndRingView(m, d, tuple(((x,),) for x in sorted(idem)), None)
+    for x in sorted(idem):
+        yield ((x,),)
+
+
+def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
+    """End(M) for a finite M: its size, and the first idempotent (in the
+    order of _idempotents) that fails to commute with an additive basis
+    element.  M is strong iff End(M) is abelian, i.e. every idempotent is
+    central, so the scan stops at the first one that is not.  Centrality
+    against the additive basis suffices: commutation with e is additive in
+    the other argument."""
+    factors = m.factors
+    basis = [h.rows for h in hom_group(m, m).basis]
+    noncentral = next(
+        (
+            (e, h)
+            for e in _idempotents(m)
+            for h in basis
+            if _compose_rows(e, h, factors) != _compose_rows(h, e, factors)
+        ),
+        None,
+    )
+    return EndRingView(m, hom_count(m, m), noncentral)
 
 
 def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:
-    """Full endomorphism ring enumeration, done once per group and kept on
-    its GroupAnalysis; None when |End| exceeds the cap."""
+    """The End-ring summary of M, read once per group and kept on its
+    GroupAnalysis; None when |End| exceeds the cap."""
     total = hom_count(m, m)
     if total is None or total > cap:
         return None

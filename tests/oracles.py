@@ -14,7 +14,8 @@ from absplit.groups import (
 )
 from absplit.intmat import DimensionError, dims, freeze, identity, snf, solve_congruences
 from absplit.preradicals import evaluate
-from absplit.subgroups import inclusion, is_fully_invariant, kernel_subgroup
+from absplit.splitness import analysis_for
+from absplit.subgroups import inclusion, is_fully_invariant, kernel_subgroup, sum_sub
 
 
 def det(a):
@@ -114,3 +115,15 @@ def noncentral_idempotent(view):
     m = view.object
     e, h = view.noncentral
     return Morphism(m, m, e), Morphism(m, m, h)
+
+
+def _decompositions(m, caps):
+    """Every unordered complementary summand pair (X, Y): X + Y = M and
+    X ∩ Y = 0, the latter read off |X||Y| = |M|."""
+    summands = analysis_for(m).summands(caps.subgroup_cap)
+    return [
+        (x, y)
+        for i, x in enumerate(summands)
+        for y in summands[i:]
+        if x.order * y.order == m.order and sum_sub(x, y).is_full
+    ]

@@ -2,13 +2,14 @@
 walk every pair of summands and every decomposition instead.
 
 SIP/SSP take the first summand of a pair from one representative per
-isomorphism type, and tds reads the verdicts of one decomposition per
-ordered pair of summand types.  The oracles below are the every-pair and
-every-decomposition forms those replaced.  Tier-1 runs them to order 32;
+isomorphism type, and tds decides one decomposition per unordered pair of
+summand types and counts the rest.  The oracles below are the every-pair
+and every-decomposition forms those replaced.  Tier-1 runs them to order 32;
 ABSPLIT_ORBIT_MAX_ORDER raises the bound (CI runs them to order 48 in a
 step of its own).
 """
 
+import collections
 import itertools
 import os
 
@@ -16,11 +17,12 @@ import pytest
 
 from absplit import splitness
 from absplit.groups import format_group, group
+from absplit import harness
 from absplit.harness import (
+    Corpus,
     TheoremReport,
     _decided_profiles,
-    _decompositions,
-    _tds_verdicts,
+    _decomposition_types,
     check_csip,
     check_tds,
     check_tdsprerad,
@@ -37,6 +39,7 @@ from absplit.subgroups import (
     subgroup_group,
     sum_sub,
 )
+from oracles import _decompositions
 
 MAX_ORDER = int(os.environ.get("ABSPLIT_ORBIT_MAX_ORDER", "32"))
 CORPUS = enumerate_groups(MAX_ORDER)
@@ -133,24 +136,39 @@ def _piece(part, f, dual):
     return grp, fk
 
 
+def _tds_rows(n_grp, f, x, y, samples, caps):
+    """The (M, strongly, dual, whole, parts) answers of one decomposition,
+    with its pieces built for it alone."""
+    pieces = {dual: [_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
+    rows = []
+    for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
+        whole, *parts = [
+            is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+            else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+            for n, fn in ((n_grp, f), *pieces[dual])
+        ]
+        rows.append((m, strongly, dual, whole, parts))
+    return rows
+
+
+def _samples(n_grp):
+    z6 = group(6)
+    return [n_grp] + ([z6] if n_grp != z6 else [])
+
+
 def _every_decomposition_tds(corpus, caps):
     """The tds report with every decomposition's verdicts read for it
-    alone, and those verdicts, by (N, F, X, Y)."""
+    alone, and those verdicts as answers, by (N, F, X, Y)."""
     rep = TheoremReport("tds")
     verdicts = {}
-    z6 = group(6)
     for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
-        samples = [n_grp] + ([z6] if n_grp != z6 else [])
         for x, y in _decompositions(n_grp, caps):
-            pieces = {dual: [_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
-            rows = verdicts[n_grp, f, x, y] = []
-            for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
-                whole, *parts = [
-                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                    for n, fn in ((n_grp, f), *pieces[dual])
-                ]
-                rows.append((m, strongly, dual, whole.answer, [p.answer for p in parts]))
+            rows = _tds_rows(n_grp, f, x, y, _samples(n_grp), caps)
+            verdicts[n_grp, f, x, y] = [
+                (m, strongly, dual, whole.answer, [p.answer for p in parts])
+                for m, strongly, dual, whole, parts in rows
+            ]
+            for m, strongly, dual, whole, parts in rows:
                 if whole.is_unknown or any(p.is_unknown for p in parts):
                     rep.skipped.append(
                         {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
@@ -176,22 +194,85 @@ def _without_notes(rep):
     return doc
 
 
+def _type(s):
+    return analysis_for(s.ambient).subgroup_props(s).iso_type
+
+
+def _type_pair(x, y):
+    return tuple(sorted((_type(x), _type(y))))
+
+
+@pytest.mark.parametrize("n_grp", list(CORPUS), ids=format_group)
+def test_decomposition_types_count_every_decomposition(n_grp):
+    want = collections.Counter(_type_pair(x, y) for x, y in _decompositions(n_grp, CAPS))
+    summands = analysis_for(n_grp).summands(CAPS.subgroup_cap)
+    got = collections.Counter()
+    for x, y, count in _decomposition_types(n_grp, CAPS):
+        # complementary summands, X the first summand of its type
+        assert analysis_for(n_grp).subgroup_props(y).is_summand
+        assert sum_sub(x, y).is_full and intersect(x, y).order == 1, (x, y)
+        assert x == next(s for s in summands if _type(s) == _type(x)), x
+        assert _type_pair(x, y) not in got, (x, y)
+        got[_type_pair(x, y)] = count
+    assert got == want
+
+
 def test_tds_matches_every_decomposition():
     oracle, want = _every_decomposition_tds(CORPUS, CAPS)
-    got = {}
-    z6 = group(6)
-    for n_grp, f, _ in _decided_profiles(CORPUS, CAPS, TheoremReport("tds")):
-        samples = [n_grp] + ([z6] if n_grp != z6 else [])
-        decompositions = _decompositions(n_grp, CAPS)
-        for x, y, rows in _tds_verdicts(n_grp, f, decompositions, samples, CAPS):
-            got[n_grp, f, x, y] = [
-                (m, strongly, dual, whole.answer, [p.answer for p in parts])
-                for m, strongly, dual, whole, *parts in rows
-            ]
-    assert list(got) == list(want)
-    assert got == want
     assert oracle.instances > 0
     assert _without_notes(check_tds(CORPUS, CAPS)) == _without_notes(oracle)
+    # each decomposition gives the answers of its type pair's entry, whose
+    # pieces come in the same order when the decomposition's do
+    entries = {}
+    for n_grp, f, _ in _decided_profiles(CORPUS, CAPS, TheoremReport("tds")):
+        for x, y, _count in _decomposition_types(n_grp, CAPS):
+            rows = _tds_rows(n_grp, f, x, y, _samples(n_grp), CAPS)
+            entries[n_grp, f, _type_pair(x, y)] = (_type(x), [
+                (m, strongly, dual, whole.answer, [p.answer for p in parts])
+                for m, strongly, dual, whole, parts in rows
+            ])
+    for (n_grp, f, x, y), rows in want.items():
+        first, entry_rows = entries[n_grp, f, _type_pair(x, y)]
+        if _type(x) != first:
+            rows = [(m, s, d, whole, parts[::-1]) for m, s, d, whole, parts in rows]
+        assert rows == entry_rows, (n_grp, f, x, y)
+
+
+class _Flipped:
+    """The opposite of a known verdict."""
+
+    def __init__(self, verdict):
+        self.is_yes = not verdict.is_yes
+        self.is_unknown = False
+        self.answer = "yes" if self.is_yes else "no"
+
+
+def test_a_wrong_piece_verdict_fails_every_decomposition_of_its_type(monkeypatch):
+    # N = Z/2 ⊕ Z/4 decomposes as 0 ⊕ N and as Z/2 ⊕ Z/4, the latter in 4
+    # ways; a wrong primal verdict on every Z/4 piece must fail each of those
+    # 4 decompositions, reported as one failure per verdict
+    n_grp = group(2, 4)
+    corpus = Corpus(8, (n_grp,))
+    pair = ((2,), (4,))
+    oracle_count = sum(_type_pair(x, y) == pair for x, y in _decompositions(n_grp, CAPS))
+    assert oracle_count == 4
+    before = check_tds(corpus, CAPS)
+    assert before.passed and before.instances > 0
+    real = harness.is_M_F_split
+
+    def wrong_on_z4(m, n, fn, strongly, budget):
+        verdict = real(m, n, fn, strongly, budget)
+        return _Flipped(verdict) if n.factors == (4,) else verdict
+
+    monkeypatch.setattr(harness, "is_M_F_split", wrong_on_z4)
+    after = check_tds(corpus, CAPS)
+    assert after.instances == before.instances
+    assert after.failures
+    by_verdict = collections.Counter()
+    for failure in after.failures:
+        assert not failure.get("dual") and failure["decomposition"]
+        by_verdict[failure["f"], failure["m"], failure["strongly"]] += failure["decompositions"]
+    assert set(by_verdict.values()) == {oracle_count}
 
 
 @pytest.mark.parametrize("check", [check_csip, check_tdsprerad], ids=["csip", "tdsprerad"])

@@ -1,5 +1,6 @@
 """Splitness predicates: brute force, theorem reductions, certificates."""
 
+import functools
 import itertools
 import random
 
@@ -280,7 +281,7 @@ def test_idempotents_complete():
             for h in hom_group(m, m).basis
         )
         assert view.size == len(elements), m.factors
-        assert list(view.idempotent_rows) == [e.rows for e in idempotents], m.factors
+        assert list(splitness._idempotents(m)) == [e.rows for e in idempotents], m.factors
         assert is_abelian_ring(view) == abelian, m.factors
 
 
@@ -291,6 +292,7 @@ def _brute_entries(a, b):
     return tuple(x for x in range(b) if a * x % b == 0) if b else (0,)
 
 
+@functools.cache
 def _full_product_end_ring(m):
     """An End-ring pass with no shortcut: one flat product of entry tables,
     sliced into rows, and a full e·e per element."""
@@ -327,10 +329,34 @@ def test_end_ring_row_test_matches_the_full_product_loop(monkeypatch):
     assert len(groups) == 53 and groups[0] == group()
     for m in groups:
         view = end_ring(m)
-        assert (view.size, view.idempotent_rows, view.noncentral) == _full_product_end_ring(m), m
+        idempotents = tuple(splitness._idempotents(m))
+        assert (view.size, idempotents, view.noncentral) == _full_product_end_ring(m), m
     view = end_ring(group(2, 2, 2, 2))
-    assert view.size == 65536 and len(view.idempotent_rows) == 802
+    assert view.size == 65536 and len(list(splitness._idempotents(group(2, 2, 2, 2)))) == 802
     assert view.noncentral is not None
+
+
+def test_end_ring_scan_stops_at_the_first_noncentral_idempotent(monkeypatch):
+    # the route keeps only |End| and the first idempotent that fails to
+    # commute, which must be the full product loop's first
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    groups = [m for m in enumerate_groups(48) if hom_count(m, m) <= 10**5]
+    for m in groups:
+        view = end_ring(m)
+        size, _idempotents, noncentral = _full_product_end_ring(m)
+        assert (view.size, view.noncentral) == (size, noncentral), m
+    # (Z/2)^4 has 802 idempotents, and the second one is not central
+    read = []
+    idempotents = splitness._idempotents
+
+    def counted(m):
+        for e in idempotents(m):
+            read.append(e)
+            yield e
+
+    monkeypatch.setattr(splitness, "_idempotents", counted)
+    view = splitness._enumerate_end_ring(group(2, 2, 2, 2))
+    assert view.noncentral is not None and 1 <= len(read) <= 2
 
 
 def test_cyclic_end_ring_by_crt_matches_the_full_scan():
@@ -341,7 +367,8 @@ def test_cyclic_end_ring_by_crt_matches_the_full_scan():
     for d in list(range(2, 3001)) + [999_983, 250_000]:
         view = splitness._enumerate_end_ring(group(d))
         scan = tuple(((x,),) for x in range(d) if x * x % d == x)
-        assert (view.size, view.idempotent_rows, view.noncentral) == (d, scan, None), d
+        idempotents = tuple(splitness._idempotents(group(d)))
+        assert (view.size, idempotents, view.noncentral) == (d, scan, None), d
     # increasing order is the order in which iter_hom_rows lists End(Z/d)
     for d in (2, 12, 30, 64):
         assert list(iter_hom_rows(group(d), group(d))) == [((x,),) for x in range(d)]
@@ -353,7 +380,7 @@ def test_end_ring_closed_under_add_and_compose():
     m = group(2, 4)
     elems = set(e.rows for e in iter_hom(m, m))
     assert end_ring(m).size == len(elems)
-    assert set(end_ring(m).idempotent_rows) <= elems
+    assert set(splitness._idempotents(m)) <= elems
     for a in iter_hom(m, m):
         for b in iter_hom(m, m):
             assert compose(a, b).rows in elems
@@ -375,7 +402,7 @@ def test_centrality_basis_test_equals_full_commutation():
         basis_verdict = is_abelian_ring(view)
         full = all(
             compose(e, h) == compose(h, e)
-            for e in (morphism(m, m, rows) for rows in view.idempotent_rows)
+            for e in (morphism(m, m, rows) for rows in splitness._idempotents(m))
             for h in iter_hom(m, m)
         )
         assert basis_verdict == full, factors
