@@ -359,22 +359,33 @@ def hom_count(m: FgAbGroup, n: FgAbGroup) -> Optional[int]:
     return None if 0 in orders else prod(orders)
 
 
-def _hom_row_tables(m: FgAbGroup, n: FgAbGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """Every legal row of a hom matrix, one table per generator of n, each
-    the product of its entry values in odometer order (finite Hom only)."""
+def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All hom matrices in canonical odometer order (finite Hom only): a
+    mixed-radix counter over the entries k·step of _hom_table, row by row,
+    the last entry fastest.  Nothing is listed ahead, so the first matrices
+    cost O(|entries|) whatever |Hom| is."""
     table = _hom_table(m, n)
     if any(order == 0 for row in table for _, order in row):
         raise ValueError("infinite Hom group cannot be enumerated")
-    return [
-        tuple(itertools.product(*([k * step for k in range(order)] for step, order in row)))
-        for row in table
-    ]
-
-
-def iter_hom_rows(m: FgAbGroup, n: FgAbGroup) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All hom matrices in canonical odometer order (finite Hom only): the
-    product of the per-row tables."""
-    yield from itertools.product(*_hom_row_tables(m, n))
+    digits = [
+        (i, j, step, step * order)
+        for i, row in enumerate(table)
+        for j, (step, order) in enumerate(row)
+        if order > 1
+    ][::-1]
+    entries = [[0] * m.ngens for _ in table]
+    rows = [tuple(r) for r in entries]
+    while True:
+        yield tuple(rows)
+        for i, j, step, top in digits:
+            x = entries[i][j] + step
+            carry = x == top
+            entries[i][j] = 0 if carry else x
+            rows[i] = tuple(entries[i])
+            if not carry:
+                break
+        else:
+            return
 
 
 def iter_hom(m: FgAbGroup, n: FgAbGroup) -> Iterator[Morphism]:

@@ -26,12 +26,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Callable, Iterator, Optional, Union
 
 from .groups import (
     FgAbGroup,
-    _hom_row_tables,
     _hom_table,
     Morphism,
     compose,
@@ -39,12 +37,15 @@ from .groups import (
     hom_group,
     identity_hom,
     iter_hom,
+    iter_hom_rows,
     morphism,
     retraction_witness,
     _immutable,
     _store,
 )
-from .intmat import Matrix, SeededHnf, freeze, prime_factors, row_lattice_reduce
+from .intmat import (
+    Matrix, SeededHnf, freeze, identity, prime_factors, row_lattice_contains, row_lattice_reduce,
+)
 from .subgroups import (
     Subgroup,
     all_subgroups,
@@ -72,7 +73,6 @@ UNKNOWN = "unknown"
 
 DEFAULT_HOM_BUDGET = 10**6
 DEFAULT_SUBGROUP_CAP = 512
-DEFAULT_ENDRING_CAP = 10**6
 DEFAULT_ENTRY_BOUND = 3
 DEFAULT_WITNESS_SEARCH_LIMIT = 200_000
 
@@ -82,14 +82,13 @@ class InternalConsistencyError(RuntimeError):
 
 
 class Caps:
-    __slots__ = ("hom_budget", "subgroup_cap", "endring_cap", "entry_bound", "per_group_timeout_s")
+    __slots__ = ("hom_budget", "subgroup_cap", "entry_bound", "per_group_timeout_s")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(
         self,
         hom_budget: int = DEFAULT_HOM_BUDGET,
         subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-        endring_cap: int = DEFAULT_ENDRING_CAP,
         entry_bound: int = DEFAULT_ENTRY_BOUND,
         # wall-clock guard per group; 0 disables it (and keeps reports
         # deterministic, which timing-based skips cannot be)
@@ -97,7 +96,6 @@ class Caps:
     ):
         _store(self, "hom_budget", hom_budget)
         _store(self, "subgroup_cap", subgroup_cap)
-        _store(self, "endring_cap", endring_cap)
         _store(self, "entry_bound", entry_bound)
         _store(self, "per_group_timeout_s", per_group_timeout_s)
 
@@ -676,64 +674,17 @@ class EndRingView:
         self.noncentral = noncentral
 
 
-def _bitmask(bits: list[int], width: int) -> int:
-    """The integer with exactly the given bits set, built in one pass over
-    its width."""
-    digits = bytearray(b"0") * width
-    for k in bits:
-        digits[width - 1 - k] = 49  # ord("1")
-    return int(digits, 2)
-
-
 def _idempotents(m: FgAbGroup) -> Iterator[Matrix]:
     """The idempotents of End(M) (M finite) on raw matrices, in the order of
-    iter_hom_rows: e is idempotent iff e·e = e.
-
-    Row i of e·e = e reads Σ_t r_i[t]·r_t ≡ r_i (mod d_i).  The first n-1
-    rows run in odometer order; each of them fixes r_i[n-1]·r_{n-1}, looked
-    up in a table from (i, r_i[n-1]) and that image to the bitmask of the
-    last rows giving it.  The masks are ANDed, and the last row's own
-    equation is tested on the survivors in table order.  A cyclic M is read
-    off by CRT instead (_cyclic_idempotents)."""
+    iter_hom_rows: the e with e·e = e.  A cyclic M is read off by CRT
+    instead (_cyclic_idempotents)."""
     factors = m.factors
-    n = len(factors)
-    if n == 0:
-        yield ()
-        return
-    if n == 1:
+    if len(factors) == 1:
         yield from _cyclic_idempotents(factors[0])
         return
-    *head, last = _hom_row_tables(m, m)
-    d_last = factors[-1]
-    images = []
-    for d, table in zip(factors, head):
-        by_coeff = {}
-        for c in {row[-1] for row in table}:  # the entries of column n-1
-            hits: dict[tuple[int, ...], list[int]] = {}
-            for k, row in enumerate(last):
-                hits.setdefault(tuple(c * x % d for x in row), []).append(k)
-            by_coeff[c] = {key: _bitmask(ks, len(last)) for key, ks in hits.items()}
-        images.append(by_coeff)
-    everything = (1 << len(last)) - 1
-    for prefix in itertools.product(*head):
-        alive = everything
-        cols = tuple(zip(*prefix))  # column j of the first n-1 rows
-        for r, d, by_coeff in zip(prefix, factors, images):
-            target = tuple((x - sum(map(mul, r, col))) % d for x, col in zip(r, cols))
-            alive &= by_coeff[r[-1]].get(target, 0)
-            if not alive:
-                break
-        bits = bin(alive)[:1:-1]  # bit k at index k
-        k = bits.find("1")
-        while k >= 0:
-            row = last[k]
-            c = row[-1] - 1  # Σ_{t<n-1} row[t]·r_t + (row[n-1] - 1)·row ≡ 0
-            for x, col in zip(row, cols):
-                if (sum(map(mul, row, col)) + c * x) % d_last:
-                    break
-            else:
-                yield prefix + (row,)
-            k = bits.find("1", k + 1)
+    for e in iter_hom_rows(m, m):
+        if _compose_rows(e, e, factors) == e:
+            yield e
 
 
 def _cyclic_idempotents(d: int) -> Iterator[Matrix]:
@@ -771,11 +722,12 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
     return EndRingView(m, hom_count(m, m), noncentral)
 
 
-def end_ring(m: FgAbGroup, cap: int = DEFAULT_ENDRING_CAP) -> Optional[EndRingView]:
+def end_ring(m: FgAbGroup) -> Optional[EndRingView]:
     """The End-ring summary of M, read once per group and kept on its
-    GroupAnalysis; None when |End| exceeds the cap."""
-    total = hom_count(m, m)
-    if total is None or total > cap:
+    GroupAnalysis; None when M is infinite.  The scan stops at its first
+    non-central idempotent, the second element of End(M) for every
+    non-cyclic M, so its cost does not grow with |End|."""
+    if not m.is_finite:
         return None
     return analysis_for(m).end_ring()
 
@@ -816,8 +768,11 @@ def _witness_search(
         base = list(f_sub.canonical)
         lattice = f_sub.canonical
     ranges = [
-        range(d) if 0 < d <= 2 * entry_bound + 1 else range(-entry_bound, entry_bound + 1)
-        for d in m.factors
+        # a coordinate whose unit vector lies in the lattice reduces to 0
+        range(1) if row_lattice_contains(lattice, unit)
+        else range(d) if 0 < d <= 2 * entry_bound + 1
+        else range(-entry_bound, entry_bound + 1)
+        for d, unit in zip(m.factors, identity(m.ngens))
     ]
 
     def fresh_keys() -> Iterator[tuple[int, ...]]:
@@ -940,13 +895,10 @@ def _strong_routes(
 ):
     """Evaluate the End-ring route and the summand-condition route for the
     strong verdict; both must agree with the structural decision."""
-    view = end_ring(comp, caps.endring_cap)
+    view = end_ring(comp)
     if view is not None:
         route_endab = is_abelian_ring(view)
-        trace.append(
-            f"end-ring route: |End| = {view.size} enumerated, "
-            f"abelian = {route_endab}"
-        )
+        trace.append(f"end-ring route: |End| = {view.size}, abelian = {route_endab}")
     else:
         route_endab = end_ring_abelian_closed_form(comp)
         trace.append(

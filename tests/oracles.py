@@ -4,9 +4,12 @@ No code of the package calls these; each is small, written straight from
 its definition, and imported by the tests that use it.
 """
 
+import itertools
+
 from absplit.groups import (
     Morphism,
     ObjectMismatchError,
+    _hom_table,
     hom_count,
     is_epi,
     iter_hom,
@@ -65,6 +68,16 @@ def smith_solution_lattice(a, moduli, n):
     rows, cols = len(dec.s), len(dec.s[0])
     free = [j for j in range(cols) if j >= rows or dec.s[j][j] == 0]
     return freeze([[dec.v[i][j] for j in free] for i in range(n)])
+
+
+def hom_rows_by_row_tables(m, n):
+    """Every hom matrix M -> N (finite Hom), listed as the product of one
+    table per row, each table the product of its entry values."""
+    tables = [
+        tuple(itertools.product(*([k * step for k in range(order)] for step, order in row)))
+        for row in _hom_table(m, n)
+    ]
+    return list(itertools.product(*tables))
 
 
 def enumerate_hom(m, n, budget=10**6):

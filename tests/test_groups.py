@@ -27,6 +27,7 @@ from absplit.groups import (
     is_epi,
     is_mono,
     iter_hom,
+    iter_hom_rows,
     kernel,
     morphism,
     negate_hom,
@@ -42,7 +43,7 @@ from absplit.groups import (
 )
 from absplit.harness import enumerate_groups
 from absplit.intmat import freeze
-from oracles import enumerate_hom, is_section
+from oracles import enumerate_hom, hom_rows_by_row_tables, is_section
 
 Z = group(0)
 Z2 = group(2)
@@ -192,6 +193,33 @@ def test_hom_enumeration_complete_and_valid():
         hom_list = enumerate_hom(m, n, 10**4)
         assert len(hom_list) == len(set(h.rows for h in hom_list))
         assert len(hom_list) == len(brute_hom_matrices(m, n))
+
+
+def test_iter_hom_rows_matches_the_product_of_row_tables():
+    # the lazy odometer lists Hom(M, N) in the order of the product of the
+    # per-row tables it replaced, element for element
+    groups = list(enumerate_groups(16))
+    pairs = [(m, n) for m, n in product(groups, groups) if hom_count(m, n) <= 4096]
+    assert len(pairs) == 624  # every pair but ((Z/2)⁴, (Z/2)⁴)
+    for m, n in pairs:
+        assert list(iter_hom_rows(m, n)) == hom_rows_by_row_tables(m, n), (m, n)
+
+
+def test_iter_hom_rows_lists_nothing_ahead():
+    # |End(Z/300 ⊕ Z/300)| = 300⁴; a table of each row's 90,000 values
+    # would take megabytes before the first element
+    import tracemalloc
+
+    m = group(300, 300)
+    tracemalloc.start()
+    try:
+        rows = iter_hom_rows(m, m)
+        first = [next(rows), next(rows)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [((0, 0), (0, 0)), ((0, 0), (0, 1))]
+    assert peak < 10**6, peak
 
 
 def _brute_entries(a, b):

@@ -16,7 +16,6 @@ from absplit.groups import (
 )
 from absplit.harness import enumerate_groups
 from absplit.splitness import (
-    DEFAULT_ENDRING_CAP,
     DEFAULT_ENTRY_BOUND,
     DEFAULT_HOM_BUDGET,
     DEFAULT_SUBGROUP_CAP,
@@ -63,10 +62,10 @@ def z12_by_order():
 
 def test_caps_are_immutable_values_with_the_default_budgets():
     c = Caps()
-    assert (c.hom_budget, c.subgroup_cap, c.endring_cap, c.entry_bound, c.per_group_timeout_s) == (
-        DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENDRING_CAP, DEFAULT_ENTRY_BOUND, 0.0,
+    assert (c.hom_budget, c.subgroup_cap, c.entry_bound, c.per_group_timeout_s) == (
+        DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENTRY_BOUND, 0.0,
     )
-    positional = Caps(DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENDRING_CAP, DEFAULT_ENTRY_BOUND, 0.0)
+    positional = Caps(DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENTRY_BOUND, 0.0)
     assert c == positional and hash(c) == hash(positional) and len({c, positional}) == 1
     assert Caps(entry_bound=2) == Caps(entry_bound=2) != c
     assert Caps(per_group_timeout_s=1.5) != c
@@ -186,9 +185,7 @@ def test_structural_infinite_witnesses():
 
 def test_end_ring_abelian_closed_form_matches_enumeration():
     for m in enumerate_groups(24):
-        view = end_ring(m, cap=10**5)
-        if view is None:
-            continue
+        view = end_ring(m)
         assert is_abelian_ring(view) == end_ring_abelian_closed_form(m), m.factors
 
 
@@ -260,8 +257,7 @@ def test_end_ring_examples():
     assert compose(e, e) == e and compose(e, h) != compose(h, e)
     view = end_ring(group(2, 3))
     assert view.size == 6 and is_abelian_ring(view)
-    assert end_ring(group(2, 2, 2, 2, 2), cap=100) is None
-    assert end_ring(group(0)) is None
+    assert end_ring(group(0)) is None and end_ring(group(2, 0)) is None
 
 
 def test_idempotents_complete():
@@ -272,7 +268,7 @@ def test_idempotents_complete():
     for m in enumerate_groups(16):
         if hom_count(m, m) > 10**5:
             continue
-        view = end_ring(m, cap=10**5)
+        view = end_ring(m)
         elements = list(iter_hom(m, m))
         idempotents = [e for e in elements if compose(e, e) == e]
         abelian = all(
@@ -346,6 +342,13 @@ def test_end_ring_scan_stops_at_the_first_noncentral_idempotent(monkeypatch):
         size, _idempotents, noncentral = _full_product_end_ring(m)
         assert (view.size, view.noncentral) == (size, noncentral), m
     # (Z/2)^4 has 802 idempotents, and the second one is not central
+    read = _count_idempotents_read(monkeypatch)
+    view = splitness._enumerate_end_ring(group(2, 2, 2, 2))
+    assert view.noncentral is not None and 1 <= len(read) <= 2
+
+
+def _count_idempotents_read(monkeypatch):
+    """A list that records every idempotent the End-ring scan reads."""
     read = []
     idempotents = splitness._idempotents
 
@@ -355,8 +358,23 @@ def test_end_ring_scan_stops_at_the_first_noncentral_idempotent(monkeypatch):
             yield e
 
     monkeypatch.setattr(splitness, "_idempotents", counted)
-    view = splitness._enumerate_end_ring(group(2, 2, 2, 2))
-    assert view.noncentral is not None and 1 <= len(read) <= 2
+    return read
+
+
+def test_every_end_ring_to_order_128_is_read_in_at_most_two_idempotents(monkeypatch):
+    # with no cap every finite End ring is scanned, |End| > 10^6 included:
+    # diag(0, ..., 0, 1), the second element of End(M), fails to commute
+    # with e_{n-1} -> e_0 whenever M is not cyclic
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    read = _count_idempotents_read(monkeypatch)
+    sizes = []
+    for m in enumerate_groups(128):
+        read.clear()
+        view = end_ring(m)
+        assert view is not None and is_abelian_ring(view) == end_ring_abelian_closed_form(m), m
+        assert len(m.factors) <= 1 or len(read) <= 2, m
+        sizes.append(view.size)
+    assert len(sizes) == 247 and sum(size > 10**6 for size in sizes) == 13
 
 
 def test_cyclic_end_ring_by_crt_matches_the_full_scan():
@@ -391,8 +409,7 @@ def test_end_ring_enumerated_once_per_group():
     m = group(2, 2, 2)
     view = end_ring(m)
     assert end_ring(m) is view
-    assert end_ring(group(2, 2, 2), cap=view.size) is view
-    assert end_ring(m, cap=view.size - 1) is None
+    assert end_ring(group(2, 2, 2)) is view
 
 
 def test_centrality_basis_test_equals_full_commutation():
@@ -584,6 +601,28 @@ def test_witness_search_counts_cosets_not_vectors(monkeypatch):
     lines: list = []
     assert strongly_no_witness_search(m, f, entry_bound=3, trace=lines) is None
     assert len(made) <= 10
+    assert lines == [
+        "witness search (entry bound 3): 6 of 6 candidates, found nothing"
+    ]
+
+
+def test_witness_search_fixes_the_coordinates_whose_unit_lies_in_the_lattice(monkeypatch):
+    # each Z/8 coordinate of Z/8^3 ⊕ Z lies in F = torsion, so every value
+    # reduces to 0 there; scanning 7 values of each of them reduced all
+    # 7^4 box vectors, twice each
+    m = group(8, 8, 8, 0)
+    f = evaluate(torsion(), m)
+    reduced = []
+    reduce = splitness.row_lattice_reduce
+
+    def counted(basis, vec):
+        reduced.append(vec)
+        return reduce(basis, vec)
+
+    monkeypatch.setattr(splitness, "row_lattice_reduce", counted)
+    lines: list = []
+    assert strongly_no_witness_search(m, f, entry_bound=3, trace=lines) is None
+    assert len(reduced) == 2 * 7
     assert lines == [
         "witness search (entry bound 3): 6 of 6 candidates, found nothing"
     ]
