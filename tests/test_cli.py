@@ -295,7 +295,7 @@ def test_numeric_flag_rejected(capsys, argv, flag):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert len(err.splitlines()) == 1
-    # the End-ring scan has no cap any more, so its old flag is unknown
+    # the End-ring scan has no cap, so --cap-endring is an unknown argument
     want = "unrecognized arguments: --cap-endring 5" if flag == "--cap-endring" else f"argument {flag}:"
     assert want in err and "Traceback" not in err
 
