@@ -49,7 +49,6 @@ def _caps_from_args(args) -> Caps:
     return Caps(
         hom_budget=args.budget_hom,
         subgroup_cap=args.cap_subgroups,
-        entry_bound=args.entry_bound,
         per_group_timeout_s=args.timeout,
     )
 
@@ -59,8 +58,6 @@ def _add_caps_flags(p: argparse.ArgumentParser):
                    help="largest Hom set brute force will enumerate")
     p.add_argument("--cap-subgroups", type=_at_least(0), default=Caps().subgroup_cap,
                    help="largest group order for subgroup enumeration")
-    p.add_argument("--entry-bound", type=_at_least(0), default=Caps().entry_bound,
-                   help="matrix entry bound for summand witness searches")
     p.add_argument("--timeout", type=_at_least(0, float), default=0.0,
                    help="per-group wall clock guard in seconds (0 = off; "
                         "timing-based skips make reports nondeterministic)")

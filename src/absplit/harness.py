@@ -510,6 +510,11 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
         for b in finite[i:]:
             if gcd(a.order, b.order) == 1 and a.order * b.order <= corpus.max_order:
                 pairs.append((a, b))
+    rep.notes.append(
+        f"(A, B) takes the first {min(len(pairs), _THOMZERO_PAIRS)} of the {len(pairs)} "
+        f"coprime pairs of groups of order > 1 with |A|·|B| <= {corpus.max_order}, "
+        f"in corpus order; at most {_THOMZERO_PAIRS} at any order"
+    )
     pairs = pairs[:_THOMZERO_PAIRS]
     for a, b in pairs:
         parts = [format_group(a), format_group(b)]
@@ -610,13 +615,16 @@ def check_tdsprerad(
     finite = [g for g in corpus if g.order and g.order > 1][:8]
     # the summands of each M are enumerated
     m_pool = []
-    for m in [g for g in corpus if g.order and g.order <= 12][:4]:
+    small = [g for g in corpus if g.order and g.order <= 12][:4]
+    for m in small:
         if m.order > caps.subgroup_cap:
             rep.skipped.append({"m": format_group(m), "reason": _cap_reason(caps)})
         else:
             m_pool.append(m)
     count = 0
+    pairs_per_r = []
     for r in rads:
+        start = count
         for i, n1 in enumerate(finite):
             for n2 in finite[i:]:
                 if count >= _TDSPRERAD_SAMPLES:
@@ -662,6 +670,13 @@ def check_tdsprerad(
                                  "whole": whole.answer,
                                  "part_answers": [p1.answer, p2.answer]}
                             )
+        pairs_per_r.append(f"{r.name} {count - start}")
+    rep.notes.append(
+        f"N1 and N2 come from the first {len(finite)} groups of order > 1 and M from the "
+        f"first {len(small)} of order <= 12; the pairs (N1, N2) with |N1|·|N2| <= "
+        f"{corpus.max_order} stop at {_TDSPRERAD_SAMPLES} in all, shared by the "
+        f"preradicals in order: {', '.join(pairs_per_r)}"
+    )
 
 
 @_check("semis")
@@ -671,6 +686,7 @@ def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30)
     invariant F.  Strong flags are cross-checked against the End-ring
     criterion rather than asserted to hold outright (a group with a p-rank
     >= 2 complement is never strongly split over it, squarefree or not)."""
+    rep.notes.append(f"n ranges over 1..{max_n} only, whatever the max order")
     for n in range(1, max_n + 1):
         if is_squarefree(n) if n > 1 else True:
             mods = [g for g in corpus if g.order and n % (g.exponent or 1) == 0]
@@ -873,8 +889,9 @@ def torsion_split_samples(
 ) -> list[dict]:
     """Torsion-part splitting of finitely generated groups, theorem mode:
     G is always self-t(G)-split, and strongly iff the free rank is <= 1
-    (trivially when the rank is 0).  Rank-2 samples must yield a bounded
-    search witness; rank-1 samples must not (entry bound 1)."""
+    (trivially when the rank is 0).  Rank-2 samples must have a summand over
+    t(G) that is not fully invariant, and rank-1 samples none, by the exact
+    coordinate test of strongly_no_witness_search."""
     out = []
     torsion_groups = [g for g in enumerate_groups(max_torsion_order)]
     for t_grp in torsion_groups:
@@ -891,7 +908,7 @@ def torsion_split_samples(
                 "strongly": strong.answer,
             }
             if rank >= 1:
-                wit = strongly_no_witness_search(g, f, entry_bound=1)
+                wit = strongly_no_witness_search(g, f)
                 entry["witness_found"] = wit is not None
             out.append(entry)
     return out

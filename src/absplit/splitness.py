@@ -43,9 +43,7 @@ from .groups import (
     _immutable,
     _store,
 )
-from .intmat import (
-    Matrix, SeededHnf, freeze, identity, prime_factors, row_lattice_contains, row_lattice_reduce,
-)
+from .intmat import Matrix, SeededHnf, freeze, identity, prime_factors
 from .subgroups import (
     Subgroup,
     all_subgroups,
@@ -73,8 +71,6 @@ UNKNOWN = "unknown"
 
 DEFAULT_HOM_BUDGET = 10**6
 DEFAULT_SUBGROUP_CAP = 512
-DEFAULT_ENTRY_BOUND = 3
-DEFAULT_WITNESS_SEARCH_LIMIT = 200_000
 
 
 class InternalConsistencyError(RuntimeError):
@@ -82,21 +78,19 @@ class InternalConsistencyError(RuntimeError):
 
 
 class Caps:
-    __slots__ = ("hom_budget", "subgroup_cap", "entry_bound", "per_group_timeout_s")
+    __slots__ = ("hom_budget", "subgroup_cap", "per_group_timeout_s")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(
         self,
         hom_budget: int = DEFAULT_HOM_BUDGET,
         subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-        entry_bound: int = DEFAULT_ENTRY_BOUND,
         # wall-clock guard per group; 0 disables it (and keeps reports
         # deterministic, which timing-based skips cannot be)
         per_group_timeout_s: float = 0.0,
     ):
         _store(self, "hom_budget", hom_budget)
         _store(self, "subgroup_cap", subgroup_cap)
-        _store(self, "entry_bound", entry_bound)
         _store(self, "per_group_timeout_s", per_group_timeout_s)
 
     def _key(self) -> tuple:
@@ -737,107 +731,37 @@ def is_abelian_ring(view: EndRingView) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# summand searches (the summand-condition route and its negation witness)
-
-
-def _witness_search(
-    m: FgAbGroup,
-    f_sub: Subgroup,
-    entry_bound: int,
-    contained_in: bool,
-    max_checked: int,
-) -> tuple[Optional[Subgroup], int, Optional[int]]:
-    """(witness, candidates tried, candidates in all) of the search below;
-    the total is None when a witness ends the search.
-
-    A candidate is <F, v> or <F, v, w> (<v> or <v, w> when contained_in) for
-    bounded vectors v, w.  Each coordinate of a bounded vector is replaced by
-    its residue when the factor has at most 2*entry_bound+1 elements; the
-    relations are in F (resp. in the relation lattice), so this changes no
-    subgroup.  A candidate depends only on the cosets of ±v and ±w modulo
-    that lattice, so each vector is keyed by the smaller reduction of v and
-    -v and every pair of keys is tried once.  The zero coset is left out: it
-    gives F itself, fully invariant in every caller (resp. the zero
-    subgroup).  Single keys are tried as they are found, so a witness among
-    them stops the enumeration early."""
-    analysis = analysis_for(m)
-    if contained_in:
-        base: list = []
-        lattice = trivial_subgroup(m).canonical
-    else:
-        base = list(f_sub.canonical)
-        lattice = f_sub.canonical
-    ranges = [
-        # a coordinate whose unit vector lies in the lattice reduces to 0
-        range(1) if row_lattice_contains(lattice, unit)
-        else range(d) if 0 < d <= 2 * entry_bound + 1
-        else range(-entry_bound, entry_bound + 1)
-        for d, unit in zip(m.factors, identity(m.ngens))
-    ]
-
-    def fresh_keys() -> Iterator[tuple[int, ...]]:
-        found: set[tuple[int, ...]] = set()
-        for v in itertools.product(*ranges):
-            key = min(
-                row_lattice_reduce(lattice, v),
-                row_lattice_reduce(lattice, [-x for x in v]),
-            )
-            if any(key) and key not in found:
-                found.add(key)
-                if not contained_in or f_sub.contains(key):
-                    yield key
-
-    keys = fresh_keys()
-    pool: list[tuple[int, ...]] = []
-
-    def candidates() -> Iterator[tuple[tuple[int, ...], ...]]:
-        for key in keys:
-            pool.append(key)
-            yield (key,)
-        yield from itertools.combinations(pool, 2)
-
-    tried = 0
-    seen: set[Matrix] = set()
-    for combo in candidates():
-        if tried == max_checked:
-            break
-        tried += 1
-        cand = sub_from_gens(m, base + list(combo))
-        if cand.canonical in seen:
-            continue
-        seen.add(cand.canonical)
-        props = analysis.subgroup_props(cand)
-        if props.is_non_fi_summand:
-            return cand, tried, None
-    n = len(pool) + sum(1 for _ in keys)
-    return None, tried, n * (n + 1) // 2
+# summands over or inside F (the summand-condition route and its witness)
 
 
 def strongly_no_witness_search(
     m: FgAbGroup,
     f_sub: Subgroup,
-    entry_bound: int = DEFAULT_ENTRY_BOUND,
     contained_in: bool = False,
-    max_checked: int = DEFAULT_WITNESS_SEARCH_LIMIT,
-    trace: Optional[list[str]] = None,
 ) -> Optional[Subgroup]:
-    """Search for a non-fully-invariant direct summand containing F (or
-    contained in F when contained_in=True), generated by F and up to two
-    vectors with entries bounded by entry_bound.  Finding one certifies a
-    strongly-No verdict even when the brute-force quantifier is infinite;
-    absence proves nothing.  max_checked caps the number of distinct
-    candidates tried.  When trace is given, one line saying how many
-    candidates were tried, and why the search stopped, is appended to it."""
-    wit, tried, total = _witness_search(m, f_sub, entry_bound, contained_in, max_checked)
-    if trace is not None:
-        if wit is not None:
-            outcome = f"found a witness at candidate {tried}"
-        elif tried < total:
-            outcome = f"{tried} of {total} candidates, stopped at the cap, found nothing"
-        else:
-            outcome = f"{tried} of {total} candidates, found nothing"
-        trace.append(f"witness search (entry bound {entry_bound}): {outcome}")
-    return wit
+    """A direct summand of M that contains F (lies in F when contained_in)
+    and is not fully invariant, or None when there is none; exact on every
+    M.  F must be a fully invariant summand (else ValueError), M = F ⊕ C.
+
+    Hom(F, C) = 0, so a summand S ⊇ F is F ⊕ (S ∩ C) and is fully invariant
+    in M iff S ∩ C is in C; a summand inside F is fully invariant in M iff
+    it is in F.  A group with invariant factors d_1 | … | d_k has a summand
+    that is not fully invariant iff k >= 2, and then ⟨e_k⟩ is one (e_k ↦ e_1
+    moves it).  So the candidates are ⟨F, s(e_i)⟩ for a section s of
+    M -> M/F (⟨e_i⟩ for the generators of F when contained_in), in order."""
+    require_fully_invariant(m, f_sub)
+    analysis = analysis_for(m)
+    if not analysis.subgroup_props(f_sub).is_summand:
+        raise ValueError(f"{f_sub} is not a direct summand of {m}")
+    if contained_in:
+        base, lift = [], inclusion(f_sub)
+    else:
+        base, lift = list(f_sub.canonical), retraction_witness(quotient(m, f_sub)[1])
+    for e in identity(lift.dom.ngens):
+        cand = sub_from_gens(m, base + [lift(e)])
+        if analysis.subgroup_props(cand).is_non_fi_summand:
+            return cand
+    return None
 
 
 def _summand_condition_route(
@@ -845,9 +769,11 @@ def _summand_condition_route(
     f_sub: Subgroup,
     caps: Caps,
     contained_in: bool,
-) -> tuple[Optional[bool], Optional[Subgroup], str]:
+) -> tuple[bool, str]:
     """Are all direct summands of M containing F (resp. contained in F)
-    fully invariant?  Returns (verdict|None, witness, how)."""
+    fully invariant?  Returns (verdict, how).  Enumeration where a lattice
+    fits the cap, which is an independent oracle for the exact coordinate
+    test that decides every other case."""
     analysis = analysis_for(m)
     cap = caps.subgroup_cap
     order = m.order
@@ -871,13 +797,9 @@ def _summand_condition_route(
     if cands is not None:
         for s in cands:
             if analysis.subgroup_props(s).is_non_fi_summand:
-                return False, s, how
-        return True, None, how
-    search: list[str] = []
-    wit = strongly_no_witness_search(
-        m, f_sub, caps.entry_bound, contained_in=contained_in, trace=search
-    )
-    return (None if wit is None else False), wit, search[0]
+                return False, how
+        return True, how
+    return strongly_no_witness_search(m, f_sub, contained_in) is None, "coordinate summands"
 
 
 # ---------------------------------------------------------------------------
@@ -904,13 +826,10 @@ def _strong_routes(
         trace.append(
             f"end-ring route: closed form on {comp}, abelian = {route_endab}"
         )
-    route_rel, rel_wit, how = _summand_condition_route(m, f_sub, caps, contained_in)
-    trace.append(
-        f"summand route ({how}): "
-        + ("inconclusive" if route_rel is None else f"all fully invariant = {route_rel}")
-    )
+    route_rel, how = _summand_condition_route(m, f_sub, caps, contained_in)
+    trace.append(f"summand route ({how}): all fully invariant = {route_rel}")
     for name, val in (("end-ring", route_endab), ("summand", route_rel)):
-        if val is not None and val != structural:
+        if val != structural:
             raise InternalConsistencyError(
                 f"strong-mode {name} route gives {val} but structural analysis "
                 f"gives {structural} for {m} with F = {f_sub}"

@@ -212,7 +212,7 @@ def test_criterion_8_negative_witnesses():
     v = is_self_rickart(group(4))
     ok = v.is_no and reverify(v)
     z2 = group(0, 0)
-    w = strongly_no_witness_search(z2, trivial_subgroup(z2), entry_bound=1)
+    w = strongly_no_witness_search(z2, trivial_subgroup(z2))
     ok &= w is not None
     if w is not None:
         from absplit.splitness import analysis_for
@@ -222,7 +222,7 @@ def test_criterion_8_negative_witnesses():
     assert report(
         "8",
         ok,
-        "Z/4 counterexample re-verified; Z x Z summand witness at entry bound 1",
+        "Z/4 counterexample re-verified; Z x Z coordinate summand witness re-verified",
     )
 
 
@@ -377,14 +377,14 @@ def test_criterion_10_cold_process_determinism():
 # refactor must leave every one of them unchanged, and a change that alters
 # a report on purpose records the new digest here
 GOLDEN_DIGESTS = {
-    "verify": "aac6296f389e11cb88d27f7be499fbd901fd6544e91672fc990fb98b55309736",
-    "examples": "62a84b6a0118d5fa03f2d28ff45d8d32da9081564be9b02a3dacd41711f54b4c",
+    "verify": "7ca34fa24f52ca1038b4e39016dcd8916def4fd52c8b8304d2ca5d57420ff22e",
+    "examples": "3f6021471a6579f7de12208df8a7e0fbb43d0520a23b0771f3e58ef42320575e",
     "classify 2,4": "6aeaff021fbbf9a5731d2fdfb87148127be4d6ec09099876454d56e98c6e73f3",
     "classify 2,2,2": "c8731695e470bf74ddea4ae31b4d613c514874e83d7de2d0ce216b4eba903f31",
     "classify 4,0": "033dc61670468d88875858642841fbd64e2da6b1a3fcb8e9272a12ce35feb894",
     "classify 2,4,0": "f775b257c572a8e12c1c64bc9957f96b89b4be127ffc42bf7e60343b90497b1b",
     "classify 2,4,0 --preradical torsion": "f5ff56854b9396dbf2c42d4dac05fe59f152ff0a977c81c656514d2edb4aef13",
-    "theorem internals": "1d366dd77784570980046d00d97d52a7b9444ee5cdfb99cf54744805aa0df218",
+    "theorem internals": "f188fe79672957734e10622639ca93b7f7b802590b41479f7abf0d168b8a49ec",
 }
 
 _GOLDEN_CLASSIFY = (

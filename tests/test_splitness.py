@@ -13,10 +13,10 @@ from absplit.groups import (
     identity_hom,
     iter_hom,
     morphism,
+    parse_group_spec,
 )
 from absplit.harness import enumerate_groups
 from absplit.splitness import (
-    DEFAULT_ENTRY_BOUND,
     DEFAULT_HOM_BUDGET,
     DEFAULT_SUBGROUP_CAP,
     Caps,
@@ -41,14 +41,16 @@ from absplit.splitness import (
     structural_self_rickart,
 )
 from absplit import splitness
-from absplit.preradicals import evaluate, parse_preradical, radical, socle, torsion
+from absplit.preradicals import evaluate, parse_preradical, socle, torsion
 from absplit.subgroups import (
     FullyInvariantError,
     SubgroupCapError,
     all_subgroups,
     full_subgroup,
     is_fully_invariant,
+    quotient,
     sub_from_gens,
+    subgroup_group,
     trivial_subgroup,
 )
 from oracles import noncentral_idempotent
@@ -62,12 +64,12 @@ def z12_by_order():
 
 def test_caps_are_immutable_values_with_the_default_budgets():
     c = Caps()
-    assert (c.hom_budget, c.subgroup_cap, c.entry_bound, c.per_group_timeout_s) == (
-        DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENTRY_BOUND, 0.0,
+    assert (c.hom_budget, c.subgroup_cap, c.per_group_timeout_s) == (
+        DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, 0.0,
     )
-    positional = Caps(DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, DEFAULT_ENTRY_BOUND, 0.0)
+    positional = Caps(DEFAULT_HOM_BUDGET, DEFAULT_SUBGROUP_CAP, 0.0)
     assert c == positional and hash(c) == hash(positional) and len({c, positional}) == 1
-    assert Caps(entry_bound=2) == Caps(entry_bound=2) != c
+    assert Caps(subgroup_cap=2) == Caps(subgroup_cap=2) != c
     assert Caps(per_group_timeout_s=1.5) != c
     with pytest.raises(AttributeError):
         c.hom_budget = 1
@@ -494,12 +496,12 @@ def test_sip_for_split_instances():
                 assert has_ssp_summands_contained_in(m, f), (m.factors, f.canonical)
 
 
-# --- witness search ----------------------------------------------------------------------------
+# --- summands over or inside F: the coordinate test -------------------------------------------
 
 
 def test_witness_search_examples():
     z2 = group(0, 0)
-    w = strongly_no_witness_search(z2, trivial_subgroup(z2), entry_bound=1)
+    w = strongly_no_witness_search(z2, trivial_subgroup(z2))
     assert w is not None
     from absplit.splitness import analysis_for
 
@@ -507,151 +509,108 @@ def test_witness_search_examples():
     assert props.is_summand and not props.is_fi
     assert strongly_no_witness_search(group(3), trivial_subgroup(group(3))) is None
     m = group(2, 0)
-    assert strongly_no_witness_search(m, evaluate(torsion(), m), entry_bound=2) is None
+    assert strongly_no_witness_search(m, evaluate(torsion(), m)) is None
+    # <e_1> = Z/2 is the torsion part, fully invariant; only the Z
+    # coordinate moves (e_2 -> e_1 + e_2), so a test of <e_1> alone misses it
+    assert strongly_no_witness_search(m, trivial_subgroup(m)) == sub_from_gens(m, [(0, 1)])
 
 
 def test_witness_search_contained_mode():
     z2 = group(0, 0)
-    w = strongly_no_witness_search(
-        z2, full_subgroup(z2), entry_bound=1, contained_in=True
-    )
+    w = strongly_no_witness_search(z2, full_subgroup(z2), contained_in=True)
     assert w is not None
 
 
-def _full_box_search(m, f_sub, entry_bound, contained_in, record):
-    """The search as first written: every nonzero vector of the box and
-    every pair of them, generated before deduplication.  Runs to the end,
-    adds each distinct subgroup to record and returns the first witness."""
-    analysis = splitness.analysis_for(m)
-    base = [] if contained_in else list(f_sub.canonical)
-    box = itertools.product(range(-entry_bound, entry_bound + 1), repeat=m.ngens)
-    pool = [v for v in box if any(v) and (not contained_in or f_sub.contains(v))]
-    found = None
-    for size in (1, 2):
-        for combo in itertools.combinations(pool, size):
-            cand = sub_from_gens(m, base + list(combo))
-            if cand.canonical in record:
+def _check_witness(m, f, contained_in, wit):
+    """A returned witness is a summand that is not fully invariant, over F
+    (inside F when contained_in)."""
+    props = splitness.analysis_for(m).subgroup_props(wit)
+    assert props.is_summand and not props.is_fi
+    assert f.contains_subgroup(wit) if contained_in else wit.contains_subgroup(f)
+
+
+def test_coordinate_test_matches_enumeration_to_order_128():
+    # every fully invariant summand F of every finite M of order <= 128, on
+    # both sides; the route enumerates the subgroups near F there, which is
+    # the oracle, and the factor (M/F, or F inside) has at most one
+    # invariant factor exactly when every summand near F is fully invariant
+    cases = hits = 0
+    for m in enumerate_groups(128):
+        analysis = splitness.analysis_for(m)
+        for f in analysis.fi_subgroups(DEFAULT_SUBGROUP_CAP):
+            if not analysis.subgroup_props(f).is_summand:
                 continue
-            record.add(cand.canonical)
-            props = analysis.subgroup_props(cand)
-            if found is None and props.is_summand and not props.is_fi:
-                found = cand
-    return found
-
-
-def _recording_sub_from_gens(monkeypatch):
-    made = []
-
-    def record(ambient, gens):
-        sub = sub_from_gens(ambient, gens)
-        made.append(sub.canonical)
-        return sub
-
-    monkeypatch.setattr(splitness, "sub_from_gens", record)
-    return made
-
-
-def test_witness_search_matches_full_box_oracle(monkeypatch):
-    # torsion part of order <= 9, free rank <= 2, at most 4 generators; the
-    # oracle's box has at most 125 vectors, so its pairs stay affordable
-    made = _recording_sub_from_gens(monkeypatch)
-    cases = 0
-    for t_grp in enumerate_groups(9):
-        for rank in range(3):
-            m = group(*(t_grp.factors + (0,) * rank))
-            fs = {
-                f.canonical: f
-                for f in [trivial_subgroup(m), full_subgroup(m)]
-                + [evaluate(r(), m) for r in (torsion, socle, radical)]
-            }
-            for f, contained_in, bound in itertools.product(
-                fs.values(), (False, True), (1, 2)
-            ):
-                if (2 * bound + 1) ** m.ngens > 125:
-                    continue
+            for contained_in in (False, True):
+                verdict, how = splitness._summand_condition_route(m, f, Caps(), contained_in)
+                assert how == "subgroup enumeration"
+                wit = strongly_no_witness_search(m, f, contained_in)
+                case = (m.factors, f.canonical, contained_in)
+                assert (wit is None) == verdict, case
+                factor = subgroup_group(f) if contained_in else quotient(m, f)[0]
+                assert verdict == (len(factor.factors) <= 1), case
+                if wit is not None:
+                    hits += 1
+                    _check_witness(m, f, contained_in, wit)
                 cases += 1
-                old_tried: set = set()
-                old = _full_box_search(m, f, bound, contained_in, old_tried)
-                made.clear()
-                new = strongly_no_witness_search(m, f, bound, contained_in)
-                case = (m.factors, f.canonical, contained_in, bound)
-                assert (new is None) == (old is None), case
-                new_tried = set(made)
-                if new is None:
-                    # the zero coset gives F itself (the zero subgroup when
-                    # contained_in), which the new search leaves out
-                    zero = (trivial_subgroup(m) if contained_in else f).canonical
-                    assert new_tried == old_tried - {zero}, case
-                else:
-                    assert new_tried <= old_tried, case
-                    props = splitness.analysis_for(m).subgroup_props(new)
-                    assert props.is_summand and not props.is_fi, case
-                    if contained_in:
-                        assert f.contains_subgroup(new), case
-                    else:
-                        assert new.contains_subgroup(f), case
-    assert cases > 200
+    assert (cases, hits) == (1758, 414)
 
 
-def test_witness_search_counts_cosets_not_vectors(monkeypatch):
-    # the old search generated all 7^7 - 1 = 823,542 box vectors here
-    m = group(2, 2, 2, 2, 2, 2, 0)
-    f = evaluate(torsion(), m)
-    made = _recording_sub_from_gens(monkeypatch)
-    lines: list = []
-    assert strongly_no_witness_search(m, f, entry_bound=3, trace=lines) is None
-    assert len(made) <= 10
-    assert lines == [
-        "witness search (entry bound 3): 6 of 6 candidates, found nothing"
-    ]
+def _mixed_pool_specs():
+    """The groups with a free part that the benchmark's classify-mixed
+    workload draws from, read from perfbench/workloads.py."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return [s for st in mod.WORKLOADS["classify-mixed"].strata for s in st.pool]
 
 
-def test_witness_search_fixes_the_coordinates_whose_unit_lies_in_the_lattice(monkeypatch):
-    # each Z/8 coordinate of Z/8^3 ⊕ Z lies in F = torsion, so every value
-    # reduces to 0 there; scanning 7 values of each of them reduced all
-    # 7^4 box vectors, twice each
-    m = group(8, 8, 8, 0)
-    f = evaluate(torsion(), m)
-    reduced = []
-    reduce = splitness.row_lattice_reduce
-
-    def counted(basis, vec):
-        reduced.append(vec)
-        return reduce(basis, vec)
-
-    monkeypatch.setattr(splitness, "row_lattice_reduce", counted)
-    lines: list = []
-    assert strongly_no_witness_search(m, f, entry_bound=3, trace=lines) is None
-    assert len(reduced) == 2 * 7
-    assert lines == [
-        "witness search (entry bound 3): 6 of 6 candidates, found nothing"
-    ]
+_MIXED_PRERADICALS = ("torsion", "socle", "radical", "ppart:2", "ppart:3", "ntorsion:2", "divisible")
 
 
-def test_witness_search_cap_is_reported():
-    m = group(0, 0)
-    f = trivial_subgroup(m)
-    lines: list = []
-    wit, tried, _ = splitness._witness_search(m, f, 2, False, 10**6)
-    assert wit is not None and tried > 1
-    capped = strongly_no_witness_search(
-        m, f, entry_bound=2, max_checked=tried - 1, trace=lines
-    )
-    assert capped is None
-    # 24 nonzero vectors in [-2, 2]^2 give 12 keys up to sign: 12 + 66 candidates
-    assert lines == [
-        f"witness search (entry bound 2): {tried - 1} of 78 candidates, "
-        "stopped at the cap, found nothing"
-    ]
+def test_coordinate_test_is_exact_on_the_mixed_pool_specs():
+    # no enumeration fits an infinite M, so the strong verdicts rest on the
+    # coordinate test alone: it must never be inconclusive, and it must
+    # agree with the closed form on the factor
+    specs = _mixed_pool_specs()
+    assert specs and all(not parse_group_spec(s).is_finite for s in specs)
+    routed = decided = 0
+    for spec in specs:
+        m = parse_group_spec(spec)
+        for name in _MIXED_PRERADICALS:
+            f = evaluate(parse_preradical(name), m)
+            for key, v in self_split_profile_theorem(m, f).items():
+                assert not any("inconclusive" in line for line in v.trace), (spec, name, key)
+                routed += any(line.startswith("summand route (") for line in v.trace)
+            if not splitness.analysis_for(m).subgroup_props(f).is_summand:
+                with pytest.raises(ValueError):
+                    strongly_no_witness_search(m, f)
+                continue
+            for contained_in in (False, True):
+                wit = strongly_no_witness_search(m, f, contained_in)
+                factor = subgroup_group(f) if contained_in else quotient(m, f)[0]
+                assert (wit is None) == (len(factor.factors) <= 1), (spec, name, contained_in)
+                if wit is not None:
+                    _check_witness(m, f, contained_in, wit)
+                decided += 1
+    assert routed > 0 and decided > 0
 
 
-def test_summand_route_reports_candidates_searched():
-    m = group(2, 4, 0)
-    v = is_self_F_split_theorem(m, evaluate(torsion(), m), strongly=True)
-    assert (
-        "summand route (witness search (entry bound 3): 6 of 6 candidates, "
-        "found nothing): inconclusive"
-    ) in v.trace
+def test_coordinate_test_rejects_an_F_that_is_not_a_fully_invariant_summand():
+    z4 = group(4)
+    with pytest.raises(ValueError, match="not a direct summand"):
+        strongly_no_witness_search(z4, sub_from_gens(z4, [(2,)]))
+    m = group(4, 0)
+    with pytest.raises(ValueError, match="not a direct summand"):
+        strongly_no_witness_search(m, evaluate(parse_preradical("mul:2"), m), contained_in=True)
+    v4 = group(2, 2)
+    with pytest.raises(FullyInvariantError):
+        strongly_no_witness_search(v4, sub_from_gens(v4, [(1, 0)]))
 
 
 # --- transfer along epis and monos -------------------------------------------------------------
