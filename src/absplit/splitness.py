@@ -18,7 +18,11 @@ Two independent decision modes are provided:
     whose disagreement raises an internal error.
 
 Every No verdict carries a counterexample morphism whose failure re-verifies
-independently; brute-force Yes verdicts carry per-kernel witnesses.
+independently; brute-force Yes verdicts carry per-kernel witnesses.  Both
+are built when first read: theorem mode builds and lifts its witness
+endomorphism, and brute force turns the entries the sweep kept into a
+morphism, only for a reader of the certificate.  SIP/SSP decides a pair of
+nested summands without a join, as the join is then one of the pair.
 """
 
 from __future__ import annotations
@@ -118,9 +122,14 @@ class Counterexample:
 
 
 class SplitVerdict:
+    """One predicate's answer with its certificate: a counterexample for No,
+    per-subgroup witnesses for a brute-force Yes.  Either certificate may be
+    given as a function, which builds it on first read; the value is then
+    kept, so every later read returns the same object."""
+
     __slots__ = (
         "answer", "mode", "strongly", "dual", "source", "carrier",
-        "f_sub", "counterexample", "_witnesses", "trace", "reason",
+        "f_sub", "_counterexample", "_witnesses", "trace", "reason",
     )
 
     def __init__(
@@ -132,7 +141,8 @@ class SplitVerdict:
         source: FgAbGroup,  # M, the quantifier side
         carrier: FgAbGroup,  # N, carrying the fully invariant sequence
         f_sub: Optional[Subgroup] = None,
-        counterexample: Optional[Counterexample] = None,
+        # a Counterexample, or a function that builds one (or None) on first read
+        counterexample: Union[None, Counterexample, Callable[[], Optional[Counterexample]]] = None,
         # (canonical, sample_g, witness_morphism, count) per subgroup, or a
         # function that builds them on first read
         witnesses: Union[tuple, Callable[[], tuple]] = (),
@@ -146,7 +156,7 @@ class SplitVerdict:
         self.source = source
         self.carrier = carrier
         self.f_sub = f_sub
-        self.counterexample = counterexample
+        self._counterexample = counterexample
         self._witnesses = witnesses
         self.trace = trace
         self.reason = reason
@@ -157,13 +167,24 @@ class SplitVerdict:
         side = ("dual_" if self.dual else "") + ("strongly_" if self.strongly else "")
         return side + ("self_F_split" if self.source == self.carrier else "M_F_split")
 
+    def _read(self, slot: str):
+        value = getattr(self, slot)
+        if callable(value):
+            value = value()
+            setattr(self, slot, value)
+        return value
+
+    @property
+    def counterexample(self) -> Optional[Counterexample]:
+        """The No certificate, lifted or built from the sweep's entries
+        only when a reader asks."""
+        return self._read("_counterexample")
+
     @property
     def witnesses(self) -> tuple:
-        """Brute-force Yes certificates; their retractions are solved for
-        only when a reader asks."""
-        if callable(self._witnesses):
-            self._witnesses = self._witnesses()
-        return self._witnesses
+        """Brute-force Yes certificates; their sample morphisms are built,
+        and their retractions solved for, only when a reader asks."""
+        return self._read("_witnesses")
 
     @property
     def is_yes(self) -> bool:
@@ -249,6 +270,13 @@ class GroupAnalysis:
             props = SubProps(s, fi_violation(s))
             self._props[s.canonical] = props
         return props
+
+    def require_fully_invariant(self, s: Subgroup) -> None:
+        """require_fully_invariant(M, S), reading full invariance from the
+        properties kept here; the full test runs, and raises, only when S
+        lives elsewhere or is not fully invariant."""
+        if s.ambient != self.group or not self.subgroup_props(s).is_fi:
+            require_fully_invariant(self.group, s)
 
     def subgroups(self, cap: int) -> list[Subgroup]:
         """Every subgroup, listed once; a cap below the order refuses on
@@ -366,10 +394,12 @@ def _fi_steps(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[int, ...]:
 
 def _sweep(
     src: FgAbGroup, dst: FgAbGroup, f_sub: Subgroup, dual: bool
-) -> list[tuple[SubProps, int, Morphism]]:
+) -> list[tuple[SubProps, int, tuple]]:
     """Every subgroup ker((N -> N/F)∘g) (primal, g: M -> N) or g(F) (dual,
     g: N -> M) of M over the finite Hom set, as (properties, number of g
-    giving it, first such g).
+    giving it, the entries of the first such g).  The entries are kept
+    as the sweep meets them, one row (column) per coordinate of N, and
+    _sample builds the morphism only for a reader of a certificate.
 
     Hom(src, dst) is the product of its rows, and also of its columns, so the
     quantifier is decided one coordinate of N at a time.  With F = ⊕ a_i<e_i>:
@@ -457,13 +487,19 @@ def _sweep(
                 chars = [row for row in chars if any(row)]
                 sub = kernel_subgroup(Morphism(m, FgAbGroup((e,) * len(chars)), freeze(chars)))
             props = lattices.reached[(dual, state)] = analysis.subgroup_props(sub)
-        rows = tuple(tuple(col[r] for col in parts) for r in range(m.ngens)) if dual else parts
-        result.append((props, count, Morphism(src, dst, rows)))
+        result.append((props, count, parts))
     return result
 
 
+def _sample(src: FgAbGroup, dst: FgAbGroup, parts: tuple, dual: bool) -> Morphism:
+    """The morphism src -> dst whose entries _sweep kept: its rows (primal),
+    or its columns (dual)."""
+    rows = tuple(tuple(col[r] for col in parts) for r in range(dst.ngens)) if dual else parts
+    return Morphism(src, dst, rows)
+
+
 def _sweep_verdict(
-    outcomes: list[tuple[SubProps, int, Morphism]],
+    outcomes: list[tuple[SubProps, int, tuple]],
     strongly: bool,
     dual: bool,
     m: FgAbGroup,
@@ -471,8 +507,9 @@ def _sweep_verdict(
     f_sub: Subgroup,
 ) -> SplitVerdict:
     """No with the first failing subgroup's sample morphism, else Yes with
-    one witness per subgroup, built when first read."""
-    for props, _count, g in outcomes:
+    one witness per subgroup; either is built when first read."""
+    src, dst = (n, m) if dual else (m, n)
+    for props, _count, parts in outcomes:
         kind = None
         if not props.is_summand:
             kind = "not_summand"
@@ -481,13 +518,15 @@ def _sweep_verdict(
         if kind is not None:
             return SplitVerdict(
                 NO, "brute", strongly, dual, m, n, f_sub,
-                counterexample=Counterexample(g, props.subgroup, kind),
+                counterexample=lambda: Counterexample(
+                    _sample(src, dst, parts, dual), props.subgroup, kind
+                ),
             )
     return SplitVerdict(
         YES, "brute", strongly, dual, m, n, f_sub,
         witnesses=lambda: tuple(
-            (props.subgroup.canonical, g, props.retraction, count)
-            for props, count, g in outcomes
+            (props.subgroup.canonical, _sample(src, dst, parts, dual), props.retraction, count)
+            for props, count, parts in outcomes
         ),
     )
 
@@ -504,8 +543,9 @@ def _brute_sweep(
     """The verdict from the sweep of (M, N, F, side).  The sweep runs once,
     and both of its verdicts are kept on M's analysis, so the plain and the
     strong predicate, and every later call, read one entry.  F is checked
-    in full when no entry is kept; otherwise only its ambient is, since an F
-    of Z/4 can share its canonical matrix with an F of Z/2."""
+    when no entry is kept, its full invariance read from N's analysis;
+    otherwise only its ambient is, since an F of Z/4 can share its
+    canonical matrix with an F of Z/2."""
     src, dst = (n, m) if dual else (m, n)
     kept = analysis_for(m)._sweeps
     key = (n.factors, f_sub.canonical, dual)
@@ -513,7 +553,7 @@ def _brute_sweep(
     if entry is not None and f_sub.ambient.factors == n.factors:
         total = entry[0]
     else:
-        require_fully_invariant(n, f_sub)
+        analysis_for(n).require_fully_invariant(f_sub)
         total = hom_count(src, dst)
         if total is not None and total <= budget:
             outcomes = _sweep(src, dst, f_sub, dual)
@@ -749,8 +789,8 @@ def strongly_no_witness_search(
     that is not fully invariant iff k >= 2, and then ⟨e_k⟩ is one (e_k ↦ e_1
     moves it).  So the candidates are ⟨F, s(e_i)⟩ for a section s of
     M -> M/F (⟨e_i⟩ for the generators of F when contained_in), in order."""
-    require_fully_invariant(m, f_sub)
     analysis = analysis_for(m)
+    analysis.require_fully_invariant(f_sub)
     if not analysis.subgroup_props(f_sub).is_summand:
         raise ValueError(f"{f_sub} is not a direct summand of {m}")
     if contained_in:
@@ -842,21 +882,23 @@ def _self_F_split_theorem(
     """Theorem mode on one side.  The factor is M/F, reached through the
     quotient q (primal), or F, reached through the inclusion inc (dual); a
     witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
-    with s a section of q and ρ a retraction onto F."""
-    require_fully_invariant(m, f_sub)
+    with s a section of q and ρ a retraction onto F.  The decision reads
+    the factor's structure alone; the strong witness and the lift are
+    built when the counterexample is first read."""
+    analysis = analysis_for(m)
+    analysis.require_fully_invariant(f_sub)
     trace: list[str] = []
 
-    def verdict(answer, g=None, bad=None, kind=None):
-        ce = None if g is None else Counterexample(g, bad, kind)
+    def verdict(answer, counterexample=None):
         return SplitVerdict(
             answer, "theorem", strongly, dual, m, m, f_sub,
-            counterexample=ce, trace=tuple(trace),
+            counterexample=counterexample, trace=tuple(trace),
         )
 
-    fprops = analysis_for(m).subgroup_props(f_sub)
+    fprops = analysis.subgroup_props(f_sub)
     if not fprops.is_summand:
         trace.append("F is not a direct summand; identity is a counterexample")
-        return verdict(NO, identity_hom(m), f_sub, "not_summand")
+        return verdict(NO, Counterexample(identity_hom(m), f_sub, "not_summand"))
     trace.append("F is a direct summand")
     if dual:
         inc = inclusion(f_sub)
@@ -867,26 +909,31 @@ def _self_F_split_theorem(
         noun, rickart, part = "complement", "self-Rickart", "kernel"
     plain_ok, wit = structural_self_rickart(factor, dual)
 
-    def lifted(w, kind):
-        if dual:
-            g = compose(inc, compose(w, fprops.retraction))
-        else:
-            g = compose(retraction_witness(q), compose(w, q))
-        return verdict(NO, g, _reached(g, f_sub, dual), kind)
+    def lifted(witness: Callable[[], Morphism], kind: str) -> SplitVerdict:
+        def counterexample() -> Counterexample:
+            w = witness()
+            if dual:
+                g = compose(inc, compose(w, fprops.retraction))
+            else:
+                g = compose(retraction_witness(q), compose(w, q))
+            return Counterexample(g, _reached(g, f_sub, dual), kind)
+
+        return verdict(NO, counterexample)
 
     if not plain_ok:
         trace.append(f"{noun} {factor} is not {rickart}")
-        return lifted(wit, "not_summand")
+        return lifted(lambda: wit, "not_summand")
     trace.append(f"{noun} {factor} is {rickart}")
     if not strongly:
         return verdict(YES)
-    strong_wit = structural_strong_rickart_witness(factor)
-    structural = strong_wit is None
+    # the factor has at most one invariant factor, exactly when
+    # structural_strong_rickart_witness finds no witness on it
+    structural = end_ring_abelian_closed_form(factor)
     _strong_routes(m, f_sub, factor, structural, caps, contained_in=dual, trace=trace)
     if structural:
         return verdict(YES)
     trace.append(f"{noun} has a summand {part} that is not fully invariant")
-    return lifted(strong_wit, "not_fully_invariant")
+    return lifted(lambda: structural_strong_rickart_witness(factor), "not_fully_invariant")
 
 
 def is_self_F_split_theorem(
@@ -940,13 +987,21 @@ def _summands_closed(
     summands of one isomorphism type lie in one orbit (Krull–Schmidt and
     cancellation give isomorphic complements), so the type names the orbit.
     Aut(M) fixes each fully invariant summand, so the fully invariant
-    variants, and any F that is not fully invariant, take every pair."""
+    variants, and any F that is not fully invariant, take every pair.
+
+    A nested pair needs no join: when the smaller summand, by order, lies in
+    the larger, their intersection (sum) is one of the two, a kept
+    candidate."""
     analysis = analysis_for(m)
     join = sum_sub if dual else intersect
 
     def kept(s: Subgroup) -> bool:
         props = analysis.subgroup_props(s)
         return props.is_summand and (not fully_invariant_only or props.is_fi)
+
+    def closed(a: Subgroup, b: Subgroup) -> bool:
+        small, large = (a, b) if a.order <= b.order else (b, a)
+        return large.contains_subgroup(small) or kept(join(a, b))
 
     cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
     if fully_invariant_only or not analysis.subgroup_props(f_sub).is_fi:
@@ -956,7 +1011,7 @@ def _summands_closed(
         for s in cands:
             firsts.setdefault(analysis.subgroup_props(s).iso_type, s)
         pairs = ((a, b) for a in firsts.values() for b in cands if b != a)
-    return all(kept(join(a, b)) for a, b in pairs)
+    return all(closed(a, b) for a, b in pairs)
 
 
 def has_sip_summands_containing(
@@ -1006,7 +1061,7 @@ def decide_self_profile(
                 )
             out[k] = SplitVerdict(
                 bv.answer, "brute+theorem", bv.strongly, bv.dual,
-                m, m, f_sub, counterexample=bv.counterexample,
+                m, m, f_sub, counterexample=lambda bv=bv: bv.counterexample,
                 witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
             )
         else:

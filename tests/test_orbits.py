@@ -23,6 +23,7 @@ from absplit.harness import (
     TheoremReport,
     _decided_profiles,
     _decomposition_types,
+    _tds_piece,
     check_csip,
     check_tds,
     check_tdsprerad,
@@ -64,6 +65,12 @@ def _every_pair_closed(m, f_sub, cap, fully_invariant_only, dual):
     return all(kept(join(a, b)) for a, b in itertools.combinations(cands, 2))
 
 
+def _unnested(pairs):
+    """The pairs whose summands do not lie one in the other: the nested
+    ones are closed with no join, their join being one of the two."""
+    return [(a, b) for a, b in pairs if not (a.contains_subgroup(b) or b.contains_subgroup(a))]
+
+
 def _joined_pairs(monkeypatch):
     """The pairs _summands_closed joins from now on, with a join that keeps
     every pair closed so that no pair ends the walk."""
@@ -84,22 +91,22 @@ def test_sip_and_ssp_match_every_pair(monkeypatch, m):
     for f, fi_only, dual in cases:
         got = splitness._summands_closed(m, f, cap, fi_only, dual)
         assert got == _every_pair_closed(m, f, cap, fi_only, dual), (f, fi_only, dual)
-    # the first summands meet every isomorphism type of candidate, and each
-    # is joined with every other candidate; the fully invariant variants
-    # join every pair once
+    # the pairs are the first candidate of each isomorphism type with every
+    # other candidate, and in the fully invariant variants every pair once;
+    # exactly those whose summands are not nested are joined, in that order
     joined = _joined_pairs(monkeypatch)
     for f, fi_only, dual in cases:
         joined.clear()
         assert splitness._summands_closed(m, f, cap, fi_only, dual)
         cands, _ = _candidates(m, f, cap, fi_only, dual)
         if fi_only:
-            assert joined == list(itertools.combinations(cands, 2)), f
-            continue
-        firsts = {a for a, _ in joined}
-        assert {subgroup_group(a).factors for a in firsts} == (
-            {subgroup_group(a).factors for a in cands} if len(cands) > 1 else set()
-        ), (f, dual)
-        assert all({b for a2, b in joined if a2 == a} == set(cands) - {a} for a in firsts)
+            pairs = list(itertools.combinations(cands, 2))
+        else:
+            firsts = {}
+            for a in cands:
+                firsts.setdefault(subgroup_group(a).factors, a)
+            pairs = [(a, b) for a in firsts.values() for b in cands if b != a]
+        assert joined == _unnested(pairs), (f, fi_only, dual)
 
 
 def test_sip_and_ssp_over_an_f_not_fully_invariant_match_every_pair(monkeypatch):
@@ -120,7 +127,22 @@ def test_sip_and_ssp_over_an_f_not_fully_invariant_match_every_pair(monkeypatch)
         joined.clear()
         splitness._summands_closed(m, f, CAPS.subgroup_cap, fi_only, dual)
         cands, _ = _candidates(m, f, CAPS.subgroup_cap, fi_only, dual)
-        assert joined == list(itertools.combinations(cands, 2)), (m, f, dual)
+        assert joined == _unnested(itertools.combinations(cands, 2)), (m, f, dual)
+
+
+@pytest.mark.parametrize("n_grp", list(CORPUS), ids=format_group)
+def test_primal_tds_piece_reads_f_with_no_intersection(n_grp):
+    # the inclusion of X lands in X, so inc⁻¹(F) = inc⁻¹(F ∩ X): on every
+    # decomposition and every fully invariant F, _tds_piece gives the
+    # piece the intersection gives; a piece depends on its part alone, so
+    # each part of some decomposition is tested once
+    parts = dict.fromkeys(part for xy in _decompositions(n_grp, CAPS) for part in xy)
+    for f in analysis_for(n_grp).fi_subgroups(CAPS.subgroup_cap):
+        for part in parts:
+            inc = inclusion(part)
+            want = preimage_subgroup(inc, intersect(f, part))
+            assert preimage_subgroup(inc, f) == want, (n_grp, f, part)
+            assert _tds_piece(part, f, False) == (inc.dom, want), (n_grp, f, part)
 
 
 def _piece(part, f, dual):

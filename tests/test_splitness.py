@@ -764,18 +764,23 @@ def _check_sweep(m, n, f):
     """For F <= N, the primal sweep over Hom(M, N) and the dual sweep over
     Hom(N, M) list the oracle's subgroups with the same counts, in the order
     the oracle first reaches them, each with the oracle's first morphism as
-    its sample, and every counterexample re-verifies."""
+    its sample, built from the kept entries, and every counterexample
+    re-verifies."""
     from absplit.subgroups import map_subgroup, preimage_subgroup
 
     for dual in (False, True):
         src, dst = (n, m) if dual else (m, n)
-        outcomes = splitness._sweep(src, dst, f, dual)
+        outcomes = [
+            (props, count, splitness._sample(src, dst, parts, dual))
+            for props, count, parts in splitness._sweep(src, dst, f, dual)
+        ]
         got = [(props.subgroup.canonical, count, g.rows) for props, count, g in outcomes]
         direct = _direct_subgroups(src, dst, f, dual)
         want = [(sub, count, rows) for sub, (count, rows) in direct.items()]
         assert got == want, (m, n, f, dual)
         assert sum(count for _, count, _ in got) == hom_count(src, dst)
         for props, _, g in outcomes:
+            assert (g.dom, g.cod) == (src, dst)
             sub = map_subgroup(g, f) if dual else preimage_subgroup(g, f)
             assert sub.canonical == props.subgroup.canonical
         for strongly in (False, True):
@@ -893,10 +898,58 @@ def test_verify_sweeps_each_argument_once(monkeypatch):
     assert any(src != dst for src, dst, _, _ in keys)
 
 
+def test_verify_builds_no_counterexample_it_does_not_read(monkeypatch):
+    # verify-24 reads answers alone: theorem mode lifts no witness
+    # endomorphism and brute force builds no sample, so nothing composes
+    import absplit
+    import absplit.groups
+
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    real = absplit.groups.compose
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    modules = [m for m in vars(absplit).values() if getattr(m, "compose", None) is real]
+    assert splitness in modules and absplit.groups in modules
+    for module in modules:
+        monkeypatch.setattr(module, "compose", counted)
+    assert absplit.harness.run_verification(24)["passed"]
+    assert calls == []
+
+
+def test_every_no_counterexample_is_built_on_read_and_kept_to_order_16():
+    # brute force and theorem mode, every fully invariant F of every group
+    # to order 16: each No carries a counterexample that re-verifies, and a
+    # second read returns the object the first one built; the strongest
+    # verdict hands on brute force's own
+    nos = 0
+    for m in enumerate_groups(16):
+        for f in splitness.analysis_for(m).fi_subgroups(DEFAULT_SUBGROUP_CAP):
+            brute = self_split_profile(m, f)
+            for profile in (brute, self_split_profile_theorem(m, f)):
+                for v in profile.values():
+                    if not v.is_no:
+                        assert v.counterexample is None, (m, f, v.predicate, v.mode)
+                        continue
+                    nos += 1
+                    ce = v.counterexample
+                    assert ce is not None and reverify(v), (m, f, v.predicate, v.mode)
+                    assert v.counterexample is ce
+            for k, v in decide_self_profile(m, f).items():
+                assert v.counterexample is brute[k].counterexample, (m, f, k)
+    assert nos > 0
+
+
 def _outcomes(args):
+    """A sweep's outcomes, each sample morphism built from its kept entries."""
+    src, dst, _f, dual = args
     return [
-        (props.subgroup.ambient.factors, props.subgroup.canonical, count, g.rows)
-        for props, count, g in splitness._sweep(*args)
+        (props.subgroup.ambient.factors, props.subgroup.canonical, count,
+         splitness._sample(src, dst, parts, dual).rows)
+        for props, count, parts in splitness._sweep(*args)
     ]
 
 
