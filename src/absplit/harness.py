@@ -66,7 +66,6 @@ from .subgroups import (
     quotient,
     sub_from_gens,
     subgroup_group,
-    sum_sub,
     trivial_subgroup,
 )
 
@@ -316,10 +315,9 @@ def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     for m, f, brute in _decided_profiles(corpus, caps, rep):
         analysis = analysis_for(m)
         for side, dual in (("primal", False), ("dual", True)):
-            summands_fi = all(
-                analysis.subgroup_props(s).is_fi
-                for s in analysis.subgroups_near(f, caps.subgroup_cap, dual)
-                if analysis.subgroup_props(s).is_summand
+            summands_fi = not any(
+                analysis.subgroup_props(s).is_non_fi_summand
+                for s in analysis.near(f, caps.subgroup_cap, dual).values()
             )
             expected = brute[side + "_plain"].is_yes and summands_fi
             rep.instances += 1
@@ -390,21 +388,22 @@ def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, S
     The complements of a summand X with complement Y are exactly the graphs
     {y + φ(y)} of φ ∈ Hom(Y, X), all of type B, so the ordered pairs number
     (summands of type A)·|Hom(B, A)|, and each unordered one is met twice
-    when A = B, apart from the trivial group's one pair (0, 0)."""
+    when A = B, apart from the trivial group's one pair (0, 0).  With
+    |X||Y| = |N|, X ⊕ Y = N iff X ∩ Y = 0, read from N's element bitsets."""
     analysis = analysis_for(n_grp)
+    masks = analysis.masks(caps.subgroup_cap)
     summands = analysis.summands(caps.subgroup_cap)
     types = [analysis.subgroup_props(s).iso_type for s in summands]
-    orders = [s.order for s in summands]
+    bits = [masks[s.canonical] for s in summands]
     order = n_grp.order
     out = []
     seen = set()
-    for x, a, x_order in zip(summands, types, orders):
+    for x, a, x_bits in zip(summands, types, bits):
         if a in seen:
             continue
-        # with |X||Y| = |N|, X ∩ Y = 0 exactly when X + Y = N, the cheaper test
         y, b = next(
-            (y, b) for y, b, y_order in zip(summands, types, orders)
-            if x_order * y_order == order and sum_sub(x, y).is_full
+            (y, b) for y, b, y_bits in zip(summands, types, bits)
+            if x_bits.bit_count() * y_bits.bit_count() == order and x_bits & y_bits == 1
         )
         seen.update((a, b))
         count = types.count(a) * hom_count(FgAbGroup(b), FgAbGroup(a))

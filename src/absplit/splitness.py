@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm, log, prod
 from typing import Callable, Iterator, Optional, Union
 
 from .groups import (
     FgAbGroup,
     _hom_table,
     Morphism,
+    ObjectMismatchError,
     compose,
     hom_count,
     hom_group,
@@ -51,10 +52,10 @@ from .intmat import Matrix, SeededHnf, freeze, identity, prime_factors
 from .subgroups import (
     Subgroup,
     all_subgroups,
+    ElementBits,
     fi_violation,
     full_subgroup,
     inclusion,
-    intersect,
     is_fully_invariant,
     is_pure,
     kernel_subgroup,
@@ -64,7 +65,6 @@ from .subgroups import (
     require_fully_invariant,
     sub_from_gens,
     subgroup_group,
-    sum_sub,
     summand_witness,
     trivial_subgroup,
 )
@@ -235,8 +235,22 @@ class SubProps:
 
     @cached_property
     def iso_type(self) -> tuple[int, ...]:
-        """The invariant factors of the subgroup: its isomorphism type."""
-        return subgroup_group(self.subgroup).factors
+        """The invariant factors of the subgroup: its isomorphism type, from a
+        Smith form, or from the element bitset S its analysis keeps: with
+        n_k = |S ∩ M[p^k]|, n_k/n_{k-1} = p^r, r the number of cyclic factors
+        of order >= p^k in S's p-part, each one p of the r largest factors."""
+        analysis = analysis_for(self.subgroup.ambient)
+        mask = analysis._masks.get(self.subgroup.canonical)
+        if mask is None:
+            return subgroup_group(self.subgroup).factors
+        out: list[int] = []
+        for p, top in prime_factors(analysis.group.exponent).items():
+            sizes = [(mask & analysis.bits.torsion(p**k)).bit_count() for k in range(top + 1)]
+            for below, size in zip(sizes, sizes[1:]):
+                r = round(log(size // below, p))
+                out += [1] * (r - len(out))
+                out[:r] = [x * p for x in out[:r]]
+        return tuple(reversed(out))
 
     @property
     def is_fi(self) -> bool:
@@ -250,13 +264,24 @@ class SubProps:
 
 
 class GroupAnalysis:
-    """Memoized subgroup properties (summand/fully-invariant) for one group."""
+    """Memoized subgroup properties (summand/fully-invariant) for one group.
+
+    verify's lattice queries on a finite M's listed subgroups read their
+    element bitsets (masks): SIP/SSP's and trel's near-sets, nested pairs,
+    meets and sums, tds's complement test and isomorphism types.  Theorem
+    mode keeps its early-exit Hermite scan (no bitset in classify); other
+    subgroups, and a free part, take Hermite and Smith forms."""
 
     def __init__(self, m: FgAbGroup):
         self.group = m
         self._props: dict[Matrix, SubProps] = {}
         self._all_subgroups: Optional[list[Subgroup]] = None
         self._end_ring: Optional[EndRingView] = None
+        # the element bitsets of the listed subgroups, by canonical form
+        self.bits: Optional[ElementBits] = None
+        self._masks: dict[Matrix, int] = {}
+        # theorem-mode verdicts by (F, strongly, side, caps)
+        self._theorems: dict[tuple, SplitVerdict] = {}
         # (|Hom|, plain verdict, strong verdict) of each sweep with this group
         # quantified over, by (the other group's factors, F, side); the budget
         # only gates the sweep, so a refusal is never kept
@@ -292,6 +317,23 @@ class GroupAnalysis:
             if f_sub.contains_subgroup(s) if dual else s.contains_subgroup(f_sub):
                 yield s
 
+    def masks(self, cap: int) -> dict[Matrix, int]:
+        """Each listed subgroup's element bitset, by canonical form, in list
+        order; built on first call, and refused as subgroups is."""
+        subs = self.subgroups(cap)
+        if not self._masks:
+            self.bits, forms = ElementBits(self.group.factors), [s.canonical for s in subs]
+            self._masks = dict(zip(forms, self.bits.masks(forms)))
+        return self._masks
+
+    def near(self, f_sub: Subgroup, cap: int, dual: bool) -> dict[int, Subgroup]:
+        """subgroups_near from the bitsets, as {bitset: subgroup} in list order (A ⊆ B: A & ~B == 0)."""
+        if f_sub.ambient != self.group:
+            raise ObjectMismatchError("ambient mismatch")
+        masks = self.masks(cap)
+        f = masks[f_sub.canonical]
+        return {a: s for s, a in zip(self.subgroups(cap), masks.values()) if not (a & ~f if dual else f & ~a)}
+
     def fi_subgroups(self, cap: int) -> list[Subgroup]:
         return [s for s in self.subgroups(cap) if self.subgroup_props(s).is_fi]
 
@@ -310,9 +352,10 @@ class SweepLattices:
     order first reached, the number each (state, value) join reaches, in
     one dict per state, the properties of the subgroup of M each final
     state gives, by side, and each level's (value, entries) list, by
-    (c_j, widths, entry steps)."""
+    (c_j, widths, entry steps), whose tuples are interned: the levels share
+    one object per distinct tuple (the moduli allow |M/eM| values)."""
 
-    __slots__ = ("acc", "lattices", "numbers", "joins", "reached", "values")
+    __slots__ = ("acc", "lattices", "numbers", "joins", "reached", "values", "tuples")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.acc = SeededHnf(moduli)
@@ -321,6 +364,7 @@ class SweepLattices:
         self.joins: list[dict[tuple[int, ...], int]] = []
         self.reached: dict[tuple[bool, int], SubProps] = {}
         self.values: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        self.tuples: dict[tuple, tuple] = {}
         self.number(self.acc.canonical(()))  # state 0: diag(moduli), nothing spanned
 
     def number(self, lat: Matrix) -> int:
@@ -330,6 +374,9 @@ class SweepLattices:
             self.lattices.append(lat)
             self.joins.append({})
         return k
+
+    def intern(self, t: tuple) -> tuple:
+        return self.tuples.setdefault(t, t)
 
     def join(self, state: int, v: tuple[int, ...]) -> int:
         out = self.joins[state][v] = self.number(self.acc.canonical((v,), self.lattices[state]))
@@ -451,10 +498,11 @@ def _sweep(
         key = (tuple(cs), tuple(widths), entry_steps)
         values = lattices.values.get(key)
         if values is None:
+            intern = lattices.intern
             values = lattices.values[key] = [
                 (
-                    tuple(k * c % md for k, c, md in zip(ks, cs, moduli)),
-                    tuple(k * step for k, step in zip(ks, entry_steps)),
+                    intern(tuple(k * c % md for k, c, md in zip(ks, cs, moduli))),
+                    intern(tuple(k * step for k, step in zip(ks, entry_steps))),
                 )
                 for ks in itertools.product(*map(range, widths))
             ]
@@ -884,16 +932,21 @@ def _self_F_split_theorem(
     witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
     with s a section of q and ρ a retraction onto F.  The decision reads
     the factor's structure alone; the strong witness and the lift are
-    built when the counterexample is first read."""
+    built when the counterexample is first read.  The verdict is kept on
+    M's analysis, by (F, strongly, side, caps), for every later call."""
     analysis = analysis_for(m)
+    key = (f_sub.canonical, strongly, dual, caps)
+    if key in analysis._theorems and f_sub.ambient == m:
+        return analysis._theorems[key]
     analysis.require_fully_invariant(f_sub)
     trace: list[str] = []
 
     def verdict(answer, counterexample=None):
-        return SplitVerdict(
+        out = analysis._theorems[key] = SplitVerdict(
             answer, "theorem", strongly, dual, m, m, f_sub,
             counterexample=counterexample, trace=tuple(trace),
         )
+        return out
 
     fprops = analysis.subgroup_props(f_sub)
     if not fprops.is_summand:
@@ -974,6 +1027,12 @@ def self_split_profile_theorem(
 # SIP / SSP
 
 
+def _join_mask(bits: ElementBits, near: dict[int, Subgroup], a: int, b: int, dual: bool) -> int:
+    """The bitset of A ∩ B, a & b, or when dual of A + B, A spanned by the
+    rows of B; the near-set holds either."""
+    return bits.span(a, near[b].canonical) if dual else a & b
+
+
 def _summands_closed(
     m: FgAbGroup, f_sub: Subgroup, cap: int, fully_invariant_only: bool, dual: bool
 ) -> bool:
@@ -989,27 +1048,26 @@ def _summands_closed(
     Aut(M) fixes each fully invariant summand, so the fully invariant
     variants, and any F that is not fully invariant, take every pair.
 
-    A nested pair needs no join: when the smaller summand, by order, lies in
-    the larger, their intersection (sum) is one of the two, a kept
-    candidate."""
+    Candidates, types and joins (_join_mask) are read from M's element
+    bitsets (GroupAnalysis.near); a nested pair, a & b being a or b, needs no
+    join, as it is one of the two.  Summand and full invariance stay Hermite's."""
     analysis = analysis_for(m)
-    join = sum_sub if dual else intersect
+    near = analysis.near(f_sub, cap, dual)
 
-    def kept(s: Subgroup) -> bool:
-        props = analysis.subgroup_props(s)
+    def kept(a: int) -> bool:
+        props = analysis.subgroup_props(near[a])
         return props.is_summand and (not fully_invariant_only or props.is_fi)
 
-    def closed(a: Subgroup, b: Subgroup) -> bool:
-        small, large = (a, b) if a.order <= b.order else (b, a)
-        return large.contains_subgroup(small) or kept(join(a, b))
+    def closed(a: int, b: int) -> bool:
+        return a & b in (a, b) or kept(_join_mask(analysis.bits, near, a, b, dual))
 
-    cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
+    cands = [a for a in near if kept(a)]
     if fully_invariant_only or not analysis.subgroup_props(f_sub).is_fi:
         pairs = itertools.combinations(cands, 2)
     else:
         firsts: dict = {}
-        for s in cands:
-            firsts.setdefault(analysis.subgroup_props(s).iso_type, s)
+        for a in cands:
+            firsts.setdefault(analysis.subgroup_props(near[a]).iso_type, a)
         pairs = ((a, b) for a in firsts.values() for b in cands if b != a)
     return all(closed(a, b) for a, b in pairs)
 

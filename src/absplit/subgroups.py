@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .intmat import (
@@ -284,6 +284,65 @@ def all_subgroups(m: FgAbGroup, cap: int = 512) -> list[Subgroup]:
     extend(len(factors) - 1, ())
     subs = [Subgroup(m, h) for h in forms]
     return sorted(subs, key=lambda s: (s.order, s.canonical))
+
+
+class ElementBits:
+    """Element bitsets over the finite group with these factors: x is bit
+    x_0·N_1 + … + x_{n-1}·N_n, with N_i = d_i ⋯ d_{n-1}, so a subgroup is an
+    int whose bit 0 is the zero element."""
+
+    def __init__(self, factors: tuple[int, ...]):
+        self.factors = factors
+        self.sizes = [prod(factors[i:]) for i in range(len(factors) + 1)]
+        self.full = (1 << self.sizes[0]) - 1
+        self._moves: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
+        self._torsion: dict[int, int] = {}
+
+    def move(self, x: int, g: tuple[int, ...]) -> int:
+        """The bitset x moved by the element g: each block of N_j bits
+        rotates up by (g_j mod d_j)·N_{j+1}, its top bits wrapping."""
+        steps = self._moves.get(g)
+        if steps is None:
+            steps = self._moves[g] = []
+            for t, d, block, below in zip(g, self.factors, self.sizes, self.sizes[1:]):
+                shift = t % d * below
+                if shift:
+                    # the bits under block - shift of each block rise; the rest wrap
+                    low = ((1 << block - shift) - 1) * (self.full // ((1 << block) - 1))
+                    steps.append((shift, block - shift, low, self.full ^ low))
+        for shift, back, low, high in steps:
+            x = (x & low) << shift | (x & high) >> back
+        return x
+
+    def span(self, x: int, gens: Iterable[tuple[int, ...]]) -> int:
+        """The bitset of X + ⟨gens⟩ for a subgroup X with bitset x: each
+        generator g adds the cosets X + k·g, k = 1, 2, …, until one meets
+        those before, which are disjoint from it or equal."""
+        for g in gens:
+            cur = self.move(x, g)
+            while not cur & x:
+                x |= cur
+                cur = self.move(cur, g)
+        return x
+
+    def masks(self, forms: Iterable[Matrix]) -> list[int]:
+        """The bitset of each canonical form, built from the last row up as
+        all_subgroups builds it: rows i.. span rows i+1.. and row i.  Each
+        suffix of rows, shared by many forms, is built once."""
+        @lru_cache(maxsize=None)
+        def mask(rows: Matrix) -> int:
+            return self.span(mask(rows[1:]), rows[:1]) if rows else 1
+        return [mask(h) for h in forms]
+
+    def torsion(self, q: int) -> int:
+        """The bitset of M[q] = {x : q·x = 0}, spanned by the (d_i / gcd(d_i, q))·e_i."""
+        if q not in self._torsion:
+            n = len(self.factors)
+            self._torsion[q] = self.span(1, (
+                tuple(d // gcd(d, q) if i == j else 0 for j in range(n))
+                for i, d in enumerate(self.factors)
+            ))
+        return self._torsion[q]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,14 @@ from absplit.groups import (
 from absplit.intmat import DimensionError, dims, freeze, identity, snf, solve_congruences
 from absplit.preradicals import evaluate
 from absplit.splitness import analysis_for
-from absplit.subgroups import inclusion, is_fully_invariant, kernel_subgroup, sum_sub
+from absplit.subgroups import (
+    inclusion,
+    intersect,
+    is_fully_invariant,
+    kernel_subgroup,
+    subgroup_group,
+    sum_sub,
+)
 
 
 def det(a):
@@ -140,3 +147,30 @@ def _decompositions(m, caps):
         for y in summands[i:]
         if x.order * y.order == m.order and sum_sub(x, y).is_full
     ]
+
+
+def summands_closed_by_hermite(m, f_sub, cap, fully_invariant_only, dual):
+    """SIP over F (SSP under F, dually) as splitness._summands_closed decided
+    it before the element bitsets: the near-set by Hermite containment, the
+    types by Smith forms, the nested pairs by order and containment, and
+    each other pair joined by a Hermite pass."""
+    analysis = analysis_for(m)
+    join = sum_sub if dual else intersect
+
+    def kept(s):
+        props = analysis.subgroup_props(s)
+        return props.is_summand and (not fully_invariant_only or props.is_fi)
+
+    def closed(a, b):
+        small, large = (a, b) if a.order <= b.order else (b, a)
+        return large.contains_subgroup(small) or kept(join(a, b))
+
+    cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
+    if fully_invariant_only or not analysis.subgroup_props(f_sub).is_fi:
+        pairs = itertools.combinations(cands, 2)
+    else:
+        firsts = {}
+        for s in cands:
+            firsts.setdefault(subgroup_group(s).factors, s)
+        pairs = ((a, b) for a in firsts.values() for b in cands if b != a)
+    return all(closed(a, b) for a, b in pairs)

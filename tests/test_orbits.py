@@ -72,11 +72,12 @@ def _unnested(pairs):
 
 
 def _joined_pairs(monkeypatch):
-    """The pairs _summands_closed joins from now on, with a join that keeps
-    every pair closed so that no pair ends the walk."""
+    """The pairs _summands_closed joins from now on, as subgroups, with a
+    join that keeps every pair closed so that no pair ends the walk."""
     joined = []
-    for name in ("intersect", "sum_sub"):
-        monkeypatch.setattr(splitness, name, lambda a, b: joined.append((a, b)) or a)
+    monkeypatch.setattr(
+        splitness, "_join_mask", lambda bits, near, a, b, dual: joined.append((near[a], near[b])) or a
+    )
     return joined
 
 
