@@ -313,12 +313,8 @@ def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
     """Strong splitness == plain splitness + every summand containing F
     (contained in F, dually) fully invariant, checked by direct enumeration."""
     for m, f, brute in _decided_profiles(corpus, caps, rep):
-        analysis = analysis_for(m)
         for side, dual in (("primal", False), ("dual", True)):
-            summands_fi = not any(
-                analysis.subgroup_props(s).is_non_fi_summand
-                for s in analysis.near(f, caps.subgroup_cap, dual).values()
-            )
+            summands_fi = analysis_for(m).near_summands_fi(f, caps.subgroup_cap, dual)
             expected = brute[side + "_plain"].is_yes and summands_fi
             rep.instances += 1
             if brute[side + "_strong"].is_yes != expected:

@@ -64,7 +64,6 @@ from .subgroups import (
     quotient,
     require_fully_invariant,
     sub_from_gens,
-    subgroup_group,
     summand_witness,
     trivial_subgroup,
 )
@@ -235,14 +234,12 @@ class SubProps:
 
     @cached_property
     def iso_type(self) -> tuple[int, ...]:
-        """The invariant factors of the subgroup: its isomorphism type, from a
-        Smith form, or from the element bitset S its analysis keeps: with
-        n_k = |S ∩ M[p^k]|, n_k/n_{k-1} = p^r, r the number of cyclic factors
-        of order >= p^k in S's p-part, each one p of the r largest factors."""
+        """The invariant factors of a listed subgroup S, from the bitset its
+        analysis keeps (the caller builds them): with n_k = |S ∩ M[p^k]|,
+        n_k/n_{k-1} = p^r, r the number of cyclic factors of order >= p^k in
+        S's p-part, each one p of the r largest factors."""
         analysis = analysis_for(self.subgroup.ambient)
-        mask = analysis._masks.get(self.subgroup.canonical)
-        if mask is None:
-            return subgroup_group(self.subgroup).factors
+        mask = analysis._masks[self.subgroup.canonical]
         out: list[int] = []
         for p, top in prime_factors(analysis.group.exponent).items():
             sizes = [(mask & analysis.bits.torsion(p**k)).bit_count() for k in range(top + 1)]
@@ -266,10 +263,10 @@ class SubProps:
 class GroupAnalysis:
     """Memoized subgroup properties (summand/fully-invariant) for one group.
 
-    verify's lattice queries on a finite M's listed subgroups read their
-    element bitsets (masks): SIP/SSP's and trel's near-sets, nested pairs,
-    meets and sums, tds's complement test and isomorphism types.  Theorem
-    mode keeps its early-exit Hermite scan (no bitset in classify); other
+    The lattice queries on a listed M's subgroups (M finite, of order at
+    most the subgroup cap) read their element bitsets (masks): the near-sets
+    of SIP/SSP, trel and theorem mode's strong summand route, nested pairs,
+    meets and sums, tds's complement test and isomorphism types.  Other
     subgroups, and a free part, take Hermite and Smith forms."""
 
     def __init__(self, m: FgAbGroup):
@@ -310,13 +307,6 @@ class GroupAnalysis:
             self._all_subgroups = all_subgroups(self.group, cap)
         return self._all_subgroups
 
-    def subgroups_near(self, f_sub: Subgroup, cap: int, dual: bool) -> Iterator[Subgroup]:
-        """The subgroups of M containing F (primal) or contained in F
-        (dual), the candidates of the strong predicates and of SIP/SSP."""
-        for s in self.subgroups(cap):
-            if f_sub.contains_subgroup(s) if dual else s.contains_subgroup(f_sub):
-                yield s
-
     def masks(self, cap: int) -> dict[Matrix, int]:
         """Each listed subgroup's element bitset, by canonical form, in list
         order; built on first call, and refused as subgroups is."""
@@ -327,12 +317,18 @@ class GroupAnalysis:
         return self._masks
 
     def near(self, f_sub: Subgroup, cap: int, dual: bool) -> dict[int, Subgroup]:
-        """subgroups_near from the bitsets, as {bitset: subgroup} in list order (A ⊆ B: A & ~B == 0)."""
+        """The subgroups of M containing F (primal) or contained in F (dual),
+        as {bitset: subgroup} in list order (A ⊆ B: A & ~B == 0)."""
         if f_sub.ambient != self.group:
             raise ObjectMismatchError("ambient mismatch")
         masks = self.masks(cap)
         f = masks[f_sub.canonical]
         return {a: s for s, a in zip(self.subgroups(cap), masks.values()) if not (a & ~f if dual else f & ~a)}
+
+    def near_summands_fi(self, f_sub: Subgroup, cap: int, dual: bool) -> bool:
+        """Is every direct summand of M containing F (contained in F, dual)
+        fully invariant?  Read from the near-set, with an early exit."""
+        return not any(self.subgroup_props(s).is_non_fi_summand for s in self.near(f_sub, cap, dual).values())
 
     def fi_subgroups(self, cap: int) -> list[Subgroup]:
         return [s for s in self.subgroups(cap) if self.subgroup_props(s).is_fi]
@@ -859,34 +855,11 @@ def _summand_condition_route(
     contained_in: bool,
 ) -> tuple[bool, str]:
     """Are all direct summands of M containing F (resp. contained in F)
-    fully invariant?  Returns (verdict, how).  Enumeration where a lattice
-    fits the cap, which is an independent oracle for the exact coordinate
-    test that decides every other case."""
-    analysis = analysis_for(m)
+    fully invariant?  Returns (verdict, how).  A listed M reads its near-set,
+    an oracle for the exact coordinate test that decides every other M."""
     cap = caps.subgroup_cap
-    order = m.order
-    cands = None
-    if order is not None and order <= cap:
-        how = "subgroup enumeration"
-        cands = analysis.subgroups_near(f_sub, cap, contained_in)
-    elif contained_in:
-        # summands of M inside F are subgroups of F: enumerable when F is finite
-        forder = f_sub.order
-        if forder is not None and forder <= cap:
-            how = "subgroup enumeration inside F"
-            inc = inclusion(f_sub)
-            cands = (map_subgroup(inc, t) for t in all_subgroups(inc.dom, cap))
-    else:
-        # subgroups containing F correspond to subgroups of M/F
-        cgrp, q = quotient(m, f_sub)
-        if cgrp.order is not None and cgrp.order <= cap:
-            how = "subgroup enumeration over F"
-            cands = (preimage_subgroup(q, t) for t in all_subgroups(cgrp, cap))
-    if cands is not None:
-        for s in cands:
-            if analysis.subgroup_props(s).is_non_fi_summand:
-                return False, how
-        return True, how
+    if m.order is not None and m.order <= cap:
+        return analysis_for(m).near_summands_fi(f_sub, cap, contained_in), "subgroup enumeration"
     return strongly_no_witness_search(m, f_sub, contained_in) is None, "coordinate summands"
 
 

@@ -19,10 +19,14 @@ from absplit.intmat import DimensionError, dims, freeze, identity, snf, solve_co
 from absplit.preradicals import evaluate
 from absplit.splitness import analysis_for
 from absplit.subgroups import (
+    all_subgroups,
     inclusion,
     intersect,
     is_fully_invariant,
     kernel_subgroup,
+    map_subgroup,
+    preimage_subgroup,
+    quotient,
     subgroup_group,
     sum_sub,
 )
@@ -149,6 +153,35 @@ def _decompositions(m, caps):
     ]
 
 
+def near_by_hermite(m, f_sub, cap, dual):
+    """The subgroups of M containing F (contained in F, dually), in list
+    order, by Hermite containment."""
+    return [
+        s for s in analysis_for(m).subgroups(cap)
+        if (f_sub.contains_subgroup(s) if dual else s.contains_subgroup(f_sub))
+    ]
+
+
+def near_summands_fi_by_enumeration(m, f_sub, cap, dual):
+    """Is every direct summand of M containing F (contained in F, dually)
+    fully invariant, for an M that need not be listed?  The subgroups
+    containing F are the preimages of the subgroups of M/F, and those inside
+    F the images of the subgroups of F; None when that group is infinite or
+    over the cap."""
+    if dual:
+        inc = inclusion(f_sub)
+        grp, lift = inc.dom, lambda t: map_subgroup(inc, t)
+    else:
+        grp, q = quotient(m, f_sub)
+        lift = lambda t: preimage_subgroup(q, t)
+    if grp.order is None or grp.order > cap:
+        return None
+    analysis = analysis_for(m)
+    return not any(
+        analysis.subgroup_props(lift(t)).is_non_fi_summand for t in all_subgroups(grp, cap)
+    )
+
+
 def summands_closed_by_hermite(m, f_sub, cap, fully_invariant_only, dual):
     """SIP over F (SSP under F, dually) as splitness._summands_closed decided
     it before the element bitsets: the near-set by Hermite containment, the
@@ -165,7 +198,7 @@ def summands_closed_by_hermite(m, f_sub, cap, fully_invariant_only, dual):
         small, large = (a, b) if a.order <= b.order else (b, a)
         return large.contains_subgroup(small) or kept(join(a, b))
 
-    cands = [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)]
+    cands = [s for s in near_by_hermite(m, f_sub, cap, dual) if kept(s)]
     if fully_invariant_only or not analysis.subgroup_props(f_sub).is_fi:
         pairs = itertools.combinations(cands, 2)
     else:

@@ -384,7 +384,7 @@ GOLDEN_DIGESTS = {
     "classify 4,0": "033dc61670468d88875858642841fbd64e2da6b1a3fcb8e9272a12ce35feb894",
     "classify 2,4,0": "f775b257c572a8e12c1c64bc9957f96b89b4be127ffc42bf7e60343b90497b1b",
     "classify 2,4,0 --preradical torsion": "f5ff56854b9396dbf2c42d4dac05fe59f152ff0a977c81c656514d2edb4aef13",
-    "theorem internals": "f188fe79672957734e10622639ca93b7f7b802590b41479f7abf0d168b8a49ec",
+    "theorem internals": "9811b2fb7045eca3272a675e619b4305f64c571a2c502b93a20e89c7b38f2f88",
 }
 
 _GOLDEN_CLASSIFY = (

@@ -1,11 +1,13 @@
 """The element bitsets a finite group's analysis keeps for verify's lattice
 queries, against element sets built by closure and against the Hermite and
-Smith answers they replace.
+Smith answers they replace, and theorem mode's reading of them against the
+coordinate summand test.
 
 The reference below works on plain tuples: a group is its invariant factors
 and a subgroup the closure of its generators.  Tier-1 checks every subgroup
-to order 32 and the SIP/SSP decisions to order 48; ABSPLIT_INDEX_MAX_ORDER
-raises both bounds (CI runs them to order 64 in a step of its own).
+and theorem verdict to order 32 and the SIP/SSP decisions to order 48;
+ABSPLIT_INDEX_MAX_ORDER raises both bounds (CI runs them to order 64 in a
+step of its own).
 """
 
 import os
@@ -14,10 +16,9 @@ from math import prod
 import pytest
 
 from absplit import splitness
-from absplit.cli import main as cli_main
 from absplit.groups import format_group
 from absplit.harness import enumerate_groups
-from absplit.splitness import Caps, analysis_for
+from absplit.splitness import Caps, analysis_for, self_split_profile_theorem
 from absplit.subgroups import intersect, subgroup_group, sum_sub
 from oracles import summands_closed_by_hermite
 
@@ -151,14 +152,22 @@ def test_summands_closed_matches_the_hermite_oracle(m):
                 assert got == summands_closed_by_hermite(m, f, CAP, fi_only, dual), (f, fi_only, dual)
 
 
-@pytest.mark.parametrize("spec", ["2,2,2,2,2", "2,2,2,2,6"])
-def test_classify_builds_no_mask(cold, monkeypatch, capsys, spec):
-    # theorem mode keeps its early-exit Hermite scan, so classify, which
-    # lists every subgroup, never builds the bitsets
-    calls = []
-    real = splitness.ElementBits
-    monkeypatch.setattr(splitness, "ElementBits", lambda *a: calls.append(a) or real(*a))
-    assert cli_main(["classify", spec, "--json"]) == 0
-    capsys.readouterr()
-    assert splitness._ANALYSES and calls == []
-    assert all(an.bits is None and not an._masks for an in splitness._ANALYSES.values())
+def test_theorem_mode_with_no_listed_lattice_matches_the_bitsets():
+    # with a subgroup cap of 1 no group of order > 1 is listed, so the
+    # strong summand route takes the coordinate test where it would read
+    # the near-set's bitsets; every verdict and trace must be the same,
+    # apart from the route's name
+    verdicts = routed = 0
+    for m in enumerate_groups(MASK_MAX_ORDER):
+        if m.order == 1:
+            continue
+        for f in analysis_for(m).fi_subgroups(CAP):
+            listed = self_split_profile_theorem(m, f, Caps())
+            unlisted = self_split_profile_theorem(m, f, Caps(subgroup_cap=1))
+            for key, v in listed.items():
+                want = [line.replace("subgroup enumeration", "coordinate summands") for line in v.trace]
+                assert unlisted[key].answer == v.answer, (m, f, key)
+                assert list(unlisted[key].trace) == want, (m, f, key)
+                routed += want != list(v.trace)
+                verdicts += 1
+    assert verdicts and routed

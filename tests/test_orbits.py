@@ -40,7 +40,7 @@ from absplit.subgroups import (
     subgroup_group,
     sum_sub,
 )
-from oracles import _decompositions
+from oracles import _decompositions, near_by_hermite
 
 MAX_ORDER = int(os.environ.get("ABSPLIT_ORBIT_MAX_ORDER", "32"))
 CORPUS = enumerate_groups(MAX_ORDER)
@@ -55,7 +55,7 @@ def _candidates(m, f_sub, cap, fully_invariant_only, dual):
         props = analysis.subgroup_props(s)
         return props.is_summand and (not fully_invariant_only or props.is_fi)
 
-    return [s for s in analysis.subgroups_near(f_sub, cap, dual) if kept(s)], kept
+    return [s for s in near_by_hermite(m, f_sub, cap, dual) if kept(s)], kept
 
 
 def _every_pair_closed(m, f_sub, cap, fully_invariant_only, dual):
@@ -218,7 +218,7 @@ def _without_notes(rep):
 
 
 def _type(s):
-    return analysis_for(s.ambient).subgroup_props(s).iso_type
+    return subgroup_group(s).factors
 
 
 def _type_pair(x, y):

@@ -53,7 +53,7 @@ from absplit.subgroups import (
     subgroup_group,
     trivial_subgroup,
 )
-from oracles import noncentral_idempotent
+from oracles import near_summands_fi_by_enumeration, noncentral_idempotent
 
 Z12 = group(4, 3)
 
@@ -599,6 +599,34 @@ def test_coordinate_test_is_exact_on_the_mixed_pool_specs():
                     _check_witness(m, f, contained_in, wit)
                 decided += 1
     assert routed > 0 and decided > 0
+
+
+def test_coordinate_test_matches_enumeration_over_and_inside_F_on_the_mixed_pool_specs():
+    # on a group with a free part, the summands containing F are the
+    # preimages of the subgroups of M/F, and those inside F the images of
+    # the subgroups of F; wherever that group fits the cap, enumerating it
+    # is an oracle for the coordinate test
+    compared = {}
+    for spec in _mixed_pool_specs():
+        m = parse_group_spec(spec)
+        for name in _MIXED_PRERADICALS:
+            f = evaluate(parse_preradical(name), m)
+            if not splitness.analysis_for(m).subgroup_props(f).is_summand:
+                continue
+            for contained_in in (False, True):
+                want = near_summands_fi_by_enumeration(m, f, DEFAULT_SUBGROUP_CAP, contained_in)
+                if want is None:
+                    continue
+                wit = strongly_no_witness_search(m, f, contained_in)
+                case = (spec, name, contained_in)
+                assert (wit is None) == want, case
+                assert splitness._summand_condition_route(m, f, Caps(), contained_in) == (
+                    want, "coordinate summands"
+                ), case
+                compared[m.factors, f.canonical, contained_in] = want
+    # distinct (M, F, side) cases, and those with a summand that is not
+    # fully invariant
+    assert (len(compared), sum(not v for v in compared.values())) == (52, 19)
 
 
 def test_coordinate_test_rejects_an_F_that_is_not_a_fully_invariant_summand():
