@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import gcd, prod
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intmat import (
@@ -54,39 +55,53 @@ def _chain_ok(factors: Sequence[int]) -> bool:
     return True
 
 
-# The value classes (FgAbGroup, Morphism, Subgroup, Caps, Preradical) are
-# immutable, hashed on their fields, and used as cache keys: __init__ stores
-# through _store, and assigning or deleting a field afterwards raises.
-_store = object.__setattr__
+class Value:
+    """An immutable value: its fields are its __slots__, in constructor
+    order.  Two values are equal when they have the same class and equal
+    fields, a value hashes over its fields, and assigning or deleting a field
+    raises.  Cache keys and records are values."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls):
+        # every field in one read: their tuple, or the field itself when
+        # there is one; equality and hashing are hot in cache lookups
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
-def _immutable(self, name, *_):
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-class FgAbGroup:
+class FgAbGroup(Value):
     """Canonical object: invariant factors (d1, ..., dk), di | di+1, 0 = Z."""
 
     __slots__ = ("factors",)
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, factors: tuple[int, ...]):
         fs = tuple(map(int, factors))
-        _store(self, "factors", fs)
+        object.__setattr__(self, "factors", fs)
         if any(d < 0 for d in fs):
             raise ValueError("invariant factors must be non-negative")
         if any(d == 1 for d in fs):
             raise ValueError("factor 1 is not allowed in canonical form")
         if not _chain_ok(fs):
             raise ValueError(f"factors {fs} violate the divisibility chain")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
 
     @property
     def ngens(self) -> int:
@@ -175,24 +190,15 @@ def _reduce_rows(cod: FgAbGroup, rows: Iterable[Sequence[int]]) -> Matrix:
     )
 
 
-class Morphism:
+class Morphism(Value):
     """Homomorphism dom -> cod; rows indexed by cod factors, cols by dom."""
 
     __slots__ = ("dom", "cod", "rows")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dom: FgAbGroup, cod: FgAbGroup, rows: Matrix):
-        _store(self, "dom", dom)
-        _store(self, "cod", cod)
-        _store(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dom, self.cod, self.rows) == (other.dom, other.cod, other.rows)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.rows))
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def is_zero(self) -> bool:
@@ -272,7 +278,7 @@ def sub_hom(f: Morphism, g: Morphism) -> Morphism:
 # canonicalization
 
 
-class CanonicalPresentation:
+class CanonicalPresentation(Value):
     """Cokernel of a relation matrix in canonical form with its certificate.
 
     to_canonical maps old coordinates to canonical ones; from_canonical is a
@@ -280,11 +286,6 @@ class CanonicalPresentation:
     """
 
     __slots__ = ("group", "to_canonical", "from_canonical")
-
-    def __init__(self, group: FgAbGroup, to_canonical: Matrix, from_canonical: Matrix):
-        self.group = group
-        self.to_canonical = to_canonical
-        self.from_canonical = from_canonical
 
 
 def canonical_group(relations: Matrix, generators: int) -> CanonicalPresentation:
@@ -313,16 +314,10 @@ def canonical_group(relations: Matrix, generators: int) -> CanonicalPresentation
 # hom groups
 
 
-class HomGroup:
+class HomGroup(Value):
     """Additive basis of Hom(dom, cod); order 0 marks an infinite generator."""
 
     __slots__ = ("dom", "cod", "basis", "orders")
-
-    def __init__(self, dom: FgAbGroup, cod: FgAbGroup, basis: tuple[Morphism, ...], orders: tuple[int, ...]):
-        self.dom = dom
-        self.cod = cod
-        self.basis = basis
-        self.orders = orders
 
 
 def _pair_generator(a: int, b: int) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from .groups import (
     format_group,
     group,
     hom_count,
+    Value,
 )
 from .intmat import is_squarefree, prime_factors
 from .preradicals import (
@@ -120,12 +121,8 @@ def groups_of_order(n: int) -> list[FgAbGroup]:
     return sorted(out, key=lambda g: g.factors)
 
 
-class Corpus:
+class Corpus(Value):
     __slots__ = ("max_order", "groups")
-
-    def __init__(self, max_order: int, groups: tuple[FgAbGroup, ...]):
-        self.max_order = max_order
-        self.groups = groups
 
     def __iter__(self):
         return iter(self.groups)

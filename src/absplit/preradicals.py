@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from math import gcd
 
-from .groups import FgAbGroup, _immutable, _store
+from .groups import FgAbGroup, Value
 from .intmat import prime_factors, squarefree_radical
 from .subgroups import Subgroup, sub_from_gens
 
 
-class Preradical:
+class Preradical(Value):
     __slots__ = ("tag", "param", "hereditary", "cohereditary", "idempotent", "is_radical")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(
         self,
@@ -29,23 +28,7 @@ class Preradical:
         idempotent: bool = False,
         is_radical: bool = False,
     ):
-        _store(self, "tag", tag)
-        _store(self, "param", param)
-        _store(self, "hereditary", hereditary)
-        _store(self, "cohereditary", cohereditary)
-        _store(self, "idempotent", idempotent)
-        _store(self, "is_radical", is_radical)
-
-    def _key(self) -> tuple:
-        return (self.tag, self.param, self.hereditary, self.cohereditary, self.idempotent, self.is_radical)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        super().__init__(tag, param, hereditary, cohereditary, idempotent, is_radical)
 
     @property
     def name(self) -> str:

@@ -45,8 +45,7 @@ from .groups import (
     iter_hom_rows,
     morphism,
     retraction_witness,
-    _immutable,
-    _store,
+    Value,
 )
 from .intmat import Matrix, SeededHnf, freeze, identity, prime_factors
 from .subgroups import (
@@ -80,9 +79,8 @@ class InternalConsistencyError(RuntimeError):
     """Two decision routes disagree, or a fact they rely on fails to hold."""
 
 
-class Caps:
+class Caps(Value):
     __slots__ = ("hom_budget", "subgroup_cap", "per_group_timeout_s")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(
         self,
@@ -92,32 +90,14 @@ class Caps:
         # deterministic, which timing-based skips cannot be)
         per_group_timeout_s: float = 0.0,
     ):
-        _store(self, "hom_budget", hom_budget)
-        _store(self, "subgroup_cap", subgroup_cap)
-        _store(self, "per_group_timeout_s", per_group_timeout_s)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        super().__init__(hom_budget, subgroup_cap, per_group_timeout_s)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-class Counterexample:
-    __slots__ = ("g", "subgroup", "kind")
-
-    def __init__(self, g: Morphism, subgroup: Subgroup, kind: str):
-        self.g = g
-        self.subgroup = subgroup
-        self.kind = kind  # "not_summand" | "not_fully_invariant"
+class Counterexample(Value):
+    __slots__ = ("g", "subgroup", "kind")  # kind: "not_summand" | "not_fully_invariant"
 
 
 class SplitVerdict:
@@ -277,8 +257,6 @@ class GroupAnalysis:
         # the element bitsets of the listed subgroups, by canonical form
         self.bits: Optional[ElementBits] = None
         self._masks: dict[Matrix, int] = {}
-        # theorem-mode verdicts by (F, strongly, side, caps)
-        self._theorems: dict[tuple, SplitVerdict] = {}
         # (|Hom|, plain verdict, strong verdict) of each sweep with this group
         # quantified over, by (the other group's factors, F, side); the budget
         # only gates the sweep, so a refusal is never kept
@@ -739,17 +717,12 @@ def end_ring_abelian_closed_form(m: FgAbGroup) -> bool:
 # end rings
 
 
-class EndRingView:
+class EndRingView(Value):
     """What the End-ring route keeps of End(M): its size, and the first
     idempotent that fails to commute with an additive basis element (None
     when every idempotent is central)."""
 
     __slots__ = ("object", "size", "noncentral")
-
-    def __init__(self, object: FgAbGroup, size: int, noncentral: Optional[tuple[Matrix, Matrix]]):
-        self.object = object
-        self.size = size
-        self.noncentral = noncentral
 
 
 def _idempotents(m: FgAbGroup) -> Iterator[Matrix]:
@@ -905,21 +878,16 @@ def _self_F_split_theorem(
     witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
     with s a section of q and ρ a retraction onto F.  The decision reads
     the factor's structure alone; the strong witness and the lift are
-    built when the counterexample is first read.  The verdict is kept on
-    M's analysis, by (F, strongly, side, caps), for every later call."""
+    built when the counterexample is first read."""
     analysis = analysis_for(m)
-    key = (f_sub.canonical, strongly, dual, caps)
-    if key in analysis._theorems and f_sub.ambient == m:
-        return analysis._theorems[key]
     analysis.require_fully_invariant(f_sub)
     trace: list[str] = []
 
     def verdict(answer, counterexample=None):
-        out = analysis._theorems[key] = SplitVerdict(
+        return SplitVerdict(
             answer, "theorem", strongly, dual, m, m, f_sub,
             counterexample=counterexample, trace=tuple(trace),
         )
-        return out
 
     fprops = analysis.subgroup_props(f_sub)
     if not fprops.is_summand:

@@ -30,11 +30,10 @@ from .groups import (
     hom_group,
     is_epi,
     is_mono,
-    _immutable,
     _quotient_epi,
     _span_mono,
-    _store,
     section_witness,
+    Value,
 )
 
 
@@ -51,24 +50,15 @@ class FullyInvariantError(ValueError):
         self.element = element
 
 
-class Subgroup:
+class Subgroup(Value):
     """A subgroup of ambient, held as the canonical Hermite rows of its
     lattice (the generators together with the ambient relations)."""
 
     __slots__ = ("ambient", "canonical")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, ambient: FgAbGroup, canonical: Matrix):
-        _store(self, "ambient", ambient)
-        _store(self, "canonical", canonical)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ambient, self.canonical) == (other.ambient, other.canonical)
-
-    def __hash__(self):
-        return hash((self.ambient, self.canonical))
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "canonical", canonical)
 
     @property
     def is_full(self) -> bool:
@@ -403,7 +393,7 @@ def require_fully_invariant(carrier: FgAbGroup, s: Subgroup) -> None:
 # short exact sequences
 
 
-class ShortExactSequence:
+class ShortExactSequence(Value):
     """0 -> dom(i) -> M -> cod(d) -> 0 with im(i) = ker(d)."""
 
     __slots__ = ("i", "d")
@@ -411,8 +401,7 @@ class ShortExactSequence:
     def __init__(self, i: Morphism, d: Morphism):
         if i.cod != d.dom:
             raise ObjectMismatchError("sequence does not compose")
-        self.i = i
-        self.d = d
+        super().__init__(i, d)
 
     @property
     def middle(self) -> FgAbGroup:

@@ -405,33 +405,3 @@ def test_worked_examples_over_the_hom_budget_fall_back_to_theorem_mode():
     assert rep["passed"]
     assert rep["tables"] == worked_examples_report()["tables"]
 
-
-def test_trel_reads_the_theorem_verdicts_tkey_built(monkeypatch):
-    # theorem-mode verdicts are kept on M's analysis by (F, strongly, side,
-    # caps), so trel's cross-validation calls build none after tkey
-    from absplit import splitness
-    from absplit.subgroups import trivial_subgroup
-
-    monkeypatch.setattr(splitness, "_ANALYSES", {})
-    built = []
-    real = splitness.SplitVerdict
-
-    def counted(answer, mode, *args, **kwargs):
-        built.extend([mode] if mode == "theorem" else [])
-        return real(answer, mode, *args, **kwargs)
-
-    monkeypatch.setattr(splitness, "SplitVerdict", counted)
-    corpus, caps = enumerate_groups(24), Caps()
-    assert check_tkey(corpus, caps).passed
-    after_tkey = len(built)
-    kept = sum(len(an._theorems) for an in splitness._ANALYSES.values())
-    assert after_tkey == kept > 0
-    assert check_trel(corpus, caps).passed
-    assert len(built) == after_tkey
-    # the key holds the caps: another cap builds its own verdict
-    m = group(2, 4)
-    f = trivial_subgroup(m)
-    first = splitness.is_self_F_split_theorem(m, f, True, caps)
-    assert splitness.is_self_F_split_theorem(m, f, True, caps) is first
-    other = splitness.is_self_F_split_theorem(m, f, True, Caps(subgroup_cap=4))
-    assert other is not first and other.answer == first.answer
