@@ -59,7 +59,8 @@ def _add_caps_flags(p: argparse.ArgumentParser):
     p.add_argument("--cap-subgroups", type=_at_least(0), default=Caps().subgroup_cap,
                    help="largest group order for subgroup enumeration")
     p.add_argument("--timeout", type=_at_least(0, float), default=0.0,
-                   help="per-group wall clock guard in seconds (0 = off; "
+                   help="per-group wall clock guard in seconds, one clock per "
+                        "group shared by the checks that walk it (0 = off; "
                         "timing-based skips make reports nondeterministic)")
 
 

@@ -5,6 +5,12 @@ exercises a splitness law in both brute-force and reduction modes, and
 reports instance counts, failures, and deterministic skips.  Expected-failure
 instances (counterexample patterns) are first class: the harness asserts that
 they fail, guarding against a bug that silently makes everything split.
+
+The checks run through one walk of the corpus (_run_checks), group by group:
+every check takes group M's turn, whose F and profiles are listed and swept
+once for all of them under one timeout clock, and M's sweep tables are then
+released.  A check's elapsed_s is the time spent in its own body, so the
+turn's shared work is charged to the first check that reaches it.
 """
 
 from __future__ import annotations
@@ -147,25 +153,15 @@ class TheoremReport:
         "expected_failure_misses", "notes", "elapsed_s",
     )
 
-    def __init__(
-        self,
-        theorem: str,
-        instances: int = 0,
-        failures: Optional[list] = None,
-        skipped: Optional[list] = None,
-        expected_failures: Optional[list] = None,
-        expected_failure_misses: Optional[list] = None,
-        notes: Optional[list] = None,
-        elapsed_s: float = 0.0,
-    ):
-        # each list omitted is a new one, never shared between reports
+    def __init__(self, theorem: str, instances: int = 0, elapsed_s: float = 0.0):
         self.theorem = theorem
         self.instances = instances
-        self.failures = [] if failures is None else failures
-        self.skipped = [] if skipped is None else skipped
-        self.expected_failures = [] if expected_failures is None else expected_failures
-        self.expected_failure_misses = [] if expected_failure_misses is None else expected_failure_misses
-        self.notes = [] if notes is None else notes
+        # each report's lists are its own, never shared with another's
+        self.failures: list = []
+        self.skipped: list = []
+        self.expected_failures: list = []
+        self.expected_failure_misses: list = []
+        self.notes: list = []
         self.elapsed_s = elapsed_s
 
     @property
@@ -190,20 +186,6 @@ def _cap_reason(caps: Caps) -> str:
     return f"order exceeds subgroup cap {caps.subgroup_cap}"
 
 
-def _group_feasible(m: FgAbGroup, caps: Caps, report: TheoremReport) -> bool:
-    order = m.order
-    if order is None or order > caps.subgroup_cap:
-        report.skipped.append({"group": format_group(m), "reason": _cap_reason(caps)})
-        return False
-    total = hom_count(m, m)
-    if total is not None and total > caps.hom_budget:
-        report.skipped.append(
-            {"group": format_group(m), "reason": f"|End| = {total} exceeds hom budget {caps.hom_budget}"}
-        )
-        return False
-    return True
-
-
 def _expected_failure(
     rep: TheoremReport,
     verdicts: Sequence[SplitVerdict],
@@ -225,20 +207,20 @@ def _expected_failure(
 
 
 CHECKS: dict = {}
+_BODIES: dict[str, Callable] = {}
 
 
 def _check(name: str):
-    """Register a law check in CHECKS under its id.  The decorated body
-    fills the report it is given; the public function creates and times it."""
+    """Register a law check in CHECKS under its id, which runs it alone.
+    The decorated body is a generator that fills the report it is given,
+    as _run_checks sends it the groups' turns."""
 
     def register(body):
+        _BODIES[name] = body
+
         @functools.wraps(body)
-        def run(corpus: Corpus, caps: Caps = Caps(), *args, **kwargs) -> TheoremReport:
-            rep = TheoremReport(name)
-            t0 = time.time()
-            body(rep, corpus, caps, *args, **kwargs)
-            rep.elapsed_s = time.time() - t0
-            return rep
+        def run(corpus: Corpus, caps: Caps = Caps(), **options) -> TheoremReport:
+            return _run_checks(corpus, caps, [(name, options)])[0]
 
         CHECKS[name] = run
         return run
@@ -246,12 +228,15 @@ def _check(name: str):
     return register
 
 
-def _timed(items: Iterable, caps: Caps, rep: TheoremReport, named: Callable[..., dict]):
-    """The items in turn, until the per-group timeout, counted from the
-    first item, has run out; each item after that is recorded as skipped
-    under the entry named(item).  The time counted includes what the caller
-    does with the items it is given."""
-    start = time.time()
+def _timed(
+    items: Iterable, caps: Caps, rep: TheoremReport, named: Callable[..., dict],
+    start: Optional[float] = None,
+):
+    """The items in turn, until the per-group timeout, counted from start
+    (by default the first item), has run out; each item after that is
+    recorded as skipped under the entry named(item).  The time counted
+    includes what the caller does with the items it is given."""
+    start = time.time() if start is None else start
     for item in items:
         if caps.per_group_timeout_s and time.time() - start > caps.per_group_timeout_s:
             rep.skipped.append({**named(item), "reason": "per-group timeout"})
@@ -259,26 +244,68 @@ def _timed(items: Iterable, caps: Caps, rep: TheoremReport, named: Callable[...,
         yield item
 
 
-def _decided_profiles(
-    groups: Iterable[FgAbGroup],
-    caps: Caps,
-    rep: TheoremReport,
-    fs: Optional[Callable[[FgAbGroup], Iterable[Subgroup]]] = None,
-):
-    """(M, F, brute-force profile) for every F of every feasible M: every
-    fully invariant F, or the ones fs(M) names.  An F is recorded as skipped
-    when a verdict is unknown, or when it comes after M's per-group timeout
-    has run out."""
-    for m in groups:
-        if not _group_feasible(m, caps, rep):
-            continue
-        f_list = analysis_for(m).fi_subgroups(caps.subgroup_cap) if fs is None else fs(m)
-        for f in _timed(f_list, caps, rep, lambda f: {"group": format_group(m), "f": str(f)}):
+class _Turn:
+    """Group M's turn in the walk of the checks: M is tested against the
+    caps, and its fully invariant F are listed, once for all of them, and
+    one clock runs from the first F that any of them reaches."""
+
+    def __init__(self, m: FgAbGroup, caps: Caps):
+        self.m, self.caps, self.skip, self.start = m, caps, None, None
+        total = hom_count(m, m)
+        if m.order is None or m.order > caps.subgroup_cap:
+            self.skip = {"group": format_group(m), "reason": _cap_reason(caps)}
+        elif total is not None and total > caps.hom_budget:
+            reason = f"|End| = {total} exceeds hom budget {caps.hom_budget}"
+            self.skip = {"group": format_group(m), "reason": reason}
+
+    @functools.cached_property
+    def fs(self) -> list[Subgroup]:
+        return analysis_for(self.m).fi_subgroups(self.caps.subgroup_cap)
+
+    def decided(self, rep: TheoremReport, fs: Optional[Sequence[Subgroup]] = None):
+        """(M, F, brute-force profile) for each F of fs (by default every fully
+        invariant F of M), in order, that is decided.  A group too large to
+        walk is recorded in rep as skipped, once; an F is, when a verdict is
+        unknown, or when it is reached after the turn's clock has run out."""
+        if self.skip is not None:
+            rep.skipped.append(self.skip)
+            return
+        m, caps = self.m, self.caps
+        self.start = self.start or time.time()
+
+        def named(f: Subgroup) -> dict:
+            return {"group": format_group(m), "f": str(f)}
+
+        for f in _timed(self.fs if fs is None else fs, caps, rep, named, self.start):
+            # swept once: the sweep's verdicts stay kept on M's analysis
             prof = self_split_profile(m, f, caps.hom_budget)
             if any(prof[k].is_unknown for k in PROFILE_KEYS):
-                rep.skipped.append({"group": format_group(m), "f": str(f), "reason": "budget"})
+                rep.skipped.append({**named(f), "reason": "budget"})
                 continue
             yield m, f, prof
+
+
+def _run_checks(corpus: Corpus, caps: Caps, checks: Sequence[tuple[str, dict]]) -> list[TheoremReport]:
+    """The report of each (check id, keyword options for its body) of
+    checks, in order.  The checks share one walk of the corpus: each
+    group's _Turn is sent to each body in turn (None starts a body, and
+    after the last group lets it finish), and then the group's sweep tables
+    are released.  A report's elapsed_s is the time spent in its body."""
+    reports = [TheoremReport(name) for name, _ in checks]
+    walkers = [(rep, _BODIES[name](rep, corpus, caps, **kw)) for rep, (name, kw) in zip(reports, checks)]
+    for turn in itertools.chain([None], (_Turn(m, caps) for m in corpus), [None]):
+        for rep, walker in walkers:
+            t0 = time.time()
+            try:
+                walker.send(turn)
+            except StopIteration:  # the body has finished its report
+                pass
+            rep.elapsed_s += time.time() - t0
+        if turn:
+            # M's checks are done: only a later sweep over M would read its
+            # sweep tables, while the sweeps' verdicts stay kept
+            analysis_for(turn.m)._sweep_lattices.clear()
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -286,68 +313,71 @@ def _decided_profiles(
 
 
 @_check("tkey")
-def check_tkey(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_tkey(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Brute-force verdict must equal theorem-mode verdict for all four
     predicate variants, on every group and every fully invariant subgroup."""
-    for m, f, brute in _decided_profiles(corpus, caps, rep):
-        theorem = self_split_profile_theorem(m, f, caps)
-        for k in PROFILE_KEYS:
-            rep.instances += 1
-            if brute[k].answer != theorem[k].answer:
-                rep.failures.append(
-                    {
-                        "group": format_group(m),
-                        "f": str(f),
-                        "variant": k,
-                        "brute": brute[k].answer,
-                        "theorem": theorem[k].answer,
-                    }
-                )
+    while turn := (yield):
+        for m, f, brute in turn.decided(rep):
+            theorem = self_split_profile_theorem(m, f, caps)
+            for k in PROFILE_KEYS:
+                rep.instances += 1
+                if brute[k].answer != theorem[k].answer:
+                    rep.failures.append(
+                        {
+                            "group": format_group(m),
+                            "f": str(f),
+                            "variant": k,
+                            "brute": brute[k].answer,
+                            "theorem": theorem[k].answer,
+                        }
+                    )
 
 
 @_check("trel")
-def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_trel(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Strong splitness == plain splitness + every summand containing F
     (contained in F, dually) fully invariant, checked by direct enumeration."""
-    for m, f, brute in _decided_profiles(corpus, caps, rep):
-        for side, dual in (("primal", False), ("dual", True)):
-            summands_fi = analysis_for(m).near_summands_fi(f, caps.subgroup_cap, dual)
-            expected = brute[side + "_plain"].is_yes and summands_fi
-            rep.instances += 1
-            if brute[side + "_strong"].is_yes != expected:
-                rep.failures.append(
-                    {
-                        "group": format_group(m), "f": str(f), "variant": side,
-                        "strong": brute[side + "_strong"].answer,
-                        "plain_and_summands_fi": expected,
-                    }
-                )
-        # the two theorem routes (end-ring and summand enumeration) are
-        # cross-validated inside theorem mode; a disagreement raises
-        is_self_F_split_theorem(m, f, True, caps)
-        is_dual_self_F_split_theorem(m, f, True, caps)
+    while turn := (yield):
+        for m, f, brute in turn.decided(rep):
+            for side, dual in (("primal", False), ("dual", True)):
+                summands_fi = analysis_for(m).near_summands_fi(f, caps.subgroup_cap, dual)
+                expected = brute[side + "_plain"].is_yes and summands_fi
+                rep.instances += 1
+                if brute[side + "_strong"].is_yes != expected:
+                    rep.failures.append(
+                        {
+                            "group": format_group(m), "f": str(f), "variant": side,
+                            "strong": brute[side + "_strong"].answer,
+                            "plain_and_summands_fi": expected,
+                        }
+                    )
+            # the two theorem routes (end-ring and summand enumeration) are
+            # cross-validated inside theorem mode; a disagreement raises
+            is_self_F_split_theorem(m, f, True, caps)
+            is_dual_self_F_split_theorem(m, f, True, caps)
 
 
 @_check("tendab")
-def check_tendab(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_tendab(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Strong splitness == plain splitness + abelian endomorphism ring of the
     complement (of F itself, dually), each End ring scanned for its first
     non-central idempotent."""
-    for m, f, brute in _decided_profiles(corpus, caps, rep):
-        cgrp, _ = quotient(m, f)
-        for side, grp in (("primal", cgrp), ("dual", subgroup_group(f))):
-            expected = brute[side + "_plain"].is_yes and is_abelian_ring(end_ring(grp))
-            rep.instances += 1
-            if brute[side + "_strong"].is_yes != expected:
-                rep.failures.append(
-                    {"group": format_group(m), "f": str(f), "variant": side,
-                     "strong": brute[side + "_strong"].answer,
-                     "plain_and_end_abelian": expected}
-                )
+    while turn := (yield):
+        for m, f, brute in turn.decided(rep):
+            cgrp, _ = quotient(m, f)
+            for side, grp in (("primal", cgrp), ("dual", subgroup_group(f))):
+                expected = brute[side + "_plain"].is_yes and is_abelian_ring(end_ring(grp))
+                rep.instances += 1
+                if brute[side + "_strong"].is_yes != expected:
+                    rep.failures.append(
+                        {"group": format_group(m), "f": str(f), "variant": side,
+                         "strong": brute[side + "_strong"].answer,
+                         "plain_and_end_abelian": expected}
+                    )
 
 
 @_check("csip")
-def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Self-F-split groups have SIP for summands containing F (fully
     invariant summands in the strong case); dually SSP below F."""
     rep.notes.append(
@@ -355,17 +385,18 @@ def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
         "representative per isomorphism type (one Aut(M)-orbit, as Aut(M) "
         "fixes F), and every pair in the fully invariant variants"
     )
-    for m, f, brute in _decided_profiles(corpus, caps, rep):
-        for k, prop in zip(PROFILE_KEYS, ("SIP", "SIP-fi", "SSP", "SSP-fi")):
-            if brute[k].is_yes:
-                rep.instances += 1
-                closed = (
-                    has_ssp_summands_contained_in if "dual" in k else has_sip_summands_containing
-                )
-                if not closed(m, f, caps.subgroup_cap, fully_invariant_only="strong" in k):
-                    rep.failures.append(
-                        {"group": format_group(m), "f": str(f), "property": prop}
+    while turn := (yield):
+        for m, f, brute in turn.decided(rep):
+            for k, prop in zip(PROFILE_KEYS, ("SIP", "SIP-fi", "SSP", "SSP-fi")):
+                if brute[k].is_yes:
+                    rep.instances += 1
+                    closed = (
+                        has_ssp_summands_contained_in if "dual" in k else has_sip_summands_containing
                     )
+                    if not closed(m, f, caps.subgroup_cap, fully_invariant_only="strong" in k):
+                        rep.failures.append(
+                            {"group": format_group(m), "f": str(f), "property": prop}
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +452,7 @@ def _tds_piece(part: Subgroup, f: Subgroup, dual: bool) -> tuple[FgAbGroup, Subg
 
 
 @_check("tds")
-def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """For N = N1 ⊕ N2 with F fully invariant: N is (strongly) M-F-split iff
     each Nk is (strongly) M-(F∩Nk)-split; dually over the quotients N/Nk
     with (F+Nk)/Nk.  M runs over N itself and Z/6.  Every decomposition is
@@ -439,36 +470,39 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
         "each pair's verdicts are read once, on its first decomposition (one "
         "Aut(N)-orbit, as Aut(N) fixes F), and count as that many instances"
     )
-    decomposition_types = functools.cache(_decomposition_types)
     z6 = group(6)
-    for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
+    while turn := (yield):
+        n_grp, types = turn.m, None
         samples = [n_grp] + ([z6] if n_grp != z6 else [])
-        for x, y, count in decomposition_types(n_grp, caps):
-            pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
-            for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
-                whole, *parts = (
-                    is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                    else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                    for n, fn in ((n_grp, f), *pieces[dual])
-                )
-                if whole.is_unknown or any(p.is_unknown for p in parts):
-                    rep.skipped.extend(
-                        {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
-                         "reason": "budget (dual)" if dual else "budget"}
-                        for _ in range(count)
+        for _, f, _ in turn.decided(rep):
+            if types is None:
+                types = _decomposition_types(n_grp, caps)
+            for x, y, count in types:
+                pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
+                for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
+                    whole, *parts = (
+                        is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
+                        else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
+                        for n, fn in ((n_grp, f), *pieces[dual])
                     )
-                    continue
-                rep.instances += count
-                if whole.is_yes != all(p.is_yes for p in parts):
-                    failure = {"group": format_group(n_grp), "f": str(f),
-                               "m": format_group(m), "strongly": strongly,
-                               "decomposition": [str(x), str(y)],
-                               "decompositions": count,
-                               "whole": whole.answer,
-                               "parts": [p.answer for p in parts]}
-                    if dual:
-                        failure["dual"] = True
-                    rep.failures.append(failure)
+                    if whole.is_unknown or any(p.is_unknown for p in parts):
+                        rep.skipped.extend(
+                            {"group": format_group(n_grp), "f": str(f), "m": format_group(m),
+                             "reason": "budget (dual)" if dual else "budget"}
+                            for _ in range(count)
+                        )
+                        continue
+                    rep.instances += count
+                    if whole.is_yes != all(p.is_yes for p in parts):
+                        failure = {"group": format_group(n_grp), "f": str(f),
+                                   "m": format_group(m), "strongly": strongly,
+                                   "decomposition": [str(x), str(y)],
+                                   "decompositions": count,
+                                   "whole": whole.answer,
+                                   "parts": [p.answer for p in parts]}
+                        if dual:
+                            failure["dual"] = True
+                        rep.failures.append(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +525,15 @@ _THOMZERO_PAIRS = 40
 
 
 @_check("thomzero")
-def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Families with pairwise-zero Homs: the biproduct is self-(⊕Fk)-split
     iff every part is self-Fk-split; the strong version holds iff every part
     is strongly split and Hom(Ck, Cl) = 0 for k != l.  Counterexample
-    patterns with nonzero Homs are asserted to genuinely fail.  The
+    patterns with nonzero Homs are asserted to genuinely fail.  The pairs
+    are walked after the groups' turns, which it does not read, and the
     per-group timeout runs per pair (A, B), over its pairs (FA, FB)."""
+    while (yield):
+        pass
     finite = [g for g in corpus if g.order and g.order > 1]
     pairs = []
     for i, a in enumerate(finite):
@@ -600,13 +637,16 @@ def check_tdsprerad(
     corpus: Corpus,
     caps: Caps,
     rads: Optional[Sequence[Preradical]] = None,
-) -> None:
+):
     """For preradicals r and M with SIP for (fully invariant) summands over
     r(M): N1 ⊕ N2 is (strongly) M-r(N1⊕N2)-split iff each Nk is (strongly)
     M-r(Nk)-split.  Also checks r(⊕Nk) = ⊕ r(Nk) coordinatewise.  The
-    per-group timeout runs per pair (N1, N2) of each r, over the pool of M.
-    The SIP hypothesis is tested once per (r, M, strongly), and an unmet
-    one is still recorded as a skip for every pair."""
+    pairs are walked after the groups' turns, which it does not read, and
+    the per-group timeout runs per pair (N1, N2) of each r, over the pool
+    of M.  The SIP hypothesis is tested once per (r, M, strongly), and an
+    unmet one is still recorded as a skip for every pair."""
+    while (yield):
+        pass
     if rads is None:
         rads = [socle(), ppart(2), ntorsion(2)]
     finite = [g for g in corpus if g.order and g.order > 1][:8]
@@ -679,20 +719,38 @@ def check_tdsprerad(
 
 
 @_check("semis")
-def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30) -> None:
+def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30):
     """Mod(Z/n) instantiation: n squarefree iff every group of exponent
     dividing n is self-F-split and dual self-F-split for every fully
     invariant F.  Strong flags are cross-checked against the End-ring
     criterion rather than asserted to hold outright (a group with a p-rank
-    >= 2 complement is never strongly split over it, squarefree or not)."""
+    >= 2 complement is never strongly split over it, squarefree or not).
+    The report lists n by n: each n fills a part of its own, group by
+    group, and the parts are joined in order of n."""
     rep.notes.append(f"n ranges over 1..{max_n} only, whatever the max order")
-    for n in range(1, max_n + 1):
-        if is_squarefree(n) if n > 1 else True:
-            mods = [g for g in corpus if g.order and n % (g.exponent or 1) == 0]
-            for m, f, prof in _decided_profiles(mods, caps, rep):
-                rep.instances += 1
+    parts = {n: TheoremReport("semis") for n in range(1, max_n + 1)}
+    squarefree = [n for n in parts if n == 1 or is_squarefree(n)]
+    for n, part in parts.items():
+        if n not in squarefree:
+            # non-squarefree: exhibit an explicit failing (group, F)
+            p = next(p for p, e in prime_factors(n).items() if e >= 2)
+            bad = group(p * p)
+            v = self_split_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
+            if _expected_failure(
+                part, (v,), v.is_no,
+                {"n": n, "witness_group": format_group(bad)},
+                {"f": "<0>", "detail": "not self-Rickart"},
+            ):
+                part.instances += 1
+    while turn := (yield):
+        m = turn.m
+        for n in squarefree:
+            if not m.order or n % (m.exponent or 1):
+                continue
+            for _, f, prof in turn.decided(parts[n]):
+                parts[n].instances += 1
                 if not (prof["primal_plain"].is_yes and prof["dual_plain"].is_yes):
-                    rep.failures.append(
+                    parts[n].failures.append(
                         {"n": n, "group": format_group(m), "f": str(f),
                          "primal": prof["primal_plain"].answer,
                          "dual": prof["dual_plain"].answer}
@@ -704,39 +762,29 @@ def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30)
                 if prof["primal_strong"].is_yes != want_strong or (
                     prof["dual_strong"].is_yes != want_dual_strong
                 ):
-                    rep.failures.append(
+                    parts[n].failures.append(
                         {"n": n, "group": format_group(m), "f": str(f),
                          "reason": "strong flag disagrees with End-ring criterion"}
                     )
-        else:
-            # non-squarefree: exhibit an explicit failing (group, F)
-            p = next(p for p, e in prime_factors(n).items() if e >= 2)
-            bad = group(p * p)
-            v = self_split_profile(bad, trivial_subgroup(bad), caps.hom_budget)["primal_plain"]
-            if _expected_failure(
-                rep, (v,), v.is_no,
-                {"n": n, "witness_group": format_group(bad)},
-                {"f": "<0>", "detail": "not self-Rickart"},
-            ):
-                rep.instances += 1
+    for part in parts.values():
+        rep.instances += part.instances
+        for field in ("failures", "skipped", "expected_failures", "expected_failure_misses"):
+            getattr(rep, field).extend(getattr(part, field))
 
 
 @_check("socrad")
-def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps) -> None:
+def check_socrad(rep: TheoremReport, corpus: Corpus, caps: Caps):
     """Radical/socle splitting: M self-Rad(M)-split iff Rad(M) = 0 and M
     self-Rickart (strongly likewise); M dual self-Soc(M)-split iff M is
     semisimple; dual strongly iff additionally End(M) is abelian.  A group
-    is decided once all three of its F are."""
-
-    def rad_zero_soc(m: FgAbGroup) -> tuple[Subgroup, ...]:
-        return evaluate(radical(), m), trivial_subgroup(m), evaluate(socle(), m)
-
-    decided: dict[FgAbGroup, list] = {}
-    for m, f, prof in _decided_profiles(corpus, caps, rep, rad_zero_soc):
-        decided.setdefault(m, []).append((f, prof))
-        if len(decided[m]) < 3:
+    is decided only when all three of its F (Rad M, 0 and Soc M) are."""
+    while turn := (yield):
+        m = turn.m
+        fs = evaluate(radical(), m), trivial_subgroup(m), evaluate(socle(), m)
+        decided = list(turn.decided(rep, fs))
+        if len(decided) < len(fs):
             continue
-        (rad, prof_rad), (_, prof_rick), (soc, prof_soc) = decided[m]
+        (_, rad, prof_rad), (_, _, prof_rick), (_, soc, prof_soc) = decided
         rad_zero = rad.order == 1
         semisimple = soc.is_full
         rep.instances += 4
@@ -951,12 +999,8 @@ def run_verification(
             f"unknown theorem id(s) {unknown}; valid ids: {', '.join(sorted(CHECKS))}"
         )
     corpus = enumerate_groups(max_order)
-    reports = []
-    for n in names:
-        if n == "tdsprerad" and preradicals is not None:
-            reports.append(check_tdsprerad(corpus, caps, rads=preradicals))
-        else:
-            reports.append(CHECKS[n](corpus, caps))
+    options = {"tdsprerad": {"rads": preradicals}}
+    reports = _run_checks(corpus, caps, [(n, options.get(n, {})) for n in names])
     examples = [worked_examples_report(caps)] if with_examples else []
     return {
         "engine_version": __version__,

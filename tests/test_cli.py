@@ -125,13 +125,12 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     # exit code 1 is reserved for genuine verification failures
     from absplit import harness
 
-    def failing_check(corpus, caps):
-        rep = harness.TheoremReport("tkey")
+    def failing_body(rep, corpus, caps):
         rep.instances = 1
         rep.failures.append({"group": "Z/1?", "reason": "stubbed failure"})
-        return rep
+        yield
 
-    monkeypatch.setitem(harness.CHECKS, "tkey", failing_check)
+    monkeypatch.setitem(harness._BODIES, "tkey", failing_body)
     code, out, err = run_cli(capsys, "verify", "--max-order", "2", "--theorems", "tkey")
     assert code == 1
     assert "overall: FAIL" in out

@@ -207,18 +207,36 @@ def test_per_group_timeout_guards_every_profile_check(monkeypatch, name):
 def test_per_group_timeout_guards_socrad(monkeypatch):
     # socrad decides a group from the profiles of its three F (Rad M, 0 and
     # Soc M); under the ticking clock only the first is reached, so every
-    # group skips the other two and none is decided
+    # group skips the other two, in that order, and none is decided
     from absplit import harness
+    from absplit.preradicals import evaluate, socle
+    from absplit.subgroups import trivial_subgroup
 
     corpus = enumerate_groups(8)
     monkeypatch.setattr(harness, "time", _TickingClock())
     rep = check_socrad(corpus, Caps(per_group_timeout_s=1.5))
     assert rep.instances == 0 and rep.passed
-    assert [(s["group"], s["reason"]) for s in rep.skipped] == [
-        (str(m), "per-group timeout") for m in corpus for _ in range(2)
+    assert [(s["group"], s["f"], s["reason"]) for s in rep.skipped] == [
+        (str(m), str(f), "per-group timeout")
+        for m in corpus for f in (trivial_subgroup(m), evaluate(socle(), m))
     ]
     rep = check_socrad(corpus, Caps())
     assert rep.instances == 4 * len(list(corpus)) and not rep.skipped
+
+
+def test_per_group_timeout_is_one_clock_per_group(monkeypatch):
+    # the checks of one walk share each group's clock: under the ticking
+    # clock tkey reaches the first F of each group, and trel, which takes
+    # the group after tkey, finds its time used up
+    from absplit import harness
+
+    monkeypatch.setattr(harness, "time", _TickingClock())
+    tkey, trel = run_verification(8, ["tkey", "trel"], Caps(per_group_timeout_s=1.5))["theorems"]
+    groups = len(enumerate_groups(8).groups)
+    assert tkey["instances"] == 4 * groups
+    assert trel["instances"] == 0
+    assert len(trel["skipped"]) == len(tkey["skipped"]) + groups
+    assert all(s["reason"] == "per-group timeout" for s in trel["skipped"])
 
 
 @pytest.mark.parametrize(
@@ -279,6 +297,54 @@ def test_run_verification_deterministic():
     assert r1["passed"]
     assert set(r1["corpus_spec"]) == {"max_order", "group_count"}
     assert {t["theorem"] for t in r1["theorems"]} == {"tkey", "csip", "socrad"}
+
+
+@pytest.mark.parametrize("budget", [Caps().hom_budget, 300])
+def test_one_walk_gives_each_check_its_report_alone(budget):
+    # the checks share one walk of the corpus; each report is the one its
+    # check gives when run alone.  A budget of 300 skips groups in
+    # every per-group check: semis lists its skips n by n, one per n whose
+    # exponent condition holds, and socrad keeps corpus order
+    from absplit.groups import format_group, hom_count
+    from absplit.intmat import is_squarefree
+
+    caps = Caps(hom_budget=budget)
+    corpus = enumerate_groups(24)
+    walked = run_verification(max_order=24, caps=caps)["theorems"]
+    alone = [CHECKS[name](corpus, caps).to_dict() for name in CHECKS]
+    assert [{**t, "elapsed_s": 0} for t in walked] == [{**t, "elapsed_s": 0} for t in alone]
+    over = [g for g in corpus if hom_count(g, g) > budget]
+    reports = {t["theorem"]: t for t in walked}
+    if budget == 300:
+        assert over and all(
+            any("exceeds hom budget" in s["reason"] for s in reports[name]["skipped"])
+            for name in ("tkey", "trel", "tendab", "csip", "tds", "semis", "socrad")
+        )
+    ns = [n for n in range(1, 31) if n == 1 or is_squarefree(n)]
+    assert [(s["group"], s["reason"]) for s in reports["semis"]["skipped"]] == [
+        (format_group(g), f"|End| = {hom_count(g, g)} exceeds hom budget {budget}")
+        for n in ns for g in over if n % g.exponent == 0
+    ]
+    assert [s["group"] for s in reports["socrad"]["skipped"]] == [format_group(g) for g in over]
+    assert all(t["passed"] for t in walked)
+
+
+def test_walk_releases_each_groups_sweep_tables(monkeypatch):
+    # a group's sweep join tables are released after its turn of the walk;
+    # what stays is built after it, by sweeps over small groups: tds's
+    # second M (Z/6) and the pair loops of thomzero and tdsprerad.  Keeping
+    # every group's tables would leave 21,099 joins here
+    from absplit import splitness
+
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    assert run_verification(max_order=48)["passed"]
+    joins = sum(
+        len(level)
+        for analysis in splitness._ANALYSES.values()
+        for lattices in analysis._sweep_lattices.values()
+        for level in lattices.joins
+    )
+    assert joins <= 100
 
 
 def test_report_schema():

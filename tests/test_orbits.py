@@ -21,7 +21,7 @@ from absplit import harness
 from absplit.harness import (
     Corpus,
     TheoremReport,
-    _decided_profiles,
+    _Turn,
     _decomposition_types,
     _tds_piece,
     check_csip,
@@ -179,12 +179,19 @@ def _samples(n_grp):
     return [n_grp] + ([z6] if n_grp != z6 else [])
 
 
+def _walk(corpus, caps, rep):
+    """(N, F, profile) for each decided F of each group of the corpus, in
+    the order of the checks' walk, which records its skips in rep."""
+    for n_grp in corpus:
+        yield from _Turn(n_grp, caps).decided(rep)
+
+
 def _every_decomposition_tds(corpus, caps):
     """The tds report with every decomposition's verdicts read for it
     alone, and those verdicts as answers, by (N, F, X, Y)."""
     rep = TheoremReport("tds")
     verdicts = {}
-    for n_grp, f, _ in _decided_profiles(corpus, caps, rep):
+    for n_grp, f, _ in _walk(corpus, caps, rep):
         for x, y in _decompositions(n_grp, caps):
             rows = _tds_rows(n_grp, f, x, y, _samples(n_grp), caps)
             verdicts[n_grp, f, x, y] = [
@@ -247,7 +254,7 @@ def test_tds_matches_every_decomposition():
     # each decomposition gives the answers of its type pair's entry, whose
     # pieces come in the same order when the decomposition's do
     entries = {}
-    for n_grp, f, _ in _decided_profiles(CORPUS, CAPS, TheoremReport("tds")):
+    for n_grp, f, _ in _walk(CORPUS, CAPS, TheoremReport("tds")):
         for x, y, _count in _decomposition_types(n_grp, CAPS):
             rows = _tds_rows(n_grp, f, x, y, _samples(n_grp), CAPS)
             entries[n_grp, f, _type_pair(x, y)] = (_type(x), [
