@@ -51,6 +51,8 @@ from .splitness import (
     decide_self_profile,
     end_ring,
     end_ring_abelian_closed_form,
+    fi_exponents,
+    fi_piece,
     has_sip_summands_containing,
     has_ssp_summands_contained_in,
     is_abelian_ring,
@@ -66,13 +68,8 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     full_subgroup,
-    inclusion,
     is_fully_invariant,
-    map_subgroup,
-    preimage_subgroup,
-    quotient,
     sub_from_gens,
-    subgroup_group,
     trivial_subgroup,
 )
 
@@ -364,8 +361,7 @@ def check_tendab(rep: TheoremReport, corpus: Corpus, caps: Caps):
     non-central idempotent."""
     while turn := (yield):
         for m, f, brute in turn.decided(rep):
-            cgrp, _ = quotient(m, f)
-            for side, grp in (("primal", cgrp), ("dual", subgroup_group(f))):
+            for side, grp in zip(("primal", "dual"), analysis_for(m).factor_groups(f)):
                 expected = brute[side + "_plain"].is_yes and is_abelian_ring(end_ring(grp))
                 rep.instances += 1
                 if brute[side + "_strong"].is_yes != expected:
@@ -403,9 +399,9 @@ def check_csip(rep: TheoremReport, corpus: Corpus, caps: Caps):
 # direct sum decompositions
 
 
-def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup, int]]:
-    """One (X, Y, count) per unordered pair {A, B} of summand types with
-    N = A ⊕ B: X the first summand of type A, Y the first summand
+def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, Subgroup, tuple, tuple, int]]:
+    """One (X, Y, A, B, count) per unordered pair {A, B} of summand types
+    with N = A ⊕ B: X the first summand of type A, Y the first summand
     complementary to it, and count the number of decompositions N = X' ⊕ Y'
     with X' of type A and Y' of type B, each unordered pair once.
 
@@ -431,24 +427,8 @@ def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, S
         )
         seen.update((a, b))
         count = types.count(a) * hom_count(FgAbGroup(b), FgAbGroup(a))
-        out.append((x, y, count // 2 if a == b and order > 1 else count))
+        out.append((x, y, a, b, count // 2 if a == b and order > 1 else count))
     return out
-
-
-def _tds_piece(part: Subgroup, f: Subgroup, dual: bool) -> tuple[FgAbGroup, Subgroup]:
-    """(Nk, F∩Nk seen inside Nk), or dually (N/Nk, (F+Nk)/Nk).  The
-    inclusion of Nk lands in Nk, so F∩Nk inside Nk is inc⁻¹(F), with no
-    intersection.  Both pieces of F are fully invariant, as the projections
-    onto N1 and N2 are endomorphisms of N: a piece that is not raises, its
-    full invariance read from the piece group's analysis."""
-    if dual:
-        grp, q = quotient(part.ambient, part)
-        fk = map_subgroup(q, f)
-    else:
-        inc = inclusion(part)
-        grp, fk = inc.dom, preimage_subgroup(inc, f)
-    analysis_for(grp).require_fully_invariant(fk)
-    return grp, fk
 
 
 @_check("tds")
@@ -461,8 +441,9 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps):
     type differ by an α ∈ Aut(N), which fixes F and carries each piece and
     its F onto the other's, and a fully invariant piece of F is fixed by
     every automorphism of its canonical group, so both read the same
-    (factors, F-piece) verdicts.  A representative adds its count of
-    instances per known verdict, or that many skips; a failure names the
+    (factors, F-piece) verdicts, read from the types (fi_piece): F∩X, F∩Y
+    primal, and F∩Y, F∩X dual, as N/X ≅ Y.  A representative adds its count
+    of instances per known verdict, or that many skips; a failure names the
     representative and carries the count under "decompositions"."""
     rep.notes.append(
         "decompositions N = X ⊕ Y are counted per unordered pair of summand "
@@ -477,13 +458,14 @@ def check_tds(rep: TheoremReport, corpus: Corpus, caps: Caps):
         for _, f, _ in turn.decided(rep):
             if types is None:
                 types = _decomposition_types(n_grp, caps)
-            for x, y, count in types:
-                pieces = {dual: [_tds_piece(part, f, dual) for part in (x, y)] for dual in (False, True)}
+            exponents = fi_exponents(n_grp, f)
+            for x, y, a, b, count in types:
+                pieces = [fi_piece(exponents, a), fi_piece(exponents, b)]
                 for m, strongly, dual in itertools.product(samples, (False, True), (False, True)):
                     whole, *parts = (
-                        is_dual_M_F_split(n, m, fn, strongly, caps.hom_budget) if dual
-                        else is_M_F_split(m, n, fn, strongly, caps.hom_budget)
-                        for n, fn in ((n_grp, f), *pieces[dual])
+                        is_dual_M_F_split(fn.ambient, m, fn, strongly, caps.hom_budget) if dual
+                        else is_M_F_split(m, fn.ambient, fn, strongly, caps.hom_budget)
+                        for fn in (f, *(pieces[::-1] if dual else pieces))
                     )
                     if whole.is_unknown or any(p.is_unknown for p in parts):
                         rep.skipped.extend(
@@ -577,8 +559,7 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps):
             ):
                 rep.failures.append({"parts": parts, "f": [str(fa), str(fb)], "variant": "plain"})
             # strong variant: include the Hom(Ck, Cl) = 0 condition
-            ca, _ = quotient(a, fa)
-            cb, _ = quotient(b, fb)
+            ca, cb = analysis_for(a).factor_groups(fa)[0], analysis_for(b).factor_groups(fb)[0]
             homzero_c = hom_count(ca, cb) == 1 and hom_count(cb, ca) == 1
             rep.instances += 1
             expected = (
@@ -755,8 +736,7 @@ def check_semis(rep: TheoremReport, corpus: Corpus, caps: Caps, max_n: int = 30)
                          "primal": prof["primal_plain"].answer,
                          "dual": prof["dual_plain"].answer}
                     )
-                cgrp, _ = quotient(m, f)
-                fgrp = subgroup_group(f)
+                cgrp, fgrp = analysis_for(m).factor_groups(f)
                 want_strong = prof["primal_plain"].is_yes and end_ring_abelian_closed_form(cgrp)
                 want_dual_strong = prof["dual_plain"].is_yes and end_ring_abelian_closed_form(fgrp)
                 if prof["primal_strong"].is_yes != want_strong or (

@@ -47,7 +47,7 @@ from .groups import (
     retraction_witness,
     Value,
 )
-from .intmat import Matrix, SeededHnf, freeze, identity, prime_factors
+from .intmat import Matrix, SeededHnf, _diag_after, freeze, identity, prime_factors
 from .subgroups import (
     Subgroup,
     all_subgroups,
@@ -206,10 +206,14 @@ class SubProps:
 
     @cached_property
     def is_summand(self) -> bool:
-        """Purity decides on a finite ambient, with no retraction built;
-        with a free part the witness does."""
-        if self.subgroup.ambient.is_finite:
-            return is_pure(self.subgroup)
+        """Purity decides on a finite ambient, with no retraction built (on
+        the bitsets when its analysis has them); with a free part the
+        witness does."""
+        m = self.subgroup.ambient
+        if m.is_finite:
+            analysis = analysis_for(m)
+            mask = analysis._masks.get(self.subgroup.canonical)
+            return is_pure(self.subgroup, None if mask is None else (analysis.bits, mask))
         return self.retraction is not None
 
     @cached_property
@@ -263,6 +267,8 @@ class GroupAnalysis:
         self._sweeps: dict[tuple, tuple[int, SplitVerdict, SplitVerdict]] = {}
         # the lattices every such sweep joins, by the moduli of their states
         self._sweep_lattices: dict[tuple[int, ...], SweepLattices] = {}
+        # (M/F, F) of each fully invariant F read (fi_factors), by F
+        self._factor_groups: dict[Matrix, tuple[FgAbGroup, FgAbGroup]] = {}
 
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
@@ -277,6 +283,13 @@ class GroupAnalysis:
         lives elsewhere or is not fully invariant."""
         if s.ambient != self.group or not self.subgroup_props(s).is_fi:
             require_fully_invariant(self.group, s)
+
+    def factor_groups(self, f_sub: Subgroup) -> tuple[FgAbGroup, FgAbGroup]:
+        """fi_factors(M, F), read once per F."""
+        out = self._factor_groups.get(f_sub.canonical)
+        if out is None:
+            out = self._factor_groups[f_sub.canonical] = fi_factors(self.group, f_sub)
+        return out
 
     def subgroups(self, cap: int) -> list[Subgroup]:
         """Every subgroup, listed once; a cap below the order refuses on
@@ -411,6 +424,46 @@ def _fi_steps(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[int, ...]:
             )
         steps[j] = row[j]
     return tuple(steps)
+
+
+def fi_exponents(carrier: FgAbGroup, f_sub: Subgroup) -> dict[int, dict[int, int]]:
+    """F's exponent function k[p][e] = v_p(a_i), on each finite coordinate
+    with v_p(d_i) = e, and k[p][0] = 0, for F = ⊕ a_i<e_i> (_fi_steps).  A
+    diagonal F is fully invariant in a finite group iff each k_p is
+    single-valued with k_p and e - k_p non-decreasing (Kaplansky, Infinite
+    Abelian Groups); sorted by (e, k), a second k at one e breaks the
+    latter.  Any other F raises."""
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for d, a in zip(carrier.factors, _fi_steps(carrier, f_sub)):
+        for p, e in prime_factors(d).items() if d else ():
+            pairs.setdefault(p, [(0, 0)]).append((e, prime_factors(a).get(p, 0)))
+    for p, ek in pairs.items():
+        ek.sort()
+        if any(k > l or e - k > f - l for (e, k), (f, l) in zip(ek, ek[1:])):
+            raise InternalConsistencyError(
+                f"F = {f_sub} in {carrier} is not fully invariant: its exponents at {p} are {ek}"
+            )
+    return {p: dict(ek) for p, ek in pairs.items()}
+
+
+def fi_piece(exponents: dict[int, dict[int, int]], factors: tuple[int, ...]) -> Subgroup:
+    """F ∩ X in the canonical group of a summand X with factors c_j, for F
+    with these exponents: ⊕ (Π_p p^k_p(v_p(c_j)))<e_j>, as every cyclic
+    summand of order p^e meets F in its p^k_p(e) multiples.  With N = X ⊕ Y,
+    (F + X)/X ⊆ N/X ≅ Y is F ∩ Y."""
+    steps = [prod(p ** exponents[p][e] for p, e in prime_factors(c).items()) for c in factors]
+    return Subgroup(FgAbGroup(factors), tuple(_diag_after(0, steps)))
+
+
+def fi_factors(carrier: FgAbGroup, f_sub: Subgroup) -> tuple[FgAbGroup, FgAbGroup]:
+    """(M/F, F) for a fully invariant F = ⊕ a_i<e_i>: ⊕ Z/a_i and
+    ⊕ Z/(d_i/a_i), where a free coordinate gives Z and nothing when a_i = 0,
+    else Z/a_i and Z.  Without their 1s both are divisibility chains, by
+    fi_exponents' conditions and as a free a_i is a multiple of every other."""
+    fi_exponents(carrier, f_sub)
+    steps = _fi_steps(carrier, f_sub)
+    sub = (d // a if d else 0 for d, a in zip(carrier.factors, steps) if a and a != d)
+    return FgAbGroup(tuple(a for a in steps if a != 1)), FgAbGroup(tuple(sub))
 
 
 def _sweep(
@@ -873,12 +926,11 @@ def _strong_routes(
 def _self_F_split_theorem(
     m: FgAbGroup, f_sub: Subgroup, strongly: bool, dual: bool, caps: Caps
 ) -> SplitVerdict:
-    """Theorem mode on one side.  The factor is M/F, reached through the
-    quotient q (primal), or F, reached through the inclusion inc (dual); a
+    """Theorem mode on one side.  The decision reads the structure of the
+    factor alone, M/F (primal) or F (dual), in closed form (factor_groups).  A
     witness endomorphism w of the factor lifts to s∘w∘q resp. inc∘w∘ρ on M,
-    with s a section of q and ρ a retraction onto F.  The decision reads
-    the factor's structure alone; the strong witness and the lift are
-    built when the counterexample is first read."""
+    with q the quotient map, s a section of it, inc the inclusion of F and
+    ρ a retraction onto F, all built when the counterexample is first read."""
     analysis = analysis_for(m)
     analysis.require_fully_invariant(f_sub)
     trace: list[str] = []
@@ -894,12 +946,10 @@ def _self_F_split_theorem(
         trace.append("F is not a direct summand; identity is a counterexample")
         return verdict(NO, Counterexample(identity_hom(m), f_sub, "not_summand"))
     trace.append("F is a direct summand")
+    factor = analysis.factor_groups(f_sub)[dual]
     if dual:
-        inc = inclusion(f_sub)
-        factor = inc.dom
         noun, rickart, part = "kernel object", "dual self-Rickart", "image"
     else:
-        factor, q = quotient(m, f_sub)
         noun, rickart, part = "complement", "self-Rickart", "kernel"
     plain_ok, wit = structural_self_rickart(factor, dual)
 
@@ -907,8 +957,9 @@ def _self_F_split_theorem(
         def counterexample() -> Counterexample:
             w = witness()
             if dual:
-                g = compose(inc, compose(w, fprops.retraction))
+                g = compose(inclusion(f_sub), compose(w, fprops.retraction))
             else:
+                q = quotient(m, f_sub)[1]
                 g = compose(retraction_witness(q), compose(w, q))
             return Counterexample(g, _reached(g, f_sub, dual), kind)
 

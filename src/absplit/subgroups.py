@@ -286,7 +286,7 @@ class ElementBits:
         self.sizes = [prod(factors[i:]) for i in range(len(factors) + 1)]
         self.full = (1 << self.sizes[0]) - 1
         self._moves: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-        self._torsion: dict[int, int] = {}
+        self._diagonals: dict[tuple[int, ...], int] = {}
 
     def move(self, x: int, g: tuple[int, ...]) -> int:
         """The bitset x moved by the element g: each block of N_j bits
@@ -324,15 +324,19 @@ class ElementBits:
             return self.span(mask(rows[1:]), rows[:1]) if rows else 1
         return [mask(h) for h in forms]
 
+    def _diagonal(self, steps: tuple[int, ...]) -> int:
+        """The bitset of ⊕ a_i<e_i> over these steps a_i, built once."""
+        if steps not in self._diagonals:
+            self._diagonals[steps] = self.span(1, _diag_after(0, steps))
+        return self._diagonals[steps]
+
     def torsion(self, q: int) -> int:
         """The bitset of M[q] = {x : q·x = 0}, spanned by the (d_i / gcd(d_i, q))·e_i."""
-        if q not in self._torsion:
-            n = len(self.factors)
-            self._torsion[q] = self.span(1, (
-                tuple(d // gcd(d, q) if i == j else 0 for j in range(n))
-                for i, d in enumerate(self.factors)
-            ))
-        return self._torsion[q]
+        return self._diagonal(tuple(d // gcd(d, q) for d in self.factors))
+
+    def multiples(self, q: int) -> int:
+        """The bitset of qM, spanned by the q·e_i."""
+        return self._diagonal((q,) * len(self.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +451,25 @@ def _pure_layers(m: FgAbGroup) -> tuple[tuple[int, Subgroup], ...]:
     return tuple(out)
 
 
-def is_pure(s: Subgroup) -> bool:
+def is_pure(s: Subgroup, bits: Optional[tuple[ElementBits, int]] = None) -> bool:
     """Is S pure in its finite ambient M: S ∩ p^k M = p^k S for every prime p
     and every k >= 1?  In a finite abelian group the pure subgroups are
     exactly the direct summands (Kulikov; Fuchs, Infinite Abelian Groups I,
     §27–28), so this decides summands without solving for a retraction.
     Only k < e_p needs a test: from e_p on, p^k M is the p'-part of M and
-    both sides are the p'-part of S."""
+    both sides are the p'-part of S.  Given M's bitsets and S's, (bits, mask),
+    a layer is a count: x -> q·x maps S onto qS ⊆ S ∩ qM with kernel S ∩ M[q],
+    so the two are equal iff |S ∩ qM|·|S ∩ M[q]| = |S|."""
     m = s.ambient
     if not m.is_finite:
         raise ObjectMismatchError("purity test requires a finite ambient")
     for q, layer in _pure_layers(m):
-        multiples = sub_from_gens(m, [tuple(q * x for x in r) for r in s.canonical])
-        if intersect(s, layer).canonical != multiples.canonical:
+        if bits is not None:
+            index, mask = bits
+            sizes = (mask & index.multiples(q)).bit_count() * (mask & index.torsion(q)).bit_count()
+            if sizes != mask.bit_count():
+                return False
+        elif intersect(s, layer) != sub_from_gens(m, [tuple(q * x for x in r) for r in s.canonical]):
             return False
     return True
 

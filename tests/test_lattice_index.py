@@ -15,11 +15,11 @@ from math import prod
 
 import pytest
 
-from absplit import splitness
+from absplit import splitness, subgroups
 from absplit.groups import format_group
 from absplit.harness import enumerate_groups
 from absplit.splitness import Caps, analysis_for, self_split_profile_theorem
-from absplit.subgroups import intersect, subgroup_group, sum_sub
+from absplit.subgroups import intersect, is_pure, subgroup_group, sum_sub
 from oracles import summands_closed_by_hermite
 
 _RAISED = os.environ.get("ABSPLIT_INDEX_MAX_ORDER")
@@ -140,6 +140,20 @@ def test_lattice_queries_match_the_elements_and_hermite(cold, m):
             complement = a.bit_count() * b.bit_count() == m.order and a & b == 1
             assert complement == (len(a_set & b_set) == 1 and len(sum_set) == m.order), (s, t)
             assert complement == (s.order * t.order == m.order and sum_sub(s, t).is_full), (s, t)
+
+
+@pytest.mark.parametrize("m", list(enumerate_groups(MASK_MAX_ORDER)), ids=format_group)
+def test_purity_from_bitsets_matches_hermite(cold, monkeypatch, m):
+    # |S ∩ qM|·|S ∩ M[q]| = |S| for each layer q against the Hermite test
+    # S ∩ qM = qS; a listed subgroup's summand test then makes no Hermite
+    # intersection
+    analysis = analysis_for(m)
+    masks = analysis.masks(CAP)
+    want = {s: is_pure(s) for s in analysis.subgroups(CAP)}
+    monkeypatch.setattr(subgroups, "intersect", None)
+    for s, pure in want.items():
+        assert is_pure(s, (analysis.bits, masks[s.canonical])) == pure, s
+        assert analysis.subgroup_props(s).is_summand == pure, s
 
 
 @pytest.mark.parametrize("m", list(enumerate_groups(CLOSED_MAX_ORDER)), ids=format_group)

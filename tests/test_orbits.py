@@ -7,6 +7,11 @@ summand types and counts the rest.  The oracles below are the every-pair
 and every-decomposition forms those replaced.  Tier-1 runs them to order 32;
 ABSPLIT_ORBIT_MAX_ORDER raises the bound (CI runs them to order 48 in a
 step of its own).
+
+tds reads its pieces in closed form (splitness.fi_piece); the piece tests
+below check it against the Hermite oracle _piece on every summand, to order
+32 in tier-1, and ABSPLIT_CLOSED_FORM_MAX_ORDER raises that bound (CI runs
+them to order 96 in a step of its own).
 """
 
 import collections
@@ -23,13 +28,20 @@ from absplit.harness import (
     TheoremReport,
     _Turn,
     _decomposition_types,
-    _tds_piece,
     check_csip,
     check_tds,
     check_tdsprerad,
     enumerate_groups,
 )
-from absplit.splitness import Caps, analysis_for, is_dual_M_F_split, is_M_F_split
+from absplit.intmat import prime_factors
+from absplit.splitness import (
+    Caps,
+    analysis_for,
+    fi_exponents,
+    fi_piece,
+    is_dual_M_F_split,
+    is_M_F_split,
+)
 from absplit.subgroups import (
     inclusion,
     intersect,
@@ -44,6 +56,7 @@ from oracles import _decompositions, near_by_hermite
 
 MAX_ORDER = int(os.environ.get("ABSPLIT_ORBIT_MAX_ORDER", "32"))
 CORPUS = enumerate_groups(MAX_ORDER)
+PIECE_CORPUS = enumerate_groups(int(os.environ.get("ABSPLIT_CLOSED_FORM_MAX_ORDER", "32")))
 CAPS = Caps()
 
 
@@ -131,19 +144,39 @@ def test_sip_and_ssp_over_an_f_not_fully_invariant_match_every_pair(monkeypatch)
         assert joined == _unnested(itertools.combinations(cands, 2)), (m, f, dual)
 
 
-@pytest.mark.parametrize("n_grp", list(CORPUS), ids=format_group)
+def _complement_type(n_grp, a):
+    """The invariant factors of B with N ≅ A ⊕ B: N's prime powers less A's."""
+    powers = collections.Counter(p**e for d in n_grp.factors for p, e in prime_factors(d).items())
+    powers.subtract(p**e for d in a for p, e in prime_factors(d).items())
+    return group(*powers.elements()).factors
+
+
+def _closed_form_cases(n_grp):
+    """(F, X, F's exponent function) for every fully invariant F and every
+    summand X of N, each a part of some decomposition N = X ⊕ Y."""
+    analysis = analysis_for(n_grp)
+    for f in analysis.fi_subgroups(CAPS.subgroup_cap):
+        exponents = fi_exponents(n_grp, f)
+        for part in analysis.summands(CAPS.subgroup_cap):
+            yield f, part, exponents
+
+
+@pytest.mark.parametrize("n_grp", list(PIECE_CORPUS), ids=format_group)
 def test_primal_tds_piece_reads_f_with_no_intersection(n_grp):
-    # the inclusion of X lands in X, so inc⁻¹(F) = inc⁻¹(F ∩ X): on every
-    # decomposition and every fully invariant F, _tds_piece gives the
-    # piece the intersection gives; a piece depends on its part alone, so
-    # each part of some decomposition is tested once
-    parts = dict.fromkeys(part for xy in _decompositions(n_grp, CAPS) for part in xy)
-    for f in analysis_for(n_grp).fi_subgroups(CAPS.subgroup_cap):
-        for part in parts:
-            inc = inclusion(part)
-            want = preimage_subgroup(inc, intersect(f, part))
-            assert preimage_subgroup(inc, f) == want, (n_grp, f, part)
-            assert _tds_piece(part, f, False) == (inc.dom, want), (n_grp, f, part)
+    # F ∩ X inside X's canonical group, read from X's type and F's exponent
+    # function, is the piece the intersection and the inclusion give
+    for f, part, exponents in _closed_form_cases(n_grp):
+        want = _piece(part, f, False)[1]
+        assert fi_piece(exponents, _type(part)) == want, (n_grp, f, part)
+
+
+@pytest.mark.parametrize("n_grp", list(PIECE_CORPUS), ids=format_group)
+def test_dual_tds_piece_reads_f_with_no_quotient(n_grp):
+    # (F + X)/X inside N/X ≅ Y, read from the complement's type and F's
+    # exponent function, is the piece the quotient map gives
+    for f, part, exponents in _closed_form_cases(n_grp):
+        want = _piece(part, f, True)[1]
+        assert fi_piece(exponents, _complement_type(n_grp, _type(part))) == want, (n_grp, f, part)
 
 
 def _piece(part, f, dual):
@@ -237,8 +270,9 @@ def test_decomposition_types_count_every_decomposition(n_grp):
     want = collections.Counter(_type_pair(x, y) for x, y in _decompositions(n_grp, CAPS))
     summands = analysis_for(n_grp).summands(CAPS.subgroup_cap)
     got = collections.Counter()
-    for x, y, count in _decomposition_types(n_grp, CAPS):
-        # complementary summands, X the first summand of its type
+    for x, y, a, b, count in _decomposition_types(n_grp, CAPS):
+        # complementary summands of types A and B, X the first of its type
+        assert (a, b) == (_type(x), _type(y)), (x, y)
         assert analysis_for(n_grp).subgroup_props(y).is_summand
         assert sum_sub(x, y).is_full and intersect(x, y).order == 1, (x, y)
         assert x == next(s for s in summands if _type(s) == _type(x)), x
@@ -255,7 +289,7 @@ def test_tds_matches_every_decomposition():
     # pieces come in the same order when the decomposition's do
     entries = {}
     for n_grp, f, _ in _walk(CORPUS, CAPS, TheoremReport("tds")):
-        for x, y, _count in _decomposition_types(n_grp, CAPS):
+        for x, y, _a, _b, _count in _decomposition_types(n_grp, CAPS):
             rows = _tds_rows(n_grp, f, x, y, _samples(n_grp), CAPS)
             entries[n_grp, f, _type_pair(x, y)] = (_type(x), [
                 (m, strongly, dual, whole.answer, [p.answer for p in parts])

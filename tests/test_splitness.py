@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import os
 import random
 
 import pytest
@@ -25,6 +26,8 @@ from absplit.splitness import (
     decide_self_profile,
     end_ring,
     end_ring_abelian_closed_form,
+    fi_exponents,
+    fi_factors,
     has_sip_summands_containing,
     has_ssp_summands_contained_in,
     is_abelian_ring,
@@ -926,6 +929,34 @@ def test_verify_sweeps_each_argument_once(monkeypatch):
     assert any(src != dst for src, dst, _, _ in keys)
 
 
+def test_verify_reads_tds_pieces_and_factor_groups_in_closed_form(monkeypatch):
+    # verify-24 builds no quotient, inclusion, preimage or image of a finite
+    # group: tds pieces and the factors M/F and F are read in closed form,
+    # and what is left is the summand tests of thomzero's free-part pattern
+    from absplit import harness, subgroups
+
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    ambients = {
+        "quotient": lambda m, s: m,
+        "inclusion": lambda s: s.ambient,
+        "preimage_subgroup": lambda f, t: f.dom,
+        "map_subgroup": lambda f, s: f.cod,
+    }
+    calls = []
+    for name, ambient in ambients.items():
+        real = getattr(subgroups, name)
+
+        def counted(*args, real=real, ambient=ambient):
+            calls.append(ambient(*args))
+            return real(*args)
+
+        for module in (splitness, subgroups):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert harness.run_verification(24)["passed"]
+    assert calls and not any(m.is_finite for m in calls)
+
+
 def test_verify_builds_no_counterexample_it_does_not_read(monkeypatch):
     # verify-24 reads answers alone: theorem mode lifts no witness
     # endomorphism and brute force builds no sample, so nothing composes
@@ -1227,3 +1258,70 @@ def test_dual_summand_route_inside_finite_f_is_cheap(monkeypatch):
     verdicts = ("self_F_split", "strongly", "dual_self_F_split", "dual_strongly")
     assert (row["order"], row["is_summand"]) == (64, True)
     assert [row[k] for k in verdicts] == ["yes", "yes", "yes", "no"]
+
+
+# --- closed-form sub-quotients of a fully invariant F -----------------------
+# ABSPLIT_CLOSED_FORM_MAX_ORDER raises the order bound below (CI runs these
+# to order 96 in a step of its own)
+
+_CLOSED_FORM_MAX_ORDER = int(os.environ.get("ABSPLIT_CLOSED_FORM_MAX_ORDER") or 64)
+
+
+def test_closed_form_factor_groups_match_smith_on_every_fully_invariant_f():
+    # M/F = ⊕ Z/a_i and F = ⊕ Z/(d_i/a_i) against the Smith forms of the
+    # quotient and of the subgroup, on every (M, fully invariant F)
+    pairs = 0
+    for m in enumerate_groups(_CLOSED_FORM_MAX_ORDER):
+        for f in splitness.analysis_for(m).fi_subgroups(DEFAULT_SUBGROUP_CAP):
+            assert fi_factors(m, f) == (quotient(m, f)[0], subgroup_group(f)), (m, f)
+            pairs += 1
+    assert pairs >= 541
+
+
+def test_closed_form_factor_groups_match_smith_on_the_mixed_pool_specs():
+    # a free coordinate gives Z to M/F when F misses it, else Z/a_i to M/F
+    # and Z to F; nM meets every free coordinate, the other preradicals none
+    seen = set()
+    for spec in _mixed_pool_specs():
+        m = parse_group_spec(spec)
+        for name in _MIXED_PRERADICALS + ("mul:2", "mul:6"):
+            f = evaluate(parse_preradical(name), m)
+            assert fi_factors(m, f) == (quotient(m, f)[0], subgroup_group(f)), (spec, name)
+            steps = splitness._fi_steps(m, f)
+            seen.update(a > 0 for d, a in zip(m.factors, steps) if d == 0)
+    assert seen == {False, True}
+
+
+def test_closed_form_refuses_an_f_that_is_not_fully_invariant():
+    # <(1, 0)> in Z/2 ⊕ Z/2 is diagonal, with steps (1, 2): its exponent
+    # function takes two values at 2-exponent 1, so every closed-form
+    # reader raises, while theorem mode rejects it before reading one
+    m = group(2, 2)
+    f = sub_from_gens(m, [(1, 0)])
+    assert splitness._fi_steps(m, f) == (1, 2)
+    for read in (fi_exponents, fi_factors):
+        with pytest.raises(InternalConsistencyError):
+            read(m, f)
+    for theorem in (is_self_F_split_theorem, is_dual_self_F_split_theorem):
+        for strongly in (False, True):
+            with pytest.raises(FullyInvariantError):
+                theorem(m, f, strongly)
+
+
+def test_closed_form_refuses_exactly_the_diagonal_f_not_fully_invariant():
+    # Kaplansky: a diagonal F of a finite group is fully invariant iff each
+    # exponent function k_p is single-valued with k_p and e - k_p
+    # non-decreasing, which fi_exponents tests
+    refused = 0
+    for m in enumerate_groups(32):
+        for s in splitness.analysis_for(m).subgroups(DEFAULT_SUBGROUP_CAP):
+            if any(sum(1 for x in row if x) != 1 for row in s.canonical):
+                continue
+            try:
+                fi_exponents(m, s)
+            except InternalConsistencyError:
+                refused += 1
+                assert not is_fully_invariant(s), (m, s)
+            else:
+                assert is_fully_invariant(s), (m, s)
+    assert refused > 0
