@@ -241,19 +241,21 @@ def zero_hom(dom: FgAbGroup, cod: FgAbGroup) -> Morphism:
     return Morphism(dom, cod, tuple((0,) * dom.ngens for _ in range(cod.ngens)))
 
 
+def _product(cod: FgAbGroup, left: Matrix, right: Matrix, cols: int) -> Matrix:
+    """The rows of left · right reduced modulo cod's factors, for a right
+    with cols columns.  Through the trivial group (no inner dimension) right
+    has no row to carry its width, and the product is that many zeros a
+    row; with no row in left it has none."""
+    rows = mat_mul(left, right) if left and right else ((0,) * cols,) * len(left)
+    return _reduce_rows(cod, rows)
+
+
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f ∘ g (apply g first)."""
+    """f ∘ g (apply g first): entry (i, j) is Σ_t f[i][t]·g[t][j] reduced
+    modulo the i-th factor of cod(f)."""
     if g.cod != f.dom:
         raise ObjectMismatchError("compose: cod(g) != dom(f)")
-    mid = f.dom.ngens
-    rows = tuple(
-        tuple(
-            sum(f.rows[i][t] * g.rows[t][j] for t in range(mid))
-            for j in range(g.dom.ngens)
-        )
-        for i in range(f.cod.ngens)
-    )
-    return Morphism(g.dom, f.cod, _reduce_rows(f.cod, rows))
+    return Morphism(g.dom, f.cod, _product(f.cod, f.rows, g.rows, g.dom.ngens))
 
 
 def add_hom(f: Morphism, g: Morphism) -> Morphism:

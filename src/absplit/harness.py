@@ -411,10 +411,9 @@ def _decomposition_types(n_grp: FgAbGroup, caps: Caps) -> list[tuple[Subgroup, S
     when A = B, apart from the trivial group's one pair (0, 0).  With
     |X||Y| = |N|, X ⊕ Y = N iff X ∩ Y = 0, read from N's element bitsets."""
     analysis = analysis_for(n_grp)
-    masks = analysis.masks(caps.subgroup_cap)
     summands = analysis.summands(caps.subgroup_cap)
     types = [analysis.subgroup_props(s).iso_type for s in summands]
-    bits = [masks[s.canonical] for s in summands]
+    bits = [analysis.masks[s.canonical] for s in summands]
     order = n_grp.order
     out = []
     seen = set()
@@ -518,9 +517,13 @@ def check_thomzero(rep: TheoremReport, corpus: Corpus, caps: Caps):
         pass
     finite = [g for g in corpus if g.order and g.order > 1]
     pairs = []
+    # the corpus is sorted by order, so each a's partners end at the first b
+    # over the bound, and the scan reads only the pairs within it
     for i, a in enumerate(finite):
         for b in finite[i:]:
-            if gcd(a.order, b.order) == 1 and a.order * b.order <= corpus.max_order:
+            if a.order * b.order > corpus.max_order:
+                break
+            if gcd(a.order, b.order) == 1:
                 pairs.append((a, b))
     rep.notes.append(
         f"(A, B) takes the first {min(len(pairs), _THOMZERO_PAIRS)} of the {len(pairs)} "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -41,7 +42,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     bt = list(zip(*b)) if b else []
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 

@@ -70,7 +70,7 @@ def mul_image(n: int) -> Preradical:
 def ntorsion(n: int) -> Preradical:
     if n < 0:
         raise ValueError("torsion bound must be non-negative")
-    return Preradical("ntorsion", n, hereditary=True)
+    return Preradical("ntorsion", n, hereditary=True, idempotent=True)
 
 
 def divisible() -> Preradical:

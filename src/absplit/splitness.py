@@ -35,6 +35,7 @@ from typing import Callable, Iterator, Optional, Union
 from .groups import (
     FgAbGroup,
     _hom_table,
+    _product,
     Morphism,
     ObjectMismatchError,
     compose,
@@ -206,24 +207,26 @@ class SubProps:
 
     @cached_property
     def is_summand(self) -> bool:
-        """Purity decides on a finite ambient, with no retraction built (on
-        the bitsets when its analysis has them); with a free part the
-        witness does."""
+        """The test follows from the ambient M alone.  A listed M reads
+        purity from S's bitset; an unlisted finite M takes the Hermite
+        purity test; with a free part the retraction witness decides.
+        Neither purity test builds a retraction."""
         m = self.subgroup.ambient
-        if m.is_finite:
-            analysis = analysis_for(m)
-            mask = analysis._masks.get(self.subgroup.canonical)
-            return is_pure(self.subgroup, None if mask is None else (analysis.bits, mask))
-        return self.retraction is not None
+        if not m.is_finite:
+            return self.retraction is not None
+        analysis = analysis_for(m)
+        if analysis.bits is None:
+            return is_pure(self.subgroup)
+        return is_pure(self.subgroup, (analysis.bits, analysis.masks[self.subgroup.canonical]))
 
     @cached_property
     def iso_type(self) -> tuple[int, ...]:
-        """The invariant factors of a listed subgroup S, from the bitset its
-        analysis keeps (the caller builds them): with n_k = |S ∩ M[p^k]|,
-        n_k/n_{k-1} = p^r, r the number of cyclic factors of order >= p^k in
-        S's p-part, each one p of the r largest factors."""
+        """The invariant factors of a subgroup S of a listed M, from the
+        bitset M's analysis keeps: with n_k = |S ∩ M[p^k]|, n_k/n_{k-1} =
+        p^r, r the number of cyclic factors of order >= p^k in S's p-part,
+        each one p of the r largest factors."""
         analysis = analysis_for(self.subgroup.ambient)
-        mask = analysis._masks[self.subgroup.canonical]
+        mask = analysis.masks[self.subgroup.canonical]
         out: list[int] = []
         for p, top in prime_factors(analysis.group.exponent).items():
             sizes = [(mask & analysis.bits.torsion(p**k)).bit_count() for k in range(top + 1)]
@@ -247,20 +250,22 @@ class SubProps:
 class GroupAnalysis:
     """Memoized subgroup properties (summand/fully-invariant) for one group.
 
-    The lattice queries on a listed M's subgroups (M finite, of order at
-    most the subgroup cap) read their element bitsets (masks): the near-sets
-    of SIP/SSP, trel and theorem mode's strong summand route, nested pairs,
-    meets and sums, tds's complement test and isomorphism types.  Other
-    subgroups, and a free part, take Hermite and Smith forms."""
+    Listing M (finite, of order at most the subgroup cap) builds every
+    subgroup's element bitset with the list, in one stage.  The lattice
+    queries on a listed M read those bitsets (masks): summands, the
+    near-sets of SIP/SSP, trel and theorem mode's strong summand route,
+    nested pairs, meets and sums, tds's complement test and isomorphism
+    types.  An unlisted M, and a free part, take Hermite and Smith forms."""
 
     def __init__(self, m: FgAbGroup):
         self.group = m
         self._props: dict[Matrix, SubProps] = {}
         self._all_subgroups: Optional[list[Subgroup]] = None
         self._end_ring: Optional[EndRingView] = None
-        # the element bitsets of the listed subgroups, by canonical form
+        # the element bitsets of the listed subgroups, by canonical form in
+        # list order, built by subgroups; bits is None until M is listed
         self.bits: Optional[ElementBits] = None
-        self._masks: dict[Matrix, int] = {}
+        self.masks: dict[Matrix, int] = {}
         # (|Hom|, plain verdict, strong verdict) of each sweep with this group
         # quantified over, by (the other group's factors, F, side); the budget
         # only gates the sweep, so a refusal is never kept
@@ -292,29 +297,24 @@ class GroupAnalysis:
         return out
 
     def subgroups(self, cap: int) -> list[Subgroup]:
-        """Every subgroup, listed once; a cap below the order refuses on
-        every call, not only on the call that lists them."""
+        """Every subgroup, listed once together with its element bitset; a
+        cap below the order refuses on every call, not only on the call
+        that lists them."""
         if self._all_subgroups is None or self.group.order > cap:
-            self._all_subgroups = all_subgroups(self.group, cap)
-        return self._all_subgroups
-
-    def masks(self, cap: int) -> dict[Matrix, int]:
-        """Each listed subgroup's element bitset, by canonical form, in list
-        order; built on first call, and refused as subgroups is."""
-        subs = self.subgroups(cap)
-        if not self._masks:
+            subs = all_subgroups(self.group, cap)
             self.bits, forms = ElementBits(self.group.factors), [s.canonical for s in subs]
-            self._masks = dict(zip(forms, self.bits.masks(forms)))
-        return self._masks
+            self.masks = dict(zip(forms, self.bits.masks(forms)))
+            self._all_subgroups = subs
+        return self._all_subgroups
 
     def near(self, f_sub: Subgroup, cap: int, dual: bool) -> dict[int, Subgroup]:
         """The subgroups of M containing F (primal) or contained in F (dual),
         as {bitset: subgroup} in list order (A ⊆ B: A & ~B == 0)."""
         if f_sub.ambient != self.group:
             raise ObjectMismatchError("ambient mismatch")
-        masks = self.masks(cap)
-        f = masks[f_sub.canonical]
-        return {a: s for s, a in zip(self.subgroups(cap), masks.values()) if not (a & ~f if dual else f & ~a)}
+        subs = self.subgroups(cap)
+        f = self.masks[f_sub.canonical]
+        return {a: s for s, a in zip(subs, self.masks.values()) if not (a & ~f if dual else f & ~a)}
 
     def near_summands_fi(self, f_sub: Subgroup, cap: int, dual: bool) -> bool:
         """Is every direct summand of M containing F (contained in F, dual)
@@ -379,23 +379,6 @@ def analysis_for(m: FgAbGroup) -> GroupAnalysis:
         an = GroupAnalysis(m)
         _ANALYSES[m.factors] = an
     return an
-
-
-def _compose_rows(left: Matrix, right: Matrix, out_factors: tuple[int, ...]) -> Matrix:
-    """Reduced matrix product: rows of (left · right) mod out_factors."""
-    cols = len(right[0]) if right else 0
-    out = []
-    for i, lrow in enumerate(left):
-        d = out_factors[i]
-        row = []
-        for j in range(cols):
-            acc = 0
-            for t, c in enumerate(lrow):
-                if c:
-                    acc += c * right[t][j]
-            row.append(acc % d if d else acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _reached(g: Morphism, f_sub: Subgroup, dual: bool) -> Subgroup:
@@ -787,7 +770,7 @@ def _idempotents(m: FgAbGroup) -> Iterator[Matrix]:
         yield from _cyclic_idempotents(factors[0])
         return
     for e in iter_hom_rows(m, m):
-        if _compose_rows(e, e, factors) == e:
+        if _product(m, e, e, len(factors)) == e:
             yield e
 
 
@@ -812,14 +795,14 @@ def _enumerate_end_ring(m: FgAbGroup) -> EndRingView:
     central, so the scan stops at the first one that is not.  Centrality
     against the additive basis suffices: commutation with e is additive in
     the other argument."""
-    factors = m.factors
+    n = m.ngens
     basis = [h.rows for h in hom_group(m, m).basis]
     noncentral = next(
         (
             (e, h)
             for e in _idempotents(m)
             for h in basis
-            if _compose_rows(e, h, factors) != _compose_rows(h, e, factors)
+            if _product(m, e, h, n) != _product(m, h, e, n)
         ),
         None,
     )

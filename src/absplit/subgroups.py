@@ -137,14 +137,9 @@ def _columns(ambient: FgAbGroup, canonical: Matrix) -> Matrix:
     return tuple(zip(*canonical)) if canonical else ((),) * ambient.ngens
 
 
-@lru_cache(maxsize=None)
-def _inclusion_cached(ambient: FgAbGroup, canonical: Matrix) -> Morphism:
-    return _span_mono(ambient, _columns(ambient, canonical))
-
-
 def inclusion(s: Subgroup) -> Morphism:
     """Monomorphism from the abstract group of s into the ambient group."""
-    return _inclusion_cached(s.ambient, s.canonical)
+    return _span_mono(s.ambient, _columns(s.ambient, s.canonical))
 
 
 def subgroup_group(s: Subgroup) -> FgAbGroup:
@@ -459,7 +454,9 @@ def is_pure(s: Subgroup, bits: Optional[tuple[ElementBits, int]] = None) -> bool
     Only k < e_p needs a test: from e_p on, p^k M is the p'-part of M and
     both sides are the p'-part of S.  Given M's bitsets and S's, (bits, mask),
     a layer is a count: x -> q·x maps S onto qS ⊆ S ∩ qM with kernel S ∩ M[q],
-    so the two are equal iff |S ∩ qM|·|S ∩ M[q]| = |S|."""
+    so the two are equal iff |S ∩ qM|·|S ∩ M[q]| = |S|.  A listed M always
+    passes them (SubProps.is_summand); the Hermite test, one intersection a
+    layer, serves an M not yet listed."""
     m = s.ambient
     if not m.is_finite:
         raise ObjectMismatchError("purity test requires a finite ambient")

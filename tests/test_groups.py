@@ -595,6 +595,28 @@ def test_category_laws_500_random_triples():
         assert compose(identity_hom(d), f) == f
 
 
+def test_compose_is_the_entrywise_product_also_through_the_trivial_group():
+    # entry (i, j) of f ∘ g is Σ_t f[i][t]·g[t][j] reduced modulo the i-th
+    # factor of cod(f), in shape cod(f) × dom(g); three maps in four go into,
+    # through or out of the trivial group, where an inner or outer
+    # dimension is 0
+    rng = random.Random(2028)
+    pool = (0, 2, 3, 4, 6, 8, 9, 12)
+    for k in range(400):
+        objs = [random_group(rng, 2, pool) for _ in range(3)]
+        if k % 4 < 3:
+            objs[k % 4] = group()
+        a, b, c = objs
+        g, f = random_hom(rng, a, b), random_hom(rng, b, c)
+        entries = [
+            [(d, sum(f.rows[i][t] * g.rows[t][j] for t in range(b.ngens))) for j in range(a.ngens)]
+            for i, d in enumerate(c.factors)
+        ]
+        want = tuple(tuple(x % d if d else x for d, x in row) for row in entries)
+        got = compose(f, g)
+        assert (got.dom, got.cod, got.rows) == (a, c, want), (a, b, c)
+
+
 def test_additivity_bilinear():
     rng = random.Random(515)
     for _ in range(100):

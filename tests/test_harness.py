@@ -1,9 +1,11 @@
 """Corpus enumeration and the verification checks on small corpora."""
 
 import json
+from math import gcd
 
 import pytest
 
+from absplit import harness
 from absplit.groups import group
 from absplit.harness import (
     CHECKS,
@@ -137,6 +139,23 @@ def test_check_thomzero_small():
     assert rep.passed and rep.instances > 10
     assert len(rep.expected_failures) == 3
     assert not rep.expected_failure_misses
+
+
+def test_thomzero_pair_scan_stops_at_the_order_bound(monkeypatch):
+    # the corpus is sorted by order, so the scan tests the product first and
+    # stops at each a's first partner over the bound; at order 600 that is
+    # 3,553 gcd tests where the full scan of every pair made 765,703
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(harness, "gcd", counting)
+    rep = check_thomzero(enumerate_groups(600), CAPS)
+    assert rep.passed
+    assert len(calls) <= 3553
+    assert all(a * b <= 600 for a, b in calls)
 
 
 def test_check_tdsprerad_small():

@@ -1,7 +1,7 @@
-"""The element bitsets a finite group's analysis keeps for verify's lattice
-queries, against element sets built by closure and against the Hermite and
-Smith answers they replace, and theorem mode's reading of them against the
-coordinate summand test.
+"""The element bitsets a finite group's analysis builds when it lists the
+group, for verify's lattice queries, against element sets built by closure
+and against the Hermite and Smith answers they replace, and theorem mode's
+reading of them against the coordinate summand test.
 
 The reference below works on plain tuples: a group is its invariant factors
 and a subgroup the closure of its generators.  Tier-1 checks every subgroup
@@ -16,9 +16,15 @@ from math import prod
 import pytest
 
 from absplit import splitness, subgroups
-from absplit.groups import format_group
+from absplit.groups import format_group, hom_count
 from absplit.harness import enumerate_groups
-from absplit.splitness import Caps, analysis_for, self_split_profile_theorem
+from absplit.splitness import (
+    DEFAULT_HOM_BUDGET,
+    Caps,
+    analysis_for,
+    self_split_profile,
+    self_split_profile_theorem,
+)
 from absplit.subgroups import intersect, is_pure, subgroup_group, sum_sub
 from oracles import summands_closed_by_hermite
 
@@ -103,10 +109,13 @@ def cold(monkeypatch):
 
 @pytest.mark.parametrize("m", list(enumerate_groups(MASK_MAX_ORDER)), ids=format_group)
 def test_masks_are_the_element_sets(cold, m):
+    # listing M builds every subgroup's bitset, in list order, and nothing
+    # before it
     analysis = analysis_for(m)
-    masks = analysis.masks(CAP)
+    assert analysis.bits is None and not analysis.masks
     ref = _reference(m)
-    assert len(masks) == len(ref)
+    masks = analysis.masks
+    assert list(masks) == [s.canonical for s, _ in ref]
     for s, elements in ref:
         assert masks[s.canonical] == _bits(m.factors, elements), s
     # primal, the near-set of the trivial subgroup is the whole list
@@ -117,9 +126,9 @@ def test_masks_are_the_element_sets(cold, m):
 @pytest.mark.parametrize("m", list(enumerate_groups(MASK_MAX_ORDER)), ids=format_group)
 def test_lattice_queries_match_the_elements_and_hermite(cold, m):
     analysis = analysis_for(m)
-    masks = analysis.masks(CAP)
-    everything = {masks[s.canonical]: s for s in analysis.subgroups(CAP)}
     ref = _reference(m)
+    masks = analysis.masks
+    everything = {masks[s.canonical]: s for s, _ in ref}
     # each subgroup against a stride of the list, about 16 partners each
     stride = max(1, len(ref) // 16)
     for s, a_set in ref:
@@ -148,12 +157,30 @@ def test_purity_from_bitsets_matches_hermite(cold, monkeypatch, m):
     # S ∩ qM = qS; a listed subgroup's summand test then makes no Hermite
     # intersection
     analysis = analysis_for(m)
-    masks = analysis.masks(CAP)
     want = {s: is_pure(s) for s in analysis.subgroups(CAP)}
     monkeypatch.setattr(subgroups, "intersect", None)
     for s, pure in want.items():
-        assert is_pure(s, (analysis.bits, masks[s.canonical])) == pure, s
+        assert is_pure(s, (analysis.bits, analysis.masks[s.canonical])) == pure, s
         assert analysis.subgroup_props(s).is_summand == pure, s
+
+
+@pytest.mark.parametrize("m", list(enumerate_groups(MASK_MAX_ORDER)), ids=format_group)
+def test_a_listed_groups_sweeps_make_no_hermite_purity_call(cold, monkeypatch, m):
+    # listing M builds its bitsets, so every subgroup the sweeps reach
+    # afterwards reads its summand test from them, whichever query came
+    # first; each F is swept wherever the budget allows, so the patched
+    # intersect is met on every group the sweep can reach
+    analysis = analysis_for(m)
+    fs = analysis.fi_subgroups(CAP)
+
+    def hermite(s, t):
+        raise AssertionError(f"Hermite purity on listed {format_group(m)}")
+
+    monkeypatch.setattr(subgroups, "intersect", hermite)
+    swept = hom_count(m, m) <= DEFAULT_HOM_BUDGET
+    for f in fs:
+        for key, v in self_split_profile(m, f).items():
+            assert v.is_unknown != swept, (f, key)
 
 
 @pytest.mark.parametrize("m", list(enumerate_groups(CLOSED_MAX_ORDER)), ids=format_group)

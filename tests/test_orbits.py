@@ -15,6 +15,7 @@ them to order 96 in a step of its own).
 """
 
 import collections
+import functools
 import itertools
 import os
 
@@ -257,7 +258,10 @@ def _without_notes(rep):
     return doc
 
 
+@functools.cache
 def _type(s):
+    # the reference type, by Smith form; the decomposition tests ask it of
+    # the same summands once per pair
     return subgroup_group(s).factors
 
 

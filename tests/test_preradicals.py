@@ -30,7 +30,10 @@ from absplit.subgroups import (
 )
 from oracles import naturality_check, sub_equal
 
-ALL = [torsion(), socle(), radical(), ppart(2), ppart(3), mul_image(2), ntorsion(2), divisible()]
+ALL = [
+    torsion(), socle(), radical(), ppart(2), ppart(3), mul_image(2), mul_image(6),
+    ntorsion(2), ntorsion(4), divisible(),
+]
 
 
 def test_preradicals_are_immutable_values():
@@ -152,34 +155,56 @@ def test_images_fully_invariant_up_to_48():
             assert is_fully_invariant(evaluate(r, m)), (r.name, m.factors)
 
 
+# every group to order 48, each with its subgroups, for the flag laws below
+LAW_GROUPS = [(m, all_subgroups(m)) for m in enumerate_groups(48)]
+
+
+def _flagged(flag):
+    chosen = [r for r in ALL if getattr(r, flag)]
+    assert chosen, flag
+    return chosen
+
+
 def test_hereditary_on_subgroups():
-    # r(N) ∩ N' = r(N') for hereditary preradicals
-    rng = random.Random(5)
-    hered = [torsion(), socle(), ppart(2), ntorsion(2), ntorsion(4)]
-    for _ in range(60):
-        n = rng.choice([group(4, 3), group(2, 4), group(8), group(2, 2, 2), group(12), group(9, 3)])
-        subs = all_subgroups(n)
-        np = rng.choice(subs)
-        inc = inclusion(np)
-        for r in hered:
-            lhs = intersect(evaluate(r, n), np)
-            rhs = map_subgroup(inc, evaluate(r, inc.dom))
-            assert lhs.canonical == rhs.canonical, (r.name, n.factors, np.canonical)
+    # r(N) ∩ N' = r(N') for every preradical flagged hereditary
+    hered = _flagged("hereditary")
+    for n, subs in LAW_GROUPS:
+        rn = {r: evaluate(r, n) for r in hered}
+        for np in subs:
+            inc = inclusion(np)
+            for r in hered:
+                lhs = intersect(rn[r], np)
+                rhs = map_subgroup(inc, evaluate(r, inc.dom))
+                assert lhs.canonical == rhs.canonical, (r.name, n.factors, np.canonical)
 
 
 def test_cohereditary_on_quotients():
-    # (r(N) + N')/N' = r(N/N') for cohereditary preradicals
-    rng = random.Random(6)
-    cohered = [radical(), mul_image(2), mul_image(6)]
-    for _ in range(60):
-        n = rng.choice([group(4, 3), group(2, 4), group(8), group(2, 2, 2), group(12)])
-        subs = all_subgroups(n)
-        np = rng.choice(subs)
-        cgrp, q = quotient(n, np)
-        for r in cohered:
-            lhs = map_subgroup(q, evaluate(r, n))
-            rhs = evaluate(r, cgrp)
-            assert lhs.canonical == rhs.canonical, (r.name, n.factors, np.canonical)
+    # (r(N) + N')/N' = r(N/N') for every preradical flagged cohereditary
+    cohered = _flagged("cohereditary")
+    for n, subs in LAW_GROUPS:
+        rn = {r: evaluate(r, n) for r in cohered}
+        for np in subs:
+            cgrp, q = quotient(n, np)
+            for r in cohered:
+                lhs = map_subgroup(q, rn[r])
+                rhs = evaluate(r, cgrp)
+                assert lhs.canonical == rhs.canonical, (r.name, n.factors, np.canonical)
+
+
+def test_idempotent_on_its_image():
+    # r(r(M)) = r(M) for every preradical flagged idempotent
+    for r in _flagged("idempotent"):
+        for m, _ in LAW_GROUPS:
+            inc = inclusion(evaluate(r, m))
+            assert map_subgroup(inc, evaluate(r, inc.dom)) == evaluate(r, m), (r.name, m.factors)
+
+
+def test_radical_on_its_quotient():
+    # r(M/r(M)) = 0 for every preradical flagged as a radical
+    for r in _flagged("is_radical"):
+        for m, _ in LAW_GROUPS:
+            cgrp, _ = quotient(m, evaluate(r, m))
+            assert evaluate(r, cgrp).order == 1, (r.name, m.factors)
 
 
 def test_radical_superfluous_socle_essential():
