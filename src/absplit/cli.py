@@ -49,7 +49,7 @@ def _caps_from_args(args) -> Caps:
     return Caps(
         hom_budget=args.budget_hom,
         subgroup_cap=args.cap_subgroups,
-        per_group_timeout_s=args.timeout,
+        per_group_timeout_s=getattr(args, "timeout", 0.0),  # verify's flag
     )
 
 
@@ -58,10 +58,6 @@ def _add_caps_flags(p: argparse.ArgumentParser):
                    help="largest Hom set brute force will enumerate")
     p.add_argument("--cap-subgroups", type=_at_least(0), default=Caps().subgroup_cap,
                    help="largest group order for subgroup enumeration")
-    p.add_argument("--timeout", type=_at_least(0, float), default=0.0,
-                   help="per-group wall clock guard in seconds, one clock per "
-                        "group shared by the checks that walk it (0 = off; "
-                        "timing-based skips make reports nondeterministic)")
 
 
 def _emit(doc: dict, out: Optional[str], as_json: bool, human: str, code: int) -> int:
@@ -241,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", help="write the JSON report to a file")
     _add_caps_flags(p_verify)
+    p_verify.add_argument("--timeout", type=_at_least(0, float), default=0.0,
+                          help="per-group wall clock guard in seconds, one clock per "
+                               "group shared by the checks that walk it (0 = off; "
+                               "timing-based skips make reports nondeterministic)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_ex = sub.add_parser(

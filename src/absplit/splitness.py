@@ -20,8 +20,8 @@ Two independent decision modes are provided:
 Every No verdict carries a counterexample morphism whose failure re-verifies
 independently; brute-force Yes verdicts carry per-kernel witnesses.  Both
 are built when first read: theorem mode builds and lifts its witness
-endomorphism, and brute force turns the entries the sweep kept into a
-morphism, only for a reader of the certificate.  SIP/SSP decides a pair of
+endomorphism, and brute force builds morphisms from the entries its sweep
+kept (No) or meets on a fresh run (Yes).  SIP/SSP decides a pair of
 nested summands without a join, as the join is then one of the pair.
 """
 
@@ -53,7 +53,6 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     ElementBits,
-    fi_violation,
     full_subgroup,
     inclusion,
     is_fully_invariant,
@@ -196,9 +195,9 @@ PROFILE_KEYS = tuple(_profile_key(strongly, dual) for dual, strongly in _PROFILE
 
 class SubProps:
     # no __slots__: cached_property stores its value in the instance __dict__
-    def __init__(self, subgroup: Subgroup, fi_viol: Optional[tuple[Morphism, tuple[int, ...]]]):
+    def __init__(self, subgroup: Subgroup, is_fi: bool):
         self.subgroup = subgroup
-        self.fi_viol = fi_viol
+        self.is_fi = is_fi
 
     @cached_property
     def retraction(self) -> Optional[Morphism]:
@@ -207,17 +206,17 @@ class SubProps:
 
     @cached_property
     def is_summand(self) -> bool:
-        """The test follows from the ambient M alone.  A listed M reads
-        purity from S's bitset; an unlisted finite M takes the Hermite
-        purity test; with a free part the retraction witness decides.
-        Neither purity test builds a retraction."""
+        """The test follows from the ambient M alone: a listed M counts on
+        S's bitset (ElementBits.is_pure), an unlisted finite M takes the
+        Hermite test (is_pure), and with a free part the retraction witness
+        decides.  Neither purity test builds a retraction."""
         m = self.subgroup.ambient
         if not m.is_finite:
             return self.retraction is not None
         analysis = analysis_for(m)
         if analysis.bits is None:
             return is_pure(self.subgroup)
-        return is_pure(self.subgroup, (analysis.bits, analysis.masks[self.subgroup.canonical]))
+        return analysis.bits.is_pure(analysis.masks[self.subgroup.canonical])
 
     @cached_property
     def iso_type(self) -> tuple[int, ...]:
@@ -235,10 +234,6 @@ class SubProps:
                 out += [1] * (r - len(out))
                 out[:r] = [x * p for x in out[:r]]
         return tuple(reversed(out))
-
-    @property
-    def is_fi(self) -> bool:
-        return self.fi_viol is None
 
     @property
     def is_non_fi_summand(self) -> bool:
@@ -278,7 +273,7 @@ class GroupAnalysis:
     def subgroup_props(self, s: Subgroup) -> SubProps:
         props = self._props.get(s.canonical)
         if props is None:
-            props = SubProps(s, fi_violation(s))
+            props = SubProps(s, is_fully_invariant(s))
             self._props[s.canonical] = props
         return props
 
@@ -565,13 +560,15 @@ def _sweep_verdict(
     f_sub: Subgroup,
 ) -> SplitVerdict:
     """No with the first failing subgroup's sample morphism, else Yes with
-    one witness per subgroup; either is built when first read."""
+    one witness per subgroup; either is built when first read.  The sweep
+    is deterministic, so the witnesses run it again, and a kept Yes holds
+    (src, dst, F, side) rather than the outcome list."""
     src, dst = (n, m) if dual else (m, n)
     for props, _count, parts in outcomes:
         kind = None
         if not props.is_summand:
             kind = "not_summand"
-        elif strongly and props.fi_viol is not None:
+        elif strongly and not props.is_fi:
             kind = "not_fully_invariant"
         if kind is not None:
             return SplitVerdict(
@@ -584,7 +581,7 @@ def _sweep_verdict(
         YES, "brute", strongly, dual, m, n, f_sub,
         witnesses=lambda: tuple(
             (props.subgroup.canonical, _sample(src, dst, parts, dual), props.retraction, count)
-            for props, count, parts in outcomes
+            for props, count, parts in _sweep(src, dst, f_sub, dual)
         ),
     )
 
@@ -1076,8 +1073,9 @@ def has_ssp_summands_contained_in(
 def decide_self_profile(
     m: FgAbGroup, f_sub: Subgroup, caps: Caps = Caps()
 ) -> dict[str, SplitVerdict]:
-    """Strongest available verdicts: brute force when the Hom set fits the
-    budget, theorem mode always; definite answers must agree."""
+    """Strongest available verdicts: theorem mode always, and brute force
+    when the Hom set fits the budget, where each of its verdicts is
+    definite; the answers must agree."""
     theorem = self_split_profile_theorem(m, f_sub, caps)
     total = hom_count(m, m)
     if total is None or total > caps.hom_budget:
@@ -1086,24 +1084,23 @@ def decide_self_profile(
     out = {}
     for k, tv in theorem.items():
         bv = brute[k]
-        if not bv.is_unknown:
-            if bv.answer != tv.answer:
-                raise InternalConsistencyError(
-                    f"brute force says {bv.answer} but theorem mode says "
-                    f"{tv.answer} for {tv.predicate} on {m} with F = {f_sub}"
-                )
-            out[k] = SplitVerdict(
-                bv.answer, "brute+theorem", bv.strongly, bv.dual,
-                m, m, f_sub, counterexample=lambda bv=bv: bv.counterexample,
-                witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
+        if bv.answer != tv.answer:
+            raise InternalConsistencyError(
+                f"brute force says {bv.answer} but theorem mode says "
+                f"{tv.answer} for {tv.predicate} on {m} with F = {f_sub}"
             )
-        else:
-            out[k] = tv
+        out[k] = SplitVerdict(
+            bv.answer, "brute+theorem", bv.strongly, bv.dual,
+            m, m, f_sub, counterexample=lambda bv=bv: bv.counterexample,
+            witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
+        )
     return out
 
 
 def reverify(verdict: SplitVerdict) -> bool:
-    """Independently re-check a verdict's certificate."""
+    """Independently re-check a verdict's certificate; True means every
+    check ran and held, so a brute-force Yes over DEFAULT_HOM_BUDGET,
+    whose quantifier is not re-run, is False."""
     if verdict.is_unknown:
         return True
     f_sub = verdict.f_sub
@@ -1121,8 +1118,7 @@ def reverify(verdict: SplitVerdict) -> bool:
     # morphism's kernel/image lands on a certified summand
     if verdict.mode.startswith("brute") and verdict.witnesses:
         certified = {w[0] for w in verdict.witnesses}
-        for w in verdict.witnesses:
-            canonical, sample_g, witness, _count = w
+        for canonical, _g, witness, _count in verdict.witnesses:
             sub = Subgroup(verdict.source, canonical)
             inc = inclusion(sub)
             if compose(witness, inc) != identity_hom(inc.dom):
@@ -1131,11 +1127,9 @@ def reverify(verdict: SplitVerdict) -> bool:
                 return False
         src, dst = (verdict.carrier, verdict.source) if verdict.dual else (verdict.source, verdict.carrier)
         total = hom_count(src, dst)
-        if total is not None and total <= DEFAULT_HOM_BUDGET:
-            for g in iter_hom(src, dst):
-                if _reached(g, f_sub, verdict.dual).canonical not in certified:
-                    return False
-        return True
+        if total is None or total > DEFAULT_HOM_BUDGET:
+            return False
+        return all(_reached(g, f_sub, verdict.dual).canonical in certified for g in iter_hom(src, dst))
     # theorem-mode Yes: recheck the two reduction legs
     if summand_witness(f_sub) is None:
         return False

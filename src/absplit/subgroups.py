@@ -146,16 +146,11 @@ def subgroup_group(s: Subgroup) -> FgAbGroup:
     return inclusion(s).dom
 
 
-@lru_cache(maxsize=None)
-def _quotient_cached(ambient: FgAbGroup, canonical: Matrix) -> Morphism:
-    return _quotient_epi(ambient, _columns(ambient, canonical))
-
-
 def quotient(m: FgAbGroup, s: Subgroup) -> tuple[FgAbGroup, Morphism]:
     """(M/S, q) with q the canonical epimorphism; kernel of q is exactly S."""
     if s.ambient != m:
         raise ObjectMismatchError("subgroup does not live in the given group")
-    q = _quotient_cached(m, s.canonical)
+    q = _quotient_epi(m, _columns(m, s.canonical))
     return q.cod, q
 
 
@@ -333,6 +328,16 @@ class ElementBits:
         """The bitset of qM, spanned by the q·e_i."""
         return self._diagonal((q,) * len(self.factors))
 
+    def is_pure(self, mask: int) -> bool:
+        """is_pure for the subgroup S with this bitset, by counting: x -> q·x
+        maps S onto qS ⊆ S ∩ qM with kernel S ∩ M[q], so S ∩ qM = qS iff
+        |S ∩ qM|·|S ∩ M[q]| = |S|, on the same layers q."""
+        size = mask.bit_count()
+        return all(
+            (mask & self.multiples(q)).bit_count() * (mask & self.torsion(q)).bit_count() == size
+            for q in _pure_layers(self.factors)
+        )
+
 
 # ---------------------------------------------------------------------------
 # fully invariant subgroups
@@ -433,42 +438,32 @@ def fi_ses(m: FgAbGroup, s: Subgroup) -> ShortExactSequence:
 # summands
 
 
-@lru_cache(maxsize=64)
-def _pure_layers(m: FgAbGroup) -> tuple[tuple[int, Subgroup], ...]:
-    """(p^k, p^k M) for each prime p of |M| and 1 <= k < e_p, the largest
-    exponent of p in the factors of the finite group M."""
+def _pure_layers(factors: tuple[int, ...]) -> list[int]:
+    """The p^k for each prime p of the finite order prod(factors) and
+    1 <= k < e_p, the largest exponent of p in the factors."""
     out = []
-    for p in prime_factors(m.order):
-        e_p = max(prime_factors(d).get(p, 0) for d in m.factors)
-        for k in range(1, e_p):
-            q = p**k
-            out.append((q, sub_from_gens(m, [tuple(q * x for x in r) for r in identity(m.ngens)])))
-    return tuple(out)
+    for p in prime_factors(prod(factors)):
+        e_p = max(prime_factors(d).get(p, 0) for d in factors)
+        out += [p**k for k in range(1, e_p)]
+    return out
 
 
-def is_pure(s: Subgroup, bits: Optional[tuple[ElementBits, int]] = None) -> bool:
+def is_pure(s: Subgroup) -> bool:
     """Is S pure in its finite ambient M: S ∩ p^k M = p^k S for every prime p
     and every k >= 1?  In a finite abelian group the pure subgroups are
     exactly the direct summands (Kulikov; Fuchs, Infinite Abelian Groups I,
     §27–28), so this decides summands without solving for a retraction.
     Only k < e_p needs a test: from e_p on, p^k M is the p'-part of M and
-    both sides are the p'-part of S.  Given M's bitsets and S's, (bits, mask),
-    a layer is a count: x -> q·x maps S onto qS ⊆ S ∩ qM with kernel S ∩ M[q],
-    so the two are equal iff |S ∩ qM|·|S ∩ M[q]| = |S|.  A listed M always
-    passes them (SubProps.is_summand); the Hermite test, one intersection a
-    layer, serves an M not yet listed."""
+    both sides are the p'-part of S.  One Hermite intersection a layer; a
+    listed M counts elements instead (ElementBits.is_pure)."""
     m = s.ambient
     if not m.is_finite:
         raise ObjectMismatchError("purity test requires a finite ambient")
-    for q, layer in _pure_layers(m):
-        if bits is not None:
-            index, mask = bits
-            sizes = (mask & index.multiples(q)).bit_count() * (mask & index.torsion(q)).bit_count()
-            if sizes != mask.bit_count():
-                return False
-        elif intersect(s, layer) != sub_from_gens(m, [tuple(q * x for x in r) for r in s.canonical]):
-            return False
-    return True
+    return all(
+        intersect(s, sub_from_gens(m, _diag_after(0, (q,) * m.ngens)))
+        == sub_from_gens(m, [tuple(q * x for x in r) for r in s.canonical])
+        for q in _pure_layers(m.factors)
+    )
 
 
 def summand_witness(s: Subgroup) -> Optional[Morphism]:

@@ -209,7 +209,7 @@ def test_caps_flags_accepted(capsys):
 
 def test_caps_flags_build_the_keyword_caps():
     args = build_parser().parse_args([
-        "classify", "Z/6", "--budget-hom", "100", "--cap-subgroups", "64", "--timeout", "1.5",
+        "verify", "--budget-hom", "100", "--cap-subgroups", "64", "--timeout", "1.5",
     ])
     caps = _caps_from_args(args)
     kw = {"hom_budget": 100, "subgroup_cap": 64, "per_group_timeout_s": 1.5}
@@ -281,9 +281,11 @@ def test_verify_report_contains_examples_field(capsys, tmp_path):
         (("verify", "--max-order", "4", "--cap-subgroups", "-1"), "--cap-subgroups"),
         (("examples", "--cap-endring", "5"), "--cap-endring"),
         (("classify", "Z/4", "--entry-bound", "2"), "--entry-bound"),
-        (("classify", "Z/4", "--timeout", "-0.5"), "--timeout"),
-        (("classify", "Z/4", "--timeout", "nan"), "--timeout"),
+        (("verify", "--max-order", "4", "--timeout", "-0.5"), "--timeout"),
+        (("verify", "--max-order", "4", "--timeout", "nan"), "--timeout"),
         (("verify", "--max-order", "four"), "--max-order"),
+        (("classify", "Z/4", "--timeout", "1"), "--timeout"),
+        (("examples", "--timeout", "1"), "--timeout"),
     ],
 )
 def test_numeric_flag_rejected(capsys, argv, flag):
@@ -293,21 +295,19 @@ def test_numeric_flag_rejected(capsys, argv, flag):
     assert exc.value.code == 2 and out == ""
     assert len(err.splitlines()) == 1
     # the End-ring scan has no cap and the summand test no entry bound, so
-    # --cap-endring and --entry-bound are unknown arguments
-    removed = {"--cap-endring": "5", "--entry-bound": "2"}
-    want = (
-        f"unrecognized arguments: {flag} {removed[flag]}" if flag in removed
-        else f"argument {flag}:"
-    )
+    # --cap-endring and --entry-bound are unknown arguments; only verify
+    # runs a per-group clock, so --timeout is unknown elsewhere
+    unknown = flag in ("--cap-endring", "--entry-bound") or (flag == "--timeout" and argv[0] != "verify")
+    want = f"unrecognized arguments: {flag} {argv[-1]}" if unknown else f"argument {flag}:"
     assert want in err and "Traceback" not in err
 
 
 def test_numeric_flag_lower_bounds_accepted(capsys):
     code, out, err = run_cli(
-        capsys, "classify", "Z/6", "--budget-hom", "0", "--cap-subgroups", "0", "--timeout", "0",
+        capsys, "classify", "Z/6", "--budget-hom", "0", "--cap-subgroups", "0",
     )
     assert code == 0 and err == ""
-    code, out, err = run_cli(capsys, "verify", "--max-order", "1")
+    code, out, err = run_cli(capsys, "verify", "--max-order", "1", "--timeout", "0")
     assert code == 0
 
 

@@ -160,7 +160,7 @@ def test_purity_from_bitsets_matches_hermite(cold, monkeypatch, m):
     want = {s: is_pure(s) for s in analysis.subgroups(CAP)}
     monkeypatch.setattr(subgroups, "intersect", None)
     for s, pure in want.items():
-        assert is_pure(s, (analysis.bits, analysis.masks[s.canonical])) == pure, s
+        assert analysis.bits.is_pure(analysis.masks[s.canonical]) == pure, s
         assert analysis.subgroup_props(s).is_summand == pure, s
 
 
@@ -169,14 +169,15 @@ def test_a_listed_groups_sweeps_make_no_hermite_purity_call(cold, monkeypatch, m
     # listing M builds its bitsets, so every subgroup the sweeps reach
     # afterwards reads its summand test from them, whichever query came
     # first; each F is swept wherever the budget allows, so the patched
-    # intersect is met on every group the sweep can reach
+    # intersect and is_pure are met on every group the sweep can reach
     analysis = analysis_for(m)
     fs = analysis.fi_subgroups(CAP)
 
-    def hermite(s, t):
+    def hermite(*args):
         raise AssertionError(f"Hermite purity on listed {format_group(m)}")
 
     monkeypatch.setattr(subgroups, "intersect", hermite)
+    monkeypatch.setattr(splitness, "is_pure", hermite)
     swept = hom_count(m, m) <= DEFAULT_HOM_BUDGET
     for f in fs:
         for key, v in self_split_profile(m, f).items():

@@ -1199,6 +1199,50 @@ def test_yes_witnesses_are_built_only_when_read(monkeypatch):
     assert reverify(v)
 
 
+@pytest.mark.parametrize(
+    "m_factors, n_factors",
+    [((2, 4), (2, 4)), ((2, 2, 2), (2, 2, 2)), ((3, 9), (3, 9)), ((6,), (2, 4)), ((2, 4), (4,))],
+    ids=["2x4", "2x2x2", "3x9", "6-2x4", "2x4-4"],
+)
+def test_a_kept_yes_verdict_holds_its_sweep_and_not_its_outcomes(monkeypatch, m_factors, n_factors):
+    # a Yes verdict's witnesses run the sweep again when first read, so the
+    # kept verdict holds (src, dst, F, side) and no outcome list, and the
+    # witnesses read after the sweep tables are released are those a cold
+    # analysis builds
+    m, n = group(*m_factors), group(*n_factors)
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    fs = splitness.analysis_for(n).fi_subgroups(DEFAULT_SUBGROUP_CAP)
+    kept = []
+    for f in fs:
+        for dual in (False, True):
+            for strongly in (False, True):
+                v = is_dual_M_F_split(n, m, f, strongly) if dual else is_M_F_split(m, n, f, strongly)
+                if v.is_yes:
+                    held = [c.cell_contents for c in v._witnesses.__closure__]
+                    assert not any(isinstance(x, list) for x in held), (f, dual, strongly)
+                    kept.append((f, dual, strongly, v))
+    assert kept
+    splitness.analysis_for(m)._sweep_lattices.clear()
+    got = [v.witnesses for *_, v in kept]
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    for (f, dual, strongly, _), witnesses in zip(kept, got):
+        cold = is_dual_M_F_split(n, m, f, strongly) if dual else is_M_F_split(m, n, f, strongly)
+        assert witnesses == cold.witnesses, (f, dual, strongly)
+        assert sum(w[3] for w in witnesses) == hom_count(*((n, m) if dual else (m, n)))
+
+
+def test_reverify_is_false_on_a_yes_whose_quantifier_it_cannot_rerun(monkeypatch):
+    # |End((Z/2)^5)| = 2^25 is over the re-check's budget: the witnesses
+    # hold, but True would claim a per-morphism check that never ran
+    m = group(2, 2, 2, 2, 2)
+    v = is_M_F_split(m, m, full_subgroup(m), budget=10**30)
+    assert v.is_yes and v.mode == "brute"
+    calls = _counting(monkeypatch, splitness, "iter_hom")
+    assert not reverify(v) and calls == []
+    small = is_M_F_split(group(2, 2), group(2, 2), full_subgroup(group(2, 2)))
+    assert reverify(small) and len(calls) == 1
+
+
 def test_classify_computes_summand_witnesses_only_when_read(monkeypatch):
     from absplit.harness import classify_rows
     from absplit.subgroups import is_summand
