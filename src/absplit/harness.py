@@ -243,11 +243,13 @@ def _timed(
 
 class _Turn:
     """Group M's turn in the walk of the checks: M is tested against the
-    caps, and its fully invariant F are listed, once for all of them, and
-    one clock runs from the first F that any of them reaches."""
+    caps, its fully invariant F are listed, and each F's brute-force profile
+    is read, once for all of them, and one clock runs from the first F that
+    any of them reaches."""
 
     def __init__(self, m: FgAbGroup, caps: Caps):
         self.m, self.caps, self.skip, self.start = m, caps, None, None
+        self.profiles: dict = {}  # by F's canonical form
         total = hom_count(m, m)
         if m.order is None or m.order > caps.subgroup_cap:
             self.skip = {"group": format_group(m), "reason": _cap_reason(caps)}
@@ -274,8 +276,9 @@ class _Turn:
             return {"group": format_group(m), "f": str(f)}
 
         for f in _timed(self.fs if fs is None else fs, caps, rep, named, self.start):
-            # swept once: the sweep's verdicts stay kept on M's analysis
-            prof = self_split_profile(m, f, caps.hom_budget)
+            prof = self.profiles.get(f.canonical)
+            if prof is None:
+                prof = self.profiles[f.canonical] = self_split_profile(m, f, caps.hom_budget)
             if any(prof[k].is_unknown for k in PROFILE_KEYS):
                 rep.skipped.append({**named(f), "reason": "budget"})
                 continue
@@ -300,7 +303,7 @@ def _run_checks(corpus: Corpus, caps: Caps, checks: Sequence[tuple[str, dict]]) 
             rep.elapsed_s += time.time() - t0
         if turn:
             # M's checks are done: only a later sweep over M would read its
-            # sweep tables, while the sweeps' verdicts stay kept
+            # sweep tables, while the sweeps' answers stay kept
             analysis_for(turn.m)._sweep_lattices.clear()
     return reports
 

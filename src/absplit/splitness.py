@@ -20,9 +20,9 @@ Two independent decision modes are provided:
 Every No verdict carries a counterexample morphism whose failure re-verifies
 independently; brute-force Yes verdicts carry per-kernel witnesses.  Both
 are built when first read: theorem mode builds and lifts its witness
-endomorphism, and brute force builds morphisms from the entries its sweep
-kept (No) or meets on a fresh run (Yes).  SIP/SSP decides a pair of
-nested summands without a join, as the join is then one of the pair.
+endomorphism, and brute force builds morphisms from the entries a fresh run
+of its sweep meets, as it keeps only the answers.  SIP/SSP decides a pair
+of nested summands without a join, as the join is then one of the pair.
 """
 
 from __future__ import annotations
@@ -261,10 +261,10 @@ class GroupAnalysis:
         # list order, built by subgroups; bits is None until M is listed
         self.bits: Optional[ElementBits] = None
         self.masks: dict[Matrix, int] = {}
-        # (|Hom|, plain verdict, strong verdict) of each sweep with this group
+        # (|Hom|, plain answer, strong answer) of each sweep with this group
         # quantified over, by (the other group's factors, F, side); the budget
         # only gates the sweep, so a refusal is never kept
-        self._sweeps: dict[tuple, tuple[int, SplitVerdict, SplitVerdict]] = {}
+        self._sweeps: dict[tuple, tuple[int, str, str]] = {}
         # the lattices every such sweep joins, by the moduli of their states
         self._sweep_lattices: dict[tuple[int, ...], SweepLattices] = {}
         # (M/F, F) of each fully invariant F read (fi_factors), by F
@@ -551,39 +551,16 @@ def _sample(src: FgAbGroup, dst: FgAbGroup, parts: tuple, dual: bool) -> Morphis
     return Morphism(src, dst, rows)
 
 
-def _sweep_verdict(
-    outcomes: list[tuple[SubProps, int, tuple]],
-    strongly: bool,
-    dual: bool,
-    m: FgAbGroup,
-    n: FgAbGroup,
-    f_sub: Subgroup,
-) -> SplitVerdict:
-    """No with the first failing subgroup's sample morphism, else Yes with
-    one witness per subgroup; either is built when first read.  The sweep
-    is deterministic, so the witnesses run it again, and a kept Yes holds
-    (src, dst, F, side) rather than the outcome list."""
-    src, dst = (n, m) if dual else (m, n)
+def _first_failure(outcomes: list[tuple[SubProps, int, tuple]], strongly: bool) -> Optional[tuple]:
+    """(properties, entries, kind) of the first subgroup in the sweep's
+    outcomes that is not a summand, or, when strongly, not fully invariant;
+    None when every one passes."""
     for props, _count, parts in outcomes:
-        kind = None
         if not props.is_summand:
-            kind = "not_summand"
-        elif strongly and not props.is_fi:
-            kind = "not_fully_invariant"
-        if kind is not None:
-            return SplitVerdict(
-                NO, "brute", strongly, dual, m, n, f_sub,
-                counterexample=lambda: Counterexample(
-                    _sample(src, dst, parts, dual), props.subgroup, kind
-                ),
-            )
-    return SplitVerdict(
-        YES, "brute", strongly, dual, m, n, f_sub,
-        witnesses=lambda: tuple(
-            (props.subgroup.canonical, _sample(src, dst, parts, dual), props.retraction, count)
-            for props, count, parts in _sweep(src, dst, f_sub, dual)
-        ),
-    )
+            return props, parts, "not_summand"
+        if strongly and not props.is_fi:
+            return props, parts, "not_fully_invariant"
+    return None
 
 
 def _brute_sweep(
@@ -596,11 +573,15 @@ def _brute_sweep(
     name: Optional[str] = None,
 ) -> SplitVerdict:
     """The verdict from the sweep of (M, N, F, side).  The sweep runs once,
-    and both of its verdicts are kept on M's analysis, so the plain and the
-    strong predicate, and every later call, read one entry.  F is checked
-    when no entry is kept, its full invariance read from N's analysis;
-    otherwise only its ambient is, since an F of Z/4 can share its
-    canonical matrix with an F of Z/2."""
+    and M's analysis keeps its (|Hom|, plain answer, strong answer), so the
+    plain and the strong predicate, and every later call, read one entry.
+    F is checked when no entry is kept, its full invariance read from N's
+    analysis; otherwise only its ambient is, since an F of Z/4 can share
+    its canonical matrix with an F of Z/2.
+
+    Each call builds a new verdict.  The sweep is deterministic, so its
+    certificate runs the sweep again when first read: No takes the first
+    failing subgroup's sample morphism, Yes one witness per subgroup."""
     src, dst = (n, m) if dual else (m, n)
     kept = analysis_for(m)._sweeps
     key = (n.factors, f_sub.canonical, dual)
@@ -612,11 +593,7 @@ def _brute_sweep(
         total = hom_count(src, dst)
         if total is not None and total <= budget:
             outcomes = _sweep(src, dst, f_sub, dual)
-            entry = kept[key] = (
-                total,
-                _sweep_verdict(outcomes, False, dual, m, n, f_sub),
-                _sweep_verdict(outcomes, True, dual, m, n, f_sub),
-            )
+            entry = kept[key] = (total, *(NO if _first_failure(outcomes, s) else YES for s in (False, True)))
     if total is None or total > budget:
         name = name or f"{src}, {dst}"
         reason = (
@@ -626,7 +603,19 @@ def _brute_sweep(
         return SplitVerdict(
             UNKNOWN, "brute", strongly, dual, m, n, f_sub, reason=reason,
         )
-    return entry[1 + strongly]
+    if entry[1 + strongly] == NO:
+        def counterexample() -> Counterexample:
+            props, parts, kind = _first_failure(_sweep(src, dst, f_sub, dual), strongly)
+            return Counterexample(_sample(src, dst, parts, dual), props.subgroup, kind)
+
+        return SplitVerdict(NO, "brute", strongly, dual, m, n, f_sub, counterexample=counterexample)
+    return SplitVerdict(
+        YES, "brute", strongly, dual, m, n, f_sub,
+        witnesses=lambda: tuple(
+            (props.subgroup.canonical, _sample(src, dst, parts, dual), props.retraction, count)
+            for props, count, parts in _sweep(src, dst, f_sub, dual)
+        ),
+    )
 
 
 def is_M_F_split(
@@ -988,9 +977,7 @@ def self_split_profile_theorem(
     m: FgAbGroup, f_sub: Subgroup, caps: Caps = Caps()
 ) -> dict[str, SplitVerdict]:
     return {
-        _profile_key(strongly, dual): (
-            is_dual_self_F_split_theorem if dual else is_self_F_split_theorem
-        )(m, f_sub, strongly, caps)
+        _profile_key(strongly, dual): _self_F_split_theorem(m, f_sub, strongly, dual, caps)
         for dual, strongly in _PROFILE_SIDES
     }
 
@@ -1075,13 +1062,13 @@ def decide_self_profile(
 ) -> dict[str, SplitVerdict]:
     """Strongest available verdicts: theorem mode always, and brute force
     when the Hom set fits the budget, where each of its verdicts is
-    definite; the answers must agree."""
+    definite; the answers must agree.  A brute-force verdict is new on each
+    call, so it takes mode "brute+theorem" and theorem mode's trace itself."""
     theorem = self_split_profile_theorem(m, f_sub, caps)
     total = hom_count(m, m)
     if total is None or total > caps.hom_budget:
         return theorem  # brute force could only answer unknown
     brute = self_split_profile(m, f_sub, caps.hom_budget)
-    out = {}
     for k, tv in theorem.items():
         bv = brute[k]
         if bv.answer != tv.answer:
@@ -1089,12 +1076,8 @@ def decide_self_profile(
                 f"brute force says {bv.answer} but theorem mode says "
                 f"{tv.answer} for {tv.predicate} on {m} with F = {f_sub}"
             )
-        out[k] = SplitVerdict(
-            bv.answer, "brute+theorem", bv.strongly, bv.dual,
-            m, m, f_sub, counterexample=lambda bv=bv: bv.counterexample,
-            witnesses=lambda bv=bv: bv.witnesses, trace=tv.trace,
-        )
-    return out
+        bv.mode, bv.trace = "brute+theorem", tv.trace
+    return brute
 
 
 def reverify(verdict: SplitVerdict) -> bool:

@@ -276,7 +276,6 @@ class ElementBits:
         self.sizes = [prod(factors[i:]) for i in range(len(factors) + 1)]
         self.full = (1 << self.sizes[0]) - 1
         self._moves: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-        self._diagonals: dict[tuple[int, ...], int] = {}
 
     def move(self, x: int, g: tuple[int, ...]) -> int:
         """The bitset x moved by the element g: each block of N_j bits
@@ -314,19 +313,13 @@ class ElementBits:
             return self.span(mask(rows[1:]), rows[:1]) if rows else 1
         return [mask(h) for h in forms]
 
-    def _diagonal(self, steps: tuple[int, ...]) -> int:
-        """The bitset of ⊕ a_i<e_i> over these steps a_i, built once."""
-        if steps not in self._diagonals:
-            self._diagonals[steps] = self.span(1, _diag_after(0, steps))
-        return self._diagonals[steps]
-
     def torsion(self, q: int) -> int:
         """The bitset of M[q] = {x : q·x = 0}, spanned by the (d_i / gcd(d_i, q))·e_i."""
-        return self._diagonal(tuple(d // gcd(d, q) for d in self.factors))
+        return self.span(1, _diag_after(0, [d // gcd(d, q) for d in self.factors]))
 
     def multiples(self, q: int) -> int:
         """The bitset of qM, spanned by the q·e_i."""
-        return self._diagonal((q,) * len(self.factors))
+        return self.span(1, _diag_after(0, [q] * len(self.factors)))
 
     def is_pure(self, mask: int) -> bool:
         """is_pure for the subgroup S with this bitset, by counting: x -> q·x

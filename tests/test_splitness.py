@@ -1,6 +1,7 @@
 """Splitness predicates: brute force, theorem reductions, certificates."""
 
 import functools
+import gc
 import itertools
 import os
 import random
@@ -241,6 +242,8 @@ def test_decide_profile_modes():
     subs = z12_by_order()
     prof = decide_self_profile(Z12, subs[4])
     assert prof["primal_strong"].mode == "brute+theorem"
+    theorem = self_split_profile_theorem(Z12, subs[4])
+    assert all(prof[k].trace == theorem[k].trace != () for k in prof)
     m = group(2, 0)
     prof2 = decide_self_profile(m, evaluate(torsion(), m))
     assert prof2["primal_plain"].mode == "theorem"
@@ -895,7 +898,7 @@ def _verdict_fields(v):
     ids=["6-2x4", "2x4-4", "2x2-8"],
 )
 def test_plain_and_strong_read_one_sweep_between_groups(monkeypatch, m_factors, n_factors):
-    # M != N: both predicates of a side read the outcome list kept on M's
+    # M != N: both predicates of a side read the answers kept on M's
     # analysis, and each verdict equals one decided on a fresh analysis
     m, n = group(*m_factors), group(*n_factors)
     for f in (trivial_subgroup(n), evaluate(socle(), n), full_subgroup(n)):
@@ -983,7 +986,7 @@ def test_every_no_counterexample_is_built_on_read_and_kept_to_order_16():
     # brute force and theorem mode, every fully invariant F of every group
     # to order 16: each No carries a counterexample that re-verifies, and a
     # second read returns the object the first one built; the strongest
-    # verdict hands on brute force's own
+    # verdict builds the counterexample brute force builds
     nos = 0
     for m in enumerate_groups(16):
         for f in splitness.analysis_for(m).fi_subgroups(DEFAULT_SUBGROUP_CAP):
@@ -998,8 +1001,24 @@ def test_every_no_counterexample_is_built_on_read_and_kept_to_order_16():
                     assert ce is not None and reverify(v), (m, f, v.predicate, v.mode)
                     assert v.counterexample is ce
             for k, v in decide_self_profile(m, f).items():
-                assert v.counterexample is brute[k].counterexample, (m, f, k)
+                assert v.counterexample == brute[k].counterexample, (m, f, k)
     assert nos > 0
+
+
+def test_verify_keeps_no_verdict_alive(monkeypatch):
+    # verify reads each sweep's answers: after a cold verify-24 no verdict
+    # it built is alive, as the memo keeps answers and each turn drops its
+    # profiles (the verdicts alive before the run are held, so none dies)
+    from absplit import harness
+
+    def alive():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, splitness.SplitVerdict)]
+
+    before = alive()
+    monkeypatch.setattr(splitness, "_ANALYSES", {})
+    assert harness.run_verification(24)["passed"]
+    assert len(alive()) == len(before)
 
 
 def _outcomes(args):
@@ -1086,16 +1105,24 @@ def test_sweep_evaluators_match_direct_computation():
 
 
 def test_kept_verdict_still_checks_its_arguments(monkeypatch):
-    # the memo of brute-force verdicts keys on F's canonical matrix: a kept
-    # entry must not let a wrong F through
+    # the memo of brute-force answers keys on F's canonical matrix: a later
+    # call reads the kept entry with no sweep and gives the same verdict,
+    # but a kept entry must not let a wrong F through
     monkeypatch.setattr(splitness, "_ANALYSES", {})
     m = group(2, 4)
     fi = sub_from_gens(m, [(0, 2)])
     assert is_fully_invariant(fi)
     kept = is_M_F_split(m, m, fi)
-    assert is_M_F_split(m, m, fi) is kept
-    assert self_split_profile(m, fi)["primal_plain"] is kept
-    assert self_split_profile(m, fi)["dual_strong"] is is_dual_M_F_split(m, m, fi, True)
+    kept_dual = is_dual_M_F_split(m, m, fi, True)
+    sweeps = _counting(monkeypatch, splitness, "_sweep")
+    repeats = [
+        (kept, is_M_F_split(m, m, fi)),
+        (kept, self_split_profile(m, fi)["primal_plain"]),
+        (kept_dual, self_split_profile(m, fi)["dual_strong"]),
+    ]
+    assert sweeps == []  # before any certificate is read
+    for first, again in repeats:
+        assert _verdict_fields(again) == _verdict_fields(first)
     not_fi = sub_from_gens(m, [(1, 0)])
     for decide in (
         lambda: is_M_F_split(m, m, not_fi),
@@ -1125,7 +1152,7 @@ def test_profile_budget_respected():
     assert all(v.is_unknown and "exceeds budget" in v.reason for v in prof.values())
     prof2 = self_split_profile(m, trivial_subgroup(m), budget=32)
     assert not any(v.is_unknown for v in prof2.values())
-    # a kept verdict is still refused to a caller with a smaller budget
+    # a kept answer is still refused to a caller with a smaller budget
     prof3 = self_split_profile(m, trivial_subgroup(m), budget=31)
     assert all(v.is_unknown and "exceeds budget" in v.reason for v in prof3.values())
 
@@ -1222,6 +1249,11 @@ def test_a_kept_yes_verdict_holds_its_sweep_and_not_its_outcomes(monkeypatch, m_
                     assert not any(isinstance(x, list) for x in held), (f, dual, strongly)
                     kept.append((f, dual, strongly, v))
     assert kept
+    # the memo keeps (|Hom|, plain answer, strong answer) and no verdict
+    entries = [e for a in splitness._ANALYSES.values() for e in a._sweeps.values()]
+    assert entries and all(
+        type(total) is int and {plain, strong} <= {"yes", "no"} for total, plain, strong in entries
+    )
     splitness.analysis_for(m)._sweep_lattices.clear()
     got = [v.witnesses for *_, v in kept]
     monkeypatch.setattr(splitness, "_ANALYSES", {})
